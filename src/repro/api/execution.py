@@ -1,9 +1,10 @@
 """Execution backends: where a sweep's replicates actually run.
 
-:func:`~repro.experiments.runner.sweep_experiment` turns a sweep into a flat
-list of :class:`ReplicateTask`\\ s — one per ``(sweep point, run)`` pair, each
-carrying the exact ``numpy.random.SeedSequence`` child that the serial loop
-would have used. A backend only chooses *where* those tasks execute:
+The sweep engine (:func:`~repro.api.experiment.run_sweep`, and
+:func:`~repro.experiments.runner.sweep_experiment` for closure replicates)
+hands a backend a list of :class:`ReplicateTask`\\ s — one per replicate,
+each carrying the ``numpy.random.SeedSequence`` its position in the sweep
+pins. A backend only chooses *where* those tasks execute:
 
 * :class:`SerialBackend` — in-process loop, the default;
 * :class:`ProcessPoolBackend` — fan-out over worker processes.

@@ -1,21 +1,28 @@
 """Executing declarative specs: ``run_experiment`` and ``run_sweep``.
 
 These are the two entry points the spec layer adds on top of
-:func:`repro.core.simulator.simulate` and
-:func:`repro.experiments.runner.sweep_experiment`:
+:func:`repro.core.simulator.simulate`:
 
 * :func:`run_experiment` materialises one :class:`ExperimentSpec` — build
   the substrate, generate the trace(s), run every policy — and returns the
   full per-policy :class:`~repro.core.results.RunResult` ledgers plus the
   spec's evaluated metric series.
 * :func:`run_sweep` turns a :class:`SweepSpec` into a
-  :class:`~repro.experiments.runner.FigureResult` via the sweep engine; pass
-  an :class:`~repro.api.execution.ExecutionBackend` to parallelise the
+  :class:`~repro.experiments.runner.FigureResult`; pass an
+  :class:`~repro.api.execution.ExecutionBackend` to parallelise the
   replicates (results are bit-identical across backends) and a
   :class:`~repro.api.cache.ResultCache` to memoize results on disk — whole
   sweeps *and* individual sweep points, so an interrupted or partially
   invalidated sweep resumes instead of restarting, and ``shard=(i, n)``
   lets N independent processes fill disjoint points of one shared cache.
+
+Every sweep sample comes from one small engine working on *point units*
+``(point i, start, size)``: the initial block (``start == 0``, flat
+seeds, a point cache entry) and, under an adaptive
+:class:`ReplicationSpec`, top-ups (``start >= runs``, per-point extension
+seeds, a point-extension cache entry). :func:`run_sweep` runs its rounds
+to the end, :func:`collect_point_samples` runs the first round only, and
+the queue workers (:mod:`repro.queue.worker`) advance one point per lease.
 
 Randomness follows the figure-module convention: one generator drives
 topology construction, trace generation and every policy's simulation in
@@ -29,8 +36,9 @@ after the last simulation without consuming any randomness.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import combinations
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -406,10 +414,8 @@ def _execute_sweep(
 ) -> "FigureResult":
     """:func:`run_sweep` after spec normalization (observer-transparent)."""
     from repro.experiments.runner import (
-        SeriesValidator,
+        aggregate_point_summaries,
         aggregate_samples,
-        spawn_tasks,
-        sweep_experiment,
     )
 
     shard = _normalize_shard(shard)
@@ -428,139 +434,62 @@ def _execute_sweep(
         if cached is not None:
             return cached
 
-    if spec.replication is not None and spec.replication.ci_level > 0:
-        # Confidence-aware path: per-point CI annotations and (with a
-        # target) adaptive replication. A replication spec with
-        # ci_level=0 is a pure runs override and stays on the plain
-        # paths below, whose output is bit-identical to a fixed-runs
-        # sweep.
-        return _run_confidence_sweep(spec, backend, cache, shard, resume)
-
+    rep = spec.replication
     runs = spec.effective_runs
-    if cache is None or not resume:
-        # All-or-nothing path: no per-point entries to probe or fill.
-        result = _display_x(
-            spec,
-            sweep_experiment(
-                figure=spec.figure,
-                title=spec.resolved_title(),
-                x_label=spec.resolved_x_label(),
-                x_values=spec.values,
-                replicate=SpecReplicate(spec),
-                runs=runs,
-                seed=spec.seed,
-                notes=spec.notes,
-                backend=backend,
-                comparison=spec.comparison,
-            ),
+    if rep is not None and rep.adaptive and rep.max_runs < runs:
+        raise ValueError(
+            f"ReplicationSpec.max_runs ({rep.max_runs}) is below the "
+            f"initial replicate count ({runs})"
         )
-        if cache is not None:
-            cache.store(spec, result)
-        return result
 
-    # Resumable path: assemble the figure from cached points plus freshly
-    # computed ones, storing each fresh point as soon as its replicates are
-    # in — an interruption loses at most the points still in flight.
-    x_values = list(spec.values)
-    tasks = spawn_tasks(x_values, runs, spec.seed)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-
-    samples: "list[Mapping[str, float] | None]" = [None] * len(tasks)
-    missing: "list[int]" = []
-    for i in range(len(x_values)):
-        cached_point = cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-        if cached_point is not None:
-            samples[i * runs : (i + 1) * runs] = cached_point
-        else:
-            missing.append(i)
-
-    mine = [
-        i for i in missing if shard is None or i % shard[1] == shard[0]
-    ]
-    if mine:
-        if backend is None:
-            backend = SerialBackend()
-        validator = SeriesValidator(runs)
-        pending = [tasks[i * runs + j] for i in mine for j in range(runs)]
-
-        def commit(k: int, block) -> None:
-            """Publish the k-th missing point: scatter + store immediately."""
-            i = mine[k]
-            samples[i * runs : (i + 1) * runs] = block
-            cache.store_point(point_specs[i], spec.seed, i * runs, runs, block)
-
-        # Commit each point from the result hook the moment its last
-        # replicate lands (results arrive in task order), so a crash or
-        # kill mid-batch loses at most the points still in flight — the
-        # next run resumes from everything committed before the interrupt.
-        hook_samples: "list[Mapping[str, float]]" = []
-
-        def on_result(index, task, sample) -> None:
-            validator(index, task, sample)
-            hook_samples.append(sample)
-            if len(hook_samples) % runs == 0:
-                k = len(hook_samples) // runs - 1
-                commit(k, hook_samples[k * runs :])
-
-        fresh = backend.run_replicates(
-            SpecReplicate(spec), pending, on_result=on_result
-        )
-        # Backstop for backends that ignored (or only partially drove) the
-        # hook: validate and commit whatever the hook did not see.
-        for index in range(len(hook_samples), len(pending)):
-            validator(index, pending[index], fresh[index])
-        for k in range(len(hook_samples) // runs, len(mine)):
-            commit(k, fresh[k * runs : (k + 1) * runs])
-
-    # Cached and fresh samples must agree on the series key set — a cached
-    # point from an older metric line-up mixed with fresh ones would
-    # otherwise aggregate into misaligned series.
-    check = SeriesValidator(runs)
-    for index, (task, sample) in enumerate(zip(tasks, samples)):
-        if sample is not None:
-            check(index, task, sample)
-
-    complete = [
-        i
-        for i in range(len(x_values))
-        if all(samples[i * runs + j] is not None for j in range(runs))
-    ]
-    if len(complete) < len(x_values):
-        # Only reachable in shard mode: other shards' points are not in the
-        # cache yet. Return what exists — callers fan shards out in parallel
-        # and let any later full run assemble the complete figure.
-        partial = aggregate_samples(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=[x_values[i] for i in complete],
-            samples=[
-                samples[i * runs + j] for i in complete for j in range(runs)
-            ],
-            runs=runs,
-            notes=(
-                f"partial: {len(complete)}/{len(x_values)} points "
-                f"(shard {shard[0] + 1}/{shard[1]}); rerun unsharded to "
-                "assemble"
-            ),
-            comparison=spec.comparison,
-        )
-        return _display_x(spec, partial)
-
-    result = _display_x(
+    n_points = len(spec.values)
+    units = _PointUnits(
         spec,
-        aggregate_samples(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=x_values,
-            samples=samples,
-            runs=runs,
-            notes=spec.notes,
-            comparison=spec.comparison,
-        ),
+        backend,
+        cache if resume else None,
+        range(n_points),
+        owns=None if shard is None else lambda i: i % shard[1] == shard[0],
     )
-    cache.store(spec, result)
+    for _simulated in units.rounds():
+        pass
+
+    complete = [i for i in range(n_points) if i not in units.blocked]
+    notes = spec.notes
+    if len(complete) < n_points:
+        # Only reachable in shard mode: other shards' points are missing
+        # or mid-top-up. Return what is finished — callers fan shards out
+        # in parallel and let any later full run assemble the figure.
+        notes = (
+            f"partial: {len(complete)}/{n_points} points "
+            f"(shard {shard[0] + 1}/{shard[1]}); rerun unsharded to "
+            "assemble"
+        )
+    meta = dict(
+        figure=spec.figure,
+        title=spec.resolved_title(),
+        x_label=spec.resolved_x_label(),
+        x_values=[spec.values[i] for i in complete],
+        notes=notes,
+        comparison=spec.comparison,
+    )
+    if rep is not None and rep.ci_level > 0:
+        result = aggregate_point_summaries(
+            point_samples=[units.samples[i] for i in complete],
+            ci_level=rep.ci_level,
+            method=rep.method,
+            **meta,
+        )
+    else:
+        # A replication spec with ci_level=0 is a pure runs override: the
+        # result is bit-identical to a fixed-runs sweep.
+        result = aggregate_samples(
+            samples=[s for i in complete for s in units.samples[i]],
+            runs=runs,
+            **meta,
+        )
+    result = _display_x(spec, result)
+    if cache is not None and len(complete) == n_points:
+        cache.store(spec, result)
     return result
 
 
@@ -573,294 +502,225 @@ def collect_point_samples(
     """The raw initial replicate block behind every sweep point.
 
     Returns, per sweep point, the point's first ``spec.effective_runs``
-    replicate samples (``{series: value}`` dicts) — the same blocks
-    :func:`run_sweep` simulates in its first phase, with the same flat
-    seeds and the same per-point cache entries, so a call over the cache
-    of a completed sweep loads everything and simulates nothing. Missing
-    blocks are simulated (and stored, when ``cache`` and ``resume`` allow)
-    so the result is always complete.
+    replicate samples (``{series: value}`` dicts) — the first round of the
+    very engine behind :func:`run_sweep`, with the same flat seeds and the
+    same per-point cache entries, so a call over the cache of a completed
+    sweep loads everything and simulates nothing. Missing blocks are
+    simulated (and stored, when ``cache`` and ``resume`` allow) so the
+    result is always complete.
 
     This is the sample-level feed of
     :func:`repro.analysis.stats.comparison_matrix`: every-vs-every paired
     comparisons need the aligned per-replicate values, which an aggregated
     :class:`FigureResult` no longer carries.
     """
-    from repro.experiments.runner import SeriesValidator, spawn_tasks
-
-    runs = spec.effective_runs
-    x_values = list(spec.values)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-    use_points = cache is not None and resume
-
-    samples: "list[list[Mapping[str, float]] | None]" = [None] * len(x_values)
-    pending: "list[int]" = []
-    for i in range(len(x_values)):
-        block = (
-            cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-            if use_points
-            else None
-        )
-        if block is not None:
-            samples[i] = list(block)
-        else:
-            pending.append(i)
-
-    if pending:
-        if backend is None:
-            backend = SerialBackend()
-        tasks = spawn_tasks(x_values, runs, spec.seed)
-
-        def point_commit(i: int):
-            def commit(block) -> None:
-                samples[i] = list(block)
-                if use_points:
-                    cache.store_point(
-                        point_specs[i], spec.seed, i * runs, runs, block
-                    )
-
-            return commit
-
-        _run_batched(
-            backend,
-            SpecReplicate(spec),
-            [
-                (tasks[i * runs : (i + 1) * runs], point_commit(i))
-                for i in pending
-            ],
-            SeriesValidator(runs),
-        )
-    return samples
-
-
-def _run_batched(backend, replicate, spans, validator) -> None:
-    """Run several task blocks as one backend batch, committing per block.
-
-    ``spans`` is a list of ``(tasks, commit)`` pairs; ``commit(block)`` is
-    invoked with a block's samples the moment its last replicate lands
-    (results arrive in task order), so a crash mid-batch loses at most the
-    blocks still in flight. Backends that ignore (or only partially drive)
-    the result hook are backstopped from the returned list.
-    """
-    tasks = [task for block_tasks, _commit in spans for task in block_tasks]
-    bounds = [0]
-    for block_tasks, _commit in spans:
-        bounds.append(bounds[-1] + len(block_tasks))
-
-    seen: "list[Mapping[str, float]]" = []
-    committed = 0
-
-    def on_result(index, task, sample) -> None:
-        nonlocal committed
-        validator(index, task, sample)
-        seen.append(sample)
-        while committed < len(spans) and len(seen) >= bounds[committed + 1]:
-            spans[committed][1](seen[bounds[committed] : bounds[committed + 1]])
-            committed += 1
-
-    results = backend.run_replicates(replicate, tasks, on_result=on_result)
-    for index in range(len(seen), len(tasks)):
-        validator(index, tasks[index], results[index])
-    for k in range(committed, len(spans)):
-        spans[k][1](results[bounds[k] : bounds[k + 1]])
-
-
-def _run_confidence_sweep(
-    spec: SweepSpec,
-    backend: "ExecutionBackend | None",
-    cache: "ResultCache | None",
-    shard: "tuple[int, int] | None",
-    resume: bool,
-) -> "FigureResult":
-    """The confidence-aware sweep engine behind :func:`run_sweep`.
-
-    Phase 1 materialises every point's *initial* replicate block exactly
-    like the plain resumable path — same flat task seeds, same point cache
-    entries, so blocks cached by replication-unaware sweeps (or written
-    before replication existed) are reused as-is. Phase 2, only under an
-    adaptive replication spec, tops needy points up batch by batch:
-    cache-first (point-extension entries), then the marginal seeds through
-    the backend. The schedule at a point depends only on that point's
-    samples, so shards never coordinate and serial, pooled and sharded
-    execution stay bit-identical.
-    """
-    from repro.experiments.runner import (
-        SeriesValidator,
-        aggregate_point_summaries,
-        point_meets_target,
-        spawn_point_extension_tasks,
-        spawn_tasks,
+    n_points = len(spec.values)
+    units = _PointUnits(
+        spec, backend, cache if resume else None, range(n_points)
     )
+    next(units.rounds(), None)
+    return [units.samples[i] for i in range(n_points)]
 
+
+def _advance_point(
+    spec: SweepSpec, cache: "ResultCache", index: int, initial: bool
+) -> bool:
+    """One queue lease of sweep point ``index``: whether to chain a top-up.
+
+    An ``initial`` lease runs the point's first round — its initial block —
+    and chains a top-up under an adaptive spec. A top-up lease loads the
+    point's cached units, runs at most one fresh unit and chains another
+    top-up while the point still needs units. Leases stay short-lived, the
+    rest of a point's schedule goes to whichever worker leases it next, and
+    a racing twin loads or writes identical bytes.
+    """
+    units = _PointUnits(spec, None, cache, (index,))
+    rounds = units.rounds()
+    if initial:
+        next(rounds, None)
+        return spec.replication is not None and spec.replication.adaptive
+    for simulated in rounds:
+        if simulated:
+            return _next_unit(spec, units.samples[index]) is not None
+    return False
+
+
+# ---------------------------------------------------------------------------
+# The point-unit engine: one sweep point's replicates, unit by unit
+# ---------------------------------------------------------------------------
+
+
+def _next_unit(
+    spec: SweepSpec, samples: "Sequence[Mapping[str, float]]"
+) -> "tuple[int, int] | None":
+    """The ``(start, size)`` of a point's next unit, or ``None`` when done.
+
+    A point without samples starts with its initial block ``(0, runs)``.
+    Under an adaptive :class:`ReplicationSpec` it then tops up ``batch``
+    replicates at a time (fewer at the cap) until
+    :func:`~repro.experiments.runner.point_meets_target` holds or
+    ``max_runs`` is reached. The decision is a pure function of the point's
+    own samples, so serial, sharded and queued executions replay the very
+    same units.
+    """
+    from repro.experiments.runner import point_meets_target
+
+    if not samples:
+        return 0, spec.effective_runs
     rep = spec.replication
-    runs = spec.effective_runs
-    if rep.adaptive and rep.max_runs < runs:
-        raise ValueError(
-            f"ReplicationSpec.max_runs ({rep.max_runs}) is below the "
-            f"initial replicate count ({runs})"
+    have = len(samples)
+    if (
+        rep is None
+        or not rep.adaptive
+        or have >= rep.max_runs
+        or point_meets_target(samples, rep, spec.comparison)
+    ):
+        return None
+    batch = rep.batch_size(spec.runs)
+    return have, min(batch, rep.max_runs - have)
+
+
+class _PointUnits:
+    """Fill sweep points with replicate samples, one *point unit* at a time.
+
+    A unit ``(point i, start, size)`` is a run of consecutive replicates of
+    one point. ``start == 0`` is the point's initial block: the flat
+    :func:`~repro.experiments.runner.spawn_tasks` seeds and a point cache
+    entry. ``start >= runs`` is an adaptive top-up: the
+    :func:`~repro.experiments.runner.spawn_point_extension_tasks` seeds and
+    a point-extension cache entry. Every seed depends only on its position,
+    so the samples do not depend on which process runs a unit, or when.
+
+    Each of :meth:`rounds` advances every open point by one unit: cached
+    units load (with ``cache=None`` nothing is read or written), and every
+    missing unit runs in *one* ``backend.run_replicates`` call. A unit is
+    committed to the cache the moment its last sample lands, so an
+    interrupt loses at most the units still in flight. A point whose next
+    unit is missing and that ``owns`` rejects (another shard's point) stops
+    in :attr:`blocked`.
+    """
+
+    def __init__(
+        self,
+        spec: SweepSpec,
+        backend: "ExecutionBackend | None",
+        cache: "ResultCache | None",
+        points: "Sequence[int]",
+        owns: "Callable[[int], bool] | None" = None,
+    ) -> None:
+        from repro.experiments.runner import SeriesValidator, spawn_tasks
+
+        self.spec = spec
+        self.backend = backend if backend is not None else SerialBackend()
+        self.cache = cache
+        self.owns = owns
+        self.x_values = list(spec.values)
+        self.samples: "dict[int, list[Mapping[str, float]]]" = {
+            i: [] for i in points
+        }
+        self.blocked: "set[int]" = set()
+        self._open = list(points)
+        self._experiments = {
+            i: spec.experiment_at(self.x_values[i]) for i in points
+        }
+        self._flat_tasks = spawn_tasks(
+            self.x_values, spec.effective_runs, spec.seed
         )
-    if backend is None:
-        backend = SerialBackend()
-    x_values = list(spec.values)
-    n_points = len(x_values)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-    replicate = SpecReplicate(spec)
-    validator = SeriesValidator(runs)
-    use_points = cache is not None and resume
+        # every replicate of a sweep must report the same series: a cached
+        # block from an older metric line-up mixed with fresh ones would
+        # otherwise aggregate into misaligned series
+        self._validator = SeriesValidator()
 
-    def is_mine(i: int) -> bool:
-        return shard is None or i % shard[1] == shard[0]
-
-    # -- phase 1: initial blocks (flat seeds, plain point entries) ----------
-    samples: "list[list[Mapping[str, float]] | None]" = [None] * n_points
-    pending_initial: "list[int]" = []
-    for i in range(n_points):
-        block = (
-            cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-            if use_points
-            else None
-        )
-        if block is not None:
-            samples[i] = list(block)
-        elif is_mine(i):
-            pending_initial.append(i)
-
-    if pending_initial:
-        tasks = spawn_tasks(x_values, runs, spec.seed)
-
-        def initial_commit(i: int):
-            def commit(block) -> None:
-                samples[i] = list(block)
-                if use_points:
-                    cache.store_point(
-                        point_specs[i], spec.seed, i * runs, runs, block
-                    )
-
-            return commit
-
-        _run_batched(
-            backend,
-            replicate,
-            [
-                (tasks[i * runs : (i + 1) * runs], initial_commit(i))
-                for i in pending_initial
-            ],
-            validator,
-        )
-
-    # -- phase 2: adaptive top-ups ------------------------------------------
-    incomplete = {i for i in range(n_points) if samples[i] is None}
-    if rep.adaptive:
-        batch = rep.batch_size(spec.runs)
-        # A point leaves `open_points` once it is terminal — target met,
-        # max_runs reached, or owned by an unfinished other shard. Its
-        # samples can never change after that, so re-running the CI check
-        # (a full bootstrap per series under method="bootstrap") every
-        # round for settled points would be pure waste.
-        open_points = [i for i in range(n_points) if i not in incomplete]
-        while open_points:
-            spans = []
-            progressed = False
+    def rounds(self) -> "Iterator[bool]":
+        """Advance each open point one unit a round; yield if it simulated."""
+        while self._open:
+            fresh: "list[tuple[int, int, int]]" = []
             still_open = []
-            for i in open_points:
-                have = len(samples[i])
-                if have >= rep.max_runs or point_meets_target(
-                    samples[i], rep, spec.comparison
-                ):
+            for i in self._open:
+                unit = _next_unit(self.spec, self.samples[i])
+                if unit is None:
                     continue
-                size = min(batch, rep.max_runs - have)
-                block = (
-                    cache.load_point_extension(
-                        point_specs[i], spec.seed, i, have, size
-                    )
-                    if use_points
-                    else None
-                )
+                block = self._load(i, *unit)
                 if block is not None:
-                    samples[i].extend(block)
-                    progressed = True
-                    still_open.append(i)
-                elif is_mine(i):
-
-                    def extension_commit(i=i, have=have, size=size):
-                        def commit(block) -> None:
-                            if use_points:
-                                cache.store_point_extension(
-                                    point_specs[i], spec.seed, i, have, size,
-                                    block,
-                                )
-                            samples[i].extend(block)
-
-                        return commit
-
-                    spans.append(
-                        (
-                            spawn_point_extension_tasks(
-                                x_values[i], i, have, size, spec.seed
-                            ),
-                            extension_commit(),
-                        )
-                    )
-                    still_open.append(i)
+                    task = ReplicateTask(x=self.x_values[i], seed=None)
+                    for offset, sample in enumerate(block):
+                        self._validator(unit[0] + offset, task, sample)
+                    self.samples[i].extend(block)
+                elif self.owns is None or self.owns(i):
+                    fresh.append((i, *unit))
                 else:
-                    # Another shard owns this point and has not finished
-                    # its top-ups yet; leave it to them.
-                    incomplete.add(i)
-            open_points = still_open
-            if spans:
-                _run_batched(backend, replicate, spans, validator)
-                progressed = True
-            if not progressed:
-                break
+                    self.blocked.add(i)
+                    continue
+                still_open.append(i)
+            self._open = still_open
+            if fresh:
+                self._run(fresh)
+            yield bool(fresh)
 
-    # Cached and fresh samples must agree on the series key set — a cached
-    # block from an older metric line-up mixed with fresh ones would
-    # otherwise aggregate into misaligned series.
-    check = SeriesValidator(runs)
-    index = 0
-    for i in range(n_points):
-        for sample in samples[i] or ():
-            check(index, ReplicateTask(x=x_values[i], seed=None), sample)
-            index += 1
-
-    complete = [i for i in range(n_points) if i not in incomplete]
-    if len(complete) < n_points:
-        # Only reachable in shard mode: other shards' points are missing
-        # or mid-top-up. Return what is finished — callers fan shards out
-        # in parallel and let any later full run assemble the figure.
-        partial = aggregate_point_summaries(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=[x_values[i] for i in complete],
-            point_samples=[samples[i] for i in complete],
-            ci_level=rep.ci_level,
-            method=rep.method,
-            notes=(
-                f"partial: {len(complete)}/{n_points} points "
-                f"(shard {shard[0] + 1}/{shard[1]}); rerun unsharded to "
-                "assemble"
-            ),
-            comparison=spec.comparison,
+    def _load(self, i: int, start: int, size: int):
+        if self.cache is None:
+            return None
+        if start == 0:
+            return self.cache.load_point(
+                self._experiments[i], self.spec.seed, i * size, size
+            )
+        return self.cache.load_point_extension(
+            self._experiments[i], self.spec.seed, i, start, size
         )
-        return _display_x(spec, partial)
 
-    result = _display_x(
-        spec,
-        aggregate_point_summaries(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=x_values,
-            point_samples=samples,
-            ci_level=rep.ci_level,
-            method=rep.method,
-            notes=spec.notes,
-            comparison=spec.comparison,
-        ),
-    )
-    if cache is not None:
-        cache.store(spec, result)
-    return result
+    def _store(self, i: int, start: int, block) -> None:
+        size = len(block)
+        if start == 0:
+            self.cache.store_point(
+                self._experiments[i], self.spec.seed, i * size, size, block
+            )
+        else:
+            self.cache.store_point_extension(
+                self._experiments[i], self.spec.seed, i, start, size, block
+            )
+
+    def _tasks(self, i: int, start: int, size: int) -> "list[ReplicateTask]":
+        from repro.experiments.runner import spawn_point_extension_tasks
+
+        if start == 0:
+            return self._flat_tasks[i * size : (i + 1) * size]
+        return spawn_point_extension_tasks(
+            self.x_values[i], i, start, size, self.spec.seed
+        )
+
+    def _run(self, units: "list[tuple[int, int, int]]") -> None:
+        """Run ``units`` as one backend batch, committing each as it completes.
+
+        Results arrive in task order. Backends that ignore (or only
+        partially drive) the result hook are backstopped from the returned
+        list through the same path.
+        """
+        spans = [
+            (i, start, self._tasks(i, start, size)) for i, start, size in units
+        ]
+        tasks = [task for _i, _start, span in spans for task in span]
+        current, landed, delivered = 0, [], 0
+
+        def take(task, sample) -> None:
+            nonlocal current, delivered
+            i, start, span = spans[current]
+            self._validator(start + len(landed), task, sample)
+            landed.append(sample)
+            delivered += 1
+            if len(landed) == len(span):
+                if self.cache is not None:
+                    self._store(i, start, landed)
+                self.samples[i].extend(landed)
+                landed.clear()
+                current += 1
+
+        results = self.backend.run_replicates(
+            SpecReplicate(self.spec),
+            tasks,
+            on_result=lambda _index, task, sample: take(task, sample),
+        )
+        for index in range(delivered, len(tasks)):
+            take(tasks[index], results[index])
 
 
 # ---------------------------------------------------------------------------
@@ -915,28 +775,22 @@ def _ambiguous_intervals(
     or a sign flip (a crossing) between them — marks the interval for
     bisection. Intervals are returned in x order.
     """
-    names = result.series_names
-    xs = result.x_values
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    intervals = []
-    for position in range(len(order) - 1):
-        k0, k1 = order[position], order[position + 1]
-        ambiguous = False
-        for a_index in range(len(names)):
-            for b_index in range(a_index + 1, len(names)):
-                a, b = names[a_index], names[b_index]
-                d0 = result.series[a][k0] - result.series[b][k0]
-                d1 = result.series[a][k1] - result.series[b][k1]
-                separated0 = abs(d0) > halfwidths[a][k0] + halfwidths[b][k0]
-                separated1 = abs(d1) > halfwidths[a][k1] + halfwidths[b][k1]
-                if not (separated0 and separated1 and (d0 > 0) == (d1 > 0)):
-                    ambiguous = True
-                    break
-            if ambiguous:
-                break
-        if ambiguous:
-            intervals.append((xs[k0], xs[k1]))
-    return intervals
+
+    def settled(a: str, b: str, k0: int, k1: int) -> bool:
+        d0 = result.series[a][k0] - result.series[b][k0]
+        d1 = result.series[a][k1] - result.series[b][k1]
+        return (
+            abs(d0) > halfwidths[a][k0] + halfwidths[b][k0]
+            and abs(d1) > halfwidths[a][k1] + halfwidths[b][k1]
+            and (d0 > 0) == (d1 > 0)
+        )
+
+    pairs = list(combinations(result.series_names, 2))
+    return [
+        (result.x_values[k0], result.x_values[k1])
+        for k0, k1 in _adjacent_points(result)
+        if not all(settled(a, b, k0, k1) for a, b in pairs)
+    ]
 
 
 def _paired_ambiguous_intervals(result: "FigureResult") -> "list[tuple]":
@@ -954,26 +808,27 @@ def _paired_ambiguous_intervals(result: "FigureResult") -> "list[tuple]":
     :class:`ComparisonSpec`'s own CI method and level — Student-t or BCa
     bootstrap — so that choice threads through unchanged.
     """
+
+    def open_between(comparison, k0: int, k1: int) -> bool:
+        null = comparison.null
+        low0, high0 = comparison.ci[k0]
+        low1, high1 = comparison.ci[k1]
+        straddles = low0 <= null <= high0 or low1 <= null <= high1
+        above0, above1 = (comparison.values[k] > null for k in (k0, k1))
+        return straddles or above0 != above1
+
+    return [
+        (result.x_values[k0], result.x_values[k1])
+        for k0, k1 in _adjacent_points(result)
+        if any(open_between(c, k0, k1) for c in result.comparisons)
+    ]
+
+
+def _adjacent_points(result: "FigureResult") -> "list[tuple[int, int]]":
+    """Index pairs of x-adjacent points of ``result``, in x order."""
     xs = result.x_values
     order = sorted(range(len(xs)), key=lambda i: xs[i])
-    intervals = []
-    for position in range(len(order) - 1):
-        k0, k1 = order[position], order[position + 1]
-        ambiguous = False
-        for comparison in result.comparisons:
-            null = comparison.null
-            low0, high0 = comparison.ci[k0]
-            low1, high1 = comparison.ci[k1]
-            straddles = low0 <= null <= high0 or low1 <= null <= high1
-            flips = (comparison.values[k0] > null) != (
-                comparison.values[k1] > null
-            )
-            if straddles or flips:
-                ambiguous = True
-                break
-        if ambiguous:
-            intervals.append((xs[k0], xs[k1]))
-    return intervals
+    return list(zip(order, order[1:]))
 
 
 def _midpoint(x0, x1, min_spacing: "float | None"):

@@ -1,4 +1,4 @@
-"""Batched execution of the simulation core over replicate blocks.
+"""Batched execution of the simulation core over a shared distance gather.
 
 A sweep point runs the same (policy, scenario) pair over many replicates,
 and the scalar round loop of :mod:`repro.core.simulator` re-gathers the
@@ -6,10 +6,6 @@ same distance columns over and over: once per round for routing, and once
 per candidate family per epoch for the best-response scan. This module
 removes that redundancy without changing a single ledger bit:
 
-* :func:`stack_traces` stacks the per-replicate traces of one sweep point
-  into a padded ``(replicates, rounds, max_requests)`` int64 tensor with
-  per-round length masks, validating node bounds (including the negative
-  indices numpy fancy indexing would silently wrap) in one pass;
 * :class:`DistanceGather` gathers the substrate's distance columns for a
   whole trace **once** (``distances[:, flat]``); every per-round routing
   block and every epoch-window candidate matrix is then a cheap slice of
@@ -25,8 +21,7 @@ removes that redundancy without changing a single ledger bit:
 * :func:`simulate_batched` drives the round loop against the gather
   (vectorised nearest routing from column slices, a column-preallocated
   ledger) and transparently falls back to the scalar
-  :func:`~repro.core.simulator.simulate` for policies that do not opt in;
-* :func:`simulate_block` runs a whole replicate block of one sweep point.
+  :func:`~repro.core.simulator.simulate` for policies that do not opt in.
 
 Bit-identity ground rules (why these transformations are safe): numpy's
 pairwise summation is a pure function of the summand sequence, so every sum
@@ -39,8 +34,7 @@ shortcuts that change float values in ULPs are deliberately avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,12 +50,9 @@ from repro.workload.base import Trace
 from repro.util.rng import ensure_rng
 
 __all__ = [
-    "TraceBlock",
-    "stack_traces",
     "DistanceGather",
     "GatherWindow",
     "simulate_batched",
-    "simulate_block",
 ]
 
 #: Cap on the stacked ``(k, n, requests)`` candidate broadcast; above this
@@ -73,92 +64,6 @@ _STACK_ELEMS_MAX = 1 << 24
 #: active set is unchanged. Rebuilt early whenever the policy moves a
 #: server, so larger spans only pay off across stable epochs.
 _SPAN_ROUNDS = 16
-
-
-# ---------------------------------------------------------------------------
-# Trace stacking
-
-
-@dataclass(frozen=True)
-class TraceBlock:
-    """The traces of one sweep-point replicate block, stacked and padded.
-
-    Attributes:
-        tensor: ``(replicates, max_rounds, max_requests)`` int64 tensor of
-            node indices, zero-padded past each round's length.
-        lengths: ``(replicates, max_rounds)`` int64 per-round request counts
-            (zero-padded past each trace's horizon).
-        n_rounds: ``(replicates,)`` int64 horizon of each trace.
-        traces: the stacked traces themselves, in block order.
-    """
-
-    tensor: np.ndarray
-    lengths: np.ndarray
-    n_rounds: np.ndarray
-    traces: tuple[Trace, ...]
-
-    @property
-    def replicates(self) -> int:
-        """Number of stacked traces."""
-        return len(self.traces)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Boolean validity mask aligned with :attr:`tensor`."""
-        return (
-            np.arange(self.tensor.shape[2], dtype=np.int64)
-            < self.lengths[:, :, None]
-        )
-
-
-def stack_traces(
-    traces: Sequence[Trace],
-    n_nodes: "int | None" = None,
-) -> TraceBlock:
-    """Stack one sweep point's replicate traces into a :class:`TraceBlock`.
-
-    Validates every node index in one pass: negative indices and (when
-    ``n_nodes`` is given) indices beyond the substrate raise ``ValueError``
-    instead of silently wrapping through numpy fancy indexing later.
-    """
-    if not traces:
-        raise ValueError("cannot stack an empty replicate block")
-    traces = tuple(traces)
-    n_rounds = np.asarray([len(t.rounds) for t in traces], dtype=np.int64)
-    max_rounds = int(n_rounds.max())
-    max_requests = max(
-        (int(r.size) for t in traces for r in t.rounds), default=0
-    )
-    tensor = np.zeros((len(traces), max_rounds, max_requests), dtype=np.int64)
-    lengths = np.zeros((len(traces), max_rounds), dtype=np.int64)
-    for i, trace in enumerate(traces):
-        for t, requests in enumerate(trace.rounds):
-            size = int(requests.size)
-            lengths[i, t] = size
-            if size:
-                tensor[i, t, :size] = requests
-    _validate_block(tensor, lengths, n_nodes)
-    return TraceBlock(
-        tensor=tensor, lengths=lengths, n_rounds=n_rounds, traces=traces
-    )
-
-
-def _validate_block(
-    tensor: np.ndarray, lengths: np.ndarray, n_nodes: "int | None"
-) -> None:
-    mask = (
-        np.arange(tensor.shape[2], dtype=np.int64) < lengths[:, :, None]
-    )
-    if not mask.any():
-        return
-    values = tensor[mask]
-    lo, hi = int(values.min()), int(values.max())
-    if lo < 0:
-        raise ValueError(f"trace references negative node {lo}")
-    if n_nodes is not None and hi >= n_nodes:
-        raise ValueError(
-            f"trace references node {hi} but substrate has {n_nodes} nodes"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -732,74 +637,3 @@ def _run_gathered(
         **columns,
     )
 
-
-# ---------------------------------------------------------------------------
-# Replicate blocks
-
-
-def simulate_block(
-    substrates: "Substrate | Sequence[Substrate]",
-    policy: "AllocationPolicy | Callable[[], AllocationPolicy]",
-    traces: "TraceBlock | Sequence[Trace]",
-    costs: "CostModel | None" = None,
-    routing: RoutingStrategy = RoutingStrategy.NEAREST,
-    seeds: "Sequence[int | np.random.Generator | None] | None" = None,
-    max_servers: "int | None" = None,
-) -> list[RunResult]:
-    """Simulate a whole replicate block of one sweep point, batched.
-
-    Args:
-        substrates: the block's substrate — one shared instance or one per
-            replicate (sweep replicates draw independent topologies).
-        policy: a policy instance (reset between replicates, like repeated
-            scalar ``simulate`` calls) or a zero-argument factory.
-        traces: the replicate traces, pre-stacked or as a sequence (stacked
-            — and bounds-validated — here).
-        costs: cost model; defaults to the paper's.
-        routing: request-to-server assignment strategy.
-        seeds: per-replicate policy randomness, aligned with ``traces``.
-        max_servers: optional cap on simultaneous in-use servers.
-
-    Returns:
-        One :class:`~repro.core.results.RunResult` per replicate, in order —
-        bit-identical to running scalar ``simulate`` per replicate.
-    """
-    costs = costs if costs is not None else CostModel.paper_default()
-    if isinstance(traces, TraceBlock):
-        block = traces
-    else:
-        n_nodes = (
-            substrates.n
-            if isinstance(substrates, Substrate)
-            else min(s.n for s in substrates)
-        )
-        block = stack_traces(traces, n_nodes)
-    replicates = block.replicates
-    if isinstance(substrates, Substrate):
-        substrate_list = [substrates] * replicates
-    else:
-        substrate_list = list(substrates)
-        if len(substrate_list) != replicates:
-            raise ValueError(
-                f"{len(substrate_list)} substrates for {replicates} traces"
-            )
-    if seeds is None:
-        seeds = [None] * replicates
-    elif len(seeds) != replicates:
-        raise ValueError(f"{len(seeds)} seeds for {replicates} traces")
-
-    results = []
-    for i in range(replicates):
-        run_policy = policy() if callable(policy) else policy
-        results.append(
-            simulate_batched(
-                substrate_list[i],
-                run_policy,
-                block.traces[i],
-                costs,
-                routing,
-                seeds[i],
-                max_servers,
-            )
-        )
-    return results

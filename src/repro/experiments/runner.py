@@ -442,9 +442,13 @@ class SeriesValidator:
     seen fixes the expectation, every later one is compared against it.
     ``calls`` counts hook invocations so callers can detect backends that
     ignored (or only partially invoked) the hook and re-validate.
+
+    With ``runs`` the ``index`` is a flat :func:`spawn_tasks` position and
+    the error names run ``index % runs``; without it ``index`` already is
+    the replicate's position within its sweep point.
     """
 
-    def __init__(self, runs: int) -> None:
+    def __init__(self, runs: "int | None" = None) -> None:
         self.runs = runs
         self.expected: "set[str] | None" = None
         self.calls = 0
@@ -455,8 +459,9 @@ class SeriesValidator:
         if self.expected is None:
             self.expected = keys
         elif keys != self.expected:
+            run = index if self.runs is None else index % self.runs
             raise RuntimeError(
-                f"replicate at x={task.x!r} (run {index % self.runs}) returned "
+                f"replicate at x={task.x!r} (run {run}) returned "
                 f"series {sorted(keys)}, expected {sorted(self.expected)}"
             )
 

@@ -256,20 +256,22 @@ class Broker:
         payload: "Mapping | None" = None,
         blob: "bytes | None" = None,
     ) -> bool:
-        """Append one task to a job unless an identical one is outstanding.
+        """Append one task to a job unless an identical one is pending.
 
-        Deduplicates on ``(job, kind, payload)`` against *pending or
-        leased* rows: a worker re-enqueueing the next top-up for a point
-        while the presumed-dead original enqueuer's row is still live must
-        not double the work. Done/failed rows do not block — the schedule
-        may legitimately revisit a payload.
+        Deduplicates on ``(job, kind, payload)`` against *pending* rows: a
+        presumed-dead worker and the twin its lease was re-served to both
+        chain the point's next top-up, and only one of them may land.
+        Leased rows do not block — a top-up lease chains its successor
+        while it still holds its own identical row — and neither do
+        done/failed rows, since the schedule may legitimately revisit a
+        payload.
         """
         now = time.time()
         text = json.dumps(dict(payload or {}), sort_keys=True)
         with self._transaction() as db:
             if db.execute(
                 "SELECT 1 FROM tasks WHERE job = ? AND kind = ? AND"
-                " payload = ? AND status IN ('pending', 'leased') LIMIT 1",
+                " payload = ? AND status = 'pending' LIMIT 1",
                 (job_id, kind, text),
             ).fetchone():
                 return False

@@ -4,24 +4,18 @@ This module owns every experiment-specific decision the broker refuses to
 make. The contract that keeps N uncoordinated workers bit-identical to one
 serial run:
 
-* **Tasks carry positions, not samples.** A *point* task is just a sweep
-  point index; a *top-up* task is an index into the point's adaptive
-  schedule. Replicate seeds are pure functions of position
-  (:func:`~repro.experiments.runner.spawn_tasks` /
-  :func:`~repro.experiments.runner.spawn_point_extension_tasks`), so the
-  task says *what* to compute, never *how it came out*.
+* **Tasks carry positions, not samples.** A *point* or *top-up* task is
+  just a sweep point index. A lease drives the very point-unit engine
+  behind :func:`~repro.api.experiment.run_sweep` for that one point: it
+  loads the point's cached units and runs *at most one* fresh unit. The
+  next unit and its seeds are pure functions of the point's position and
+  samples, so whichever worker executes it, the result is identical.
 * **Samples travel through the cache, not the queue.** Workers commit
   replicate blocks straight into the shared per-point
   :class:`~repro.api.cache.ResultCache` — the same entries a serial,
   pooled or sharded run reads and writes. Executing a task twice (a
   re-served lease racing its presumed-dead owner) rewrites identical
   bytes; atomic last-writer-wins renames make that harmless.
-* **The adaptive schedule replays exactly.** A top-up lease loads the
-  point's samples cache-first, then runs *at most one* fresh batch using
-  the very ``batch_size``/``max_runs``/:func:`point_meets_target` walk of
-  the serial engine — the schedule at a point depends only on that point's
-  samples, so whichever worker executes the batch, the replicate
-  coordinates (and hence seeds and samples) are identical.
 * **Assembly is a warm-cache ``run_sweep``.** When the last task of a
   sweep job lands, one worker wins :meth:`Broker.claim_finalize` and calls
   :func:`~repro.api.experiment.run_sweep` over the shared cache: every
@@ -36,7 +30,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from repro.api.cache import ResultCache
 from repro.api.execution import SerialBackend
@@ -58,17 +52,6 @@ __all__ = [
     "try_finalize",
     "worker_loop",
 ]
-
-
-def _sweep_from(lease_spec: "Mapping | None") -> SweepSpec:
-    if lease_spec is None:
-        raise ValueError("sweep task carries no spec")
-    return SweepSpec.from_dict(lease_spec)
-
-
-def _confidence_driven(spec: SweepSpec) -> bool:
-    """Whether ``run_sweep`` would take the confidence-aware path."""
-    return spec.replication is not None and spec.replication.ci_level > 0
 
 
 def enqueue_sweep(
@@ -103,111 +86,20 @@ def enqueue_sweep(
             "spec": spec.to_dict(),
             "tasks": {},
         }
+    tasks = [("point", {"point": i}) for i in range(len(spec.values))]
     state = broker.enqueue_job(
-        job_id,
-        "sweep",
-        spec=spec.to_dict(),
-        tasks=[("point", {"point": i}) for i in range(len(spec.values))],
+        job_id, "sweep", spec=spec.to_dict(), tasks=tasks
     )
-    if not state["created"] and state["status"] in ("done", "failed"):
+    stale = not state["created"] and state["status"] in ("done", "failed")
+    if stale and requeue:
         # terminal job, but the cache no longer answers: stale (evicted
         # entry) or failed — re-queue only on request
-        if requeue:
-            broker.delete_job(job_id)
-            state = broker.enqueue_job(
-                job_id,
-                "sweep",
-                spec=spec.to_dict(),
-                tasks=[("point", {"point": i}) for i in range(len(spec.values))],
-            )
+        broker.delete_job(job_id)
+        state = broker.enqueue_job(
+            job_id, "sweep", spec=spec.to_dict(), tasks=tasks
+        )
     state.setdefault("cached", False)
     return state
-
-
-def _materialize_point(
-    spec: SweepSpec, index: int, cache: ResultCache
-) -> "list[Mapping[str, float]]":
-    """The initial replicate block of sweep point ``index``, cache-first.
-
-    Exactly the serial resumable path's per-point step: load the point
-    entry, else simulate the point's ``runs`` flat-seeded tasks serially
-    and store them. Idempotent — a racing twin writes identical bytes.
-    """
-    from repro.api.experiment import SpecReplicate
-    from repro.experiments.runner import SeriesValidator, spawn_tasks
-
-    x_values = list(spec.values)
-    runs = spec.effective_runs
-    experiment = spec.experiment_at(x_values[index])
-    block = cache.load_point(experiment, spec.seed, index * runs, runs)
-    if block is not None:
-        return block
-    tasks = spawn_tasks(x_values, runs, spec.seed)[
-        index * runs : (index + 1) * runs
-    ]
-    validator = SeriesValidator(runs)
-    block = SerialBackend().run_replicates(
-        SpecReplicate(spec), tasks, on_result=validator
-    )
-    cache.store_point(experiment, spec.seed, index * runs, runs, block)
-    return block
-
-
-def _topup_step(
-    spec: SweepSpec,
-    index: int,
-    samples: "list[Mapping[str, float]]",
-    cache: ResultCache,
-) -> "tuple[bool, bool]":
-    """Advance point ``index``'s adaptive schedule by at most one fresh batch.
-
-    Replays every *cached* extension batch first (free), then simulates at
-    most one batch before returning, so a lease stays short-lived and the
-    remaining schedule re-enqueues as a fresh task any worker can pick up.
-    Returns ``(done, simulated)``: ``done`` when the point needs no further
-    top-ups (target met or ``max_runs`` reached).
-
-    The batch coordinates are identical to the serial engine's
-    (:func:`~repro.api.experiment._run_confidence_sweep`): next batch
-    starts at ``len(samples)`` with size ``min(batch, max_runs - have)``.
-    """
-    from repro.api.experiment import SpecReplicate
-    from repro.experiments.runner import (
-        SeriesValidator,
-        point_meets_target,
-        spawn_point_extension_tasks,
-    )
-
-    rep = spec.replication
-    if rep is None or not rep.adaptive:
-        return True, False
-    x = list(spec.values)[index]
-    experiment = spec.experiment_at(x)
-    batch = rep.batch_size(spec.runs)
-    simulated = False
-    while True:
-        have = len(samples)
-        if have >= rep.max_runs or point_meets_target(
-            samples, rep, spec.comparison
-        ):
-            return True, simulated
-        if simulated:
-            return False, True
-        size = min(batch, rep.max_runs - have)
-        block = cache.load_point_extension(
-            experiment, spec.seed, index, have, size
-        )
-        if block is None:
-            tasks = spawn_point_extension_tasks(x, index, have, size, spec.seed)
-            validator = SeriesValidator(size)
-            block = SerialBackend().run_replicates(
-                SpecReplicate(spec), tasks, on_result=validator
-            )
-            cache.store_point_extension(
-                experiment, spec.seed, index, have, size, block
-            )
-            simulated = True
-        samples.extend(block)
 
 
 def execute_lease(
@@ -215,10 +107,10 @@ def execute_lease(
 ) -> "bytes | None":
     """Run one leased task; returns the result blob to store on the row.
 
-    * ``point`` — materialise the point's initial block into the cache;
-      under an adaptive spec, chain the point's first *top-up* task.
-    * ``topup`` — replay the point's samples (cache-first), advance the
-      adaptive schedule one batch, and re-enqueue unless the point is done.
+    * ``point`` — load or run the point's initial block; under an adaptive
+      spec, chain the point's first ``topup`` task.
+    * ``topup`` — load the point's cached units, run at most one fresh
+      unit, and chain another ``topup`` unless the point is done.
     * ``block`` — a pickled ``(replicate, tasks)`` batch from a
       :class:`~repro.api.execution.QueueBackend`; the samples travel back
       pickled on the task row (no spec/cache involved).
@@ -229,20 +121,17 @@ def execute_lease(
             SerialBackend().run_replicates(replicate, tasks),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+    if lease.kind not in ("point", "topup"):
+        raise ValueError(f"unknown task kind {lease.kind!r}")
+    if lease.spec is None:
+        raise ValueError("sweep task carries no spec")
+    from repro.api.experiment import _advance_point
 
-    spec = _sweep_from(lease.spec)
+    spec = SweepSpec.from_dict(lease.spec)
     index = int(lease.payload["point"])
-    samples = list(_materialize_point(spec, index, cache))
-    if lease.kind == "point":
-        if _confidence_driven(spec) and spec.replication.adaptive:
-            broker.add_task(lease.job, "topup", {"point": index})
-        return None
-    if lease.kind == "topup":
-        done, _simulated = _topup_step(spec, index, samples, cache)
-        if not done:
-            broker.add_task(lease.job, "topup", {"point": index})
-        return None
-    raise ValueError(f"unknown task kind {lease.kind!r}")
+    if _advance_point(spec, cache, index, initial=lease.kind == "point"):
+        broker.add_task(lease.job, "topup", {"point": index})
+    return None
 
 
 def try_finalize(

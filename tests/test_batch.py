@@ -17,13 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api.registry import resolve_policy
-from repro.core.batch import (
-    DistanceGather,
-    TraceBlock,
-    simulate_batched,
-    simulate_block,
-    stack_traces,
-)
+from repro.core.batch import DistanceGather, simulate_batched
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
@@ -74,56 +68,6 @@ def bypass_trace(rounds):
     object.__setattr__(trace, "scenario_name", "bypass")
     object.__setattr__(trace, "metadata", {})
     return trace
-
-
-# ---------------------------------------------------------------------------
-# Trace stacking and validation
-
-
-class TestStackTraces:
-    def test_shapes_and_padding(self):
-        traces = [
-            make_trace([[0, 1], [2]]),
-            make_trace([[3], [], [1, 2, 0]]),
-        ]
-        block = stack_traces(traces, n_nodes=4)
-        assert block.tensor.shape == (2, 3, 3)
-        assert block.replicates == 2
-        np.testing.assert_array_equal(block.n_rounds, [2, 3])
-        np.testing.assert_array_equal(
-            block.lengths, [[2, 1, 0], [1, 0, 3]]
-        )
-        # padded entries are zero and masked out
-        assert block.tensor[0, 2].sum() == 0
-        assert block.mask.sum() == 7  # 2+1 requests + 1+0+3 requests
-
-    def test_round_trip_values(self):
-        trace = make_trace([[3, 1, 2], [0]])
-        block = stack_traces([trace], n_nodes=4)
-        np.testing.assert_array_equal(block.tensor[0, 0], [3, 1, 2])
-        assert block.traces == (trace,)
-
-    def test_trace_constructor_rejects_negative_nodes(self):
-        with pytest.raises(ValueError, match="negative node"):
-            make_trace([[0, -3]])
-
-    def test_negative_node_raises(self):
-        with pytest.raises(ValueError, match="negative node -3"):
-            stack_traces([bypass_trace([[0, -3]])])
-
-    def test_out_of_range_node_raises(self):
-        with pytest.raises(ValueError, match="node 9 but substrate has 5"):
-            stack_traces([make_trace([[1], [9]])], n_nodes=5)
-
-    def test_padding_not_validated_as_nodes(self):
-        # zero-padding must not trip the bounds check even for 0-node... the
-        # mask excludes it; an empty trace block is fine too.
-        block = stack_traces([make_trace([[], []])], n_nodes=1)
-        assert block.mask.sum() == 0
-
-    def test_empty_block_raises(self):
-        with pytest.raises(ValueError, match="empty replicate block"):
-            stack_traces([])
 
 
 # ---------------------------------------------------------------------------
@@ -322,43 +266,6 @@ class TestSimulateBatchedIdentity:
             )
 
 
-class TestSimulateBlock:
-    def test_block_matches_scalar_per_replicate(self):
-        rng = np.random.default_rng(29)
-        sub = erdos_renyi(n=20, p=0.2, seed=rng)
-        costs = CostModel.paper_default()
-        scen = CommuterScenario(sub, period=default_period_for(20))
-        traces = [scen.generate(20, rng) for _ in range(3)]
-        batch_results = simulate_block(
-            sub, resolve_policy("onth"), traces, costs,
-            seeds=[np.random.default_rng(i) for i in range(3)],
-        )
-        for i, trace in enumerate(traces):
-            scalar = simulate(
-                sub, resolve_policy("onth")(), trace, costs,
-                seed=np.random.default_rng(i),
-            )
-            assert_runs_identical(scalar, batch_results[i], f"block[{i}]")
-
-    def test_prestacked_block_accepted(self):
-        rng = np.random.default_rng(31)
-        sub = erdos_renyi(n=15, p=0.3, seed=rng)
-        scen = CommuterScenario(sub, period=default_period_for(15))
-        traces = [scen.generate(10, rng) for _ in range(2)]
-        block = stack_traces(traces, n_nodes=sub.n)
-        assert isinstance(block, TraceBlock)
-        results = simulate_block(sub, resolve_policy("onth"), block)
-        assert len(results) == 2
-
-    def test_substrate_count_mismatch_raises(self):
-        rng = np.random.default_rng(37)
-        sub = erdos_renyi(n=10, p=0.4, seed=rng)
-        scen = CommuterScenario(sub, period=default_period_for(10))
-        traces = [scen.generate(5, rng) for _ in range(2)]
-        with pytest.raises(ValueError, match="1 substrates for 2 traces"):
-            simulate_block([sub], resolve_policy("onth"), traces)
-
-
 # ---------------------------------------------------------------------------
 # Negative-index validation (the bugfix satellites)
 
@@ -369,6 +276,10 @@ class TestNegativeIndexValidation:
 
     def substrate(self):
         return erdos_renyi(n=8, p=0.5, seed=np.random.default_rng(1))
+
+    def test_trace_constructor_rejects_negative_nodes(self):
+        with pytest.raises(ValueError, match="negative node"):
+            make_trace([[0, -3]])
 
     def test_scalar_simulate_rejects_negative_nodes(self):
         # materialised traces hit the route_requests backstop; streaming
