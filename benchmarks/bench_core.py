@@ -15,13 +15,13 @@ batched runs must equal the scalar runs exactly, which is the invariant
 that lets the experiment layer switch paths transparently.
 
 On speedup expectations: bit-identity pins every reduction to the scalar
-path's exact summand sequences, so the batched path cannot shrink the
-irreducible argmin/sum volume — it only removes redundant distance
-gathers (scalar re-gathers columns per round and per epoch family) and
-memoises epoch evaluations across sibling policies sharing a trace.
-Measured honestly, that is ~2x on the trio points and ~3x on the routing
-core; the committed gate floors below are set under those measurements
-with CI-noise headroom, not at marketing numbers.
+path's exact summand sequences. The batched path removes redundant
+distance gathers (scalar re-gathers columns per round and per epoch
+family), fuses each epoch's family scan into one pass memoised across
+sibling policies, and — under the default linear load with a
+power-of-two strength, where every load sum is exact — skips the
+assignment work behind the load term. The committed gate floors below
+sit well under the measured speedups, with CI-noise headroom.
 
 Usage::
 
@@ -61,7 +61,7 @@ TRIO = (
 )
 
 #: (name, n, horizon, replicate traces, policies, timing repeats, floor).
-#: Floors are far enough under the measured speedups (~2.0x, ~2.3x, ~3x)
+#: Floors are far enough under the measured speedups (~2.5x, ~2.5x, ~4x)
 #: to absorb CI machine noise while still catching a path regression.
 POINTS = (
     ("fig03-n400-trio", 400, 300, 2, TRIO, 3, 1.3),

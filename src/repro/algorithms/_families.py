@@ -12,9 +12,9 @@ current configuration γ:
   cache entry is migrated there when one exists (β), otherwise the server
   is created from scratch (c) — the §III-A queue rule.
 
-Each family's access cost over the epoch window comes from the vectorised
-:class:`~repro.core.evaluation.RequestBatch` primitives, so evaluating all
-``O(k·n)`` concrete candidates costs ``O(k)`` numpy broadcasts. A family is
+Every family's access cost over the epoch window comes from one
+:meth:`~repro.core.evaluation.RequestBatch.epoch_scan`, so evaluating all
+``O(k·n)`` concrete candidates costs a few numpy broadcasts. A family is
 summarised by the best concrete candidate inside it; applying a choice
 updates the policy's configuration and inactive-server cache consistently
 with how :func:`~repro.core.transitions.price_transition` will charge it.
@@ -22,6 +22,7 @@ with how :func:`~repro.core.transitions.price_transition` will charge it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,122 +82,77 @@ def enumerate_choices(
 
     ONBR enumerates every family; ONTH's small epochs exclude additions
     (``allow_add=False``) because servers are only added at large-epoch
-    boundaries (§III-A).
+    boundaries (§III-A). The access costs come from one
+    :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`.
     """
-    active = np.asarray(config.active, dtype=np.int64)
-    queue_nodes = cache.nodes
-    k_active, k_inactive = active.size, len(queue_nodes)
-    run = costs.running_cost_counts
-
-    choices: list[Choice] = []
-
-    stay_access = float(batch.exact_access_cost(active)) if active.size else 0.0
-    choices.append(
-        Choice("stay", stay_access, run(k_active, k_inactive), 0.0)
+    occupied = sorted(config.occupied)
+    scan = batch.epoch_scan(
+        config.active, occupied, allow_migrate, allow_deactivate, allow_add
     )
+    queue_nodes = cache.nodes
+    k_active, k_inactive = config.n_active, len(queue_nodes)
+    run = costs.running_cost_counts
+    run_same = run(k_active, k_inactive)
 
-    if allow_migrate and active.size:
-        choices.extend(_migration_choices(batch, config, cache, costs))
+    choices = [Choice("stay", scan.stay, run_same, 0.0)]
 
-    if allow_deactivate and k_active >= 2:
-        removal = batch.removal_costs(active)
-        best = int(np.argmin(removal))
-        if np.isfinite(removal[best]):
+    # Migration: the server leaves its origin empty and reappears at the
+    # target (plain §II-C move); the inactive cache is untouched.
+    for i, (target, access) in enumerate(
+        zip(scan.migrate_target.tolist(), scan.migrate_access.tolist())
+    ):
+        if not math.isfinite(access):
+            continue
+        # The pricer always takes the cheaper of moving a vanished server
+        # (β) and creating from scratch (c), so predict the same.
+        move_cost = min(
+            costs.migration_cost(config.active[i], target), costs.creation
+        )
+        choices.append(
+            Choice("migrate", access, run_same, move_cost, server=i, target=target)
+        )
+
+    if scan.removal is not None:
+        # k entries: a Python list picks its first minimum exactly like
+        # argmin, at a fraction of the call cost.
+        removal = scan.removal.tolist()
+        best = removal.index(min(removal))
+        if math.isfinite(removal[best]):
             # Deactivation is free; a full cache evicts its oldest entry.
             new_inactive = min(k_inactive + 1, cache.max_size)
             choices.append(
                 Choice(
                     "deactivate",
-                    float(removal[best]),
+                    removal[best],
                     run(k_active - 1, new_inactive),
                     0.0,
                     server=best,
                 )
             )
 
-    if allow_add:
-        choices.extend(_addition_choices(batch, config, cache, costs))
-
-    return choices
-
-
-def _migration_choices(
-    batch: RequestBatch,
-    config: Configuration,
-    cache: InactiveServerCache,
-    costs: CostModel,
-) -> list[Choice]:
-    """Best migration target for each active server (plain §II-C move).
-
-    The server leaves its origin empty and reappears at the target; the
-    inactive cache is untouched. Targets hosting any server are excluded
-    (one server per node).
-    """
-    active = np.asarray(config.active, dtype=np.int64)
-    occupied = np.asarray(sorted(config.occupied), dtype=np.int64)
-    run = costs.running_cost_counts(config.n_active, len(cache))
-    choices = []
-    # One bulk call for all k families: batched windows serve every row
-    # from a single stacked pass; row-wise argmin matches the former
-    # per-server scans exactly.
-    access_all = batch.migration_costs_all(active)
-    access_all[:, occupied] = np.inf
-    targets = np.argmin(access_all, axis=1)
-    for i in range(active.size):
-        target = int(targets[i])
-        if not np.isfinite(access_all[i, target]):
-            continue
-        src = int(active[i])
-        # The pricer always takes the cheaper of moving a vanished server
-        # (β) and creating from scratch (c), so predict the same.
-        move_cost = min(costs.migration_cost(src, target), costs.creation)
-        choices.append(
-            Choice(
-                "migrate",
-                float(access_all[i, target]),
-                run,
-                move_cost,
-                server=i,
-                target=target,
-            )
-        )
-    return choices
-
-
-def _addition_choices(
-    batch: RequestBatch,
-    config: Configuration,
-    cache: InactiveServerCache,
-    costs: CostModel,
-) -> list[Choice]:
-    """Best in-place activation and best creation-at-empty-node."""
-    active = np.asarray(config.active, dtype=np.int64)
-    addition = batch.addition_costs(active)
-    run = costs.running_cost_counts
-    k_active, k_inactive = config.n_active, len(cache)
-    choices = []
-
-    queue_nodes = np.asarray(cache.nodes, dtype=np.int64)
-    if queue_nodes.size:
-        local = int(np.argmin(addition[queue_nodes]))
-        target = int(queue_nodes[local])
+    addition = scan.addition
+    if addition is None:
+        return choices
+    # Best in-place activation of a cached server.
+    if queue_nodes:
+        cached = [float(addition[v]) for v in queue_nodes]
+        local = cached.index(min(cached))
         choices.append(
             Choice(
                 "activate",
-                float(addition[target]),
+                cached[local],
                 run(k_active + 1, k_inactive - 1),
                 0.0,
-                target=target,
+                target=int(queue_nodes[local]),
             )
         )
-
+    # Best creation at an empty node.
     empty_costs = addition.copy()
-    occupied = np.asarray(sorted(config.occupied), dtype=np.int64)
-    if occupied.size:
-        empty_costs[occupied] = np.inf
-    target = int(np.argmin(empty_costs))
-    if np.isfinite(empty_costs[target]):
-        if queue_nodes.size:
+    empty_costs[occupied] = np.inf
+    target = int(empty_costs.argmin())
+    access = float(empty_costs[target])
+    if math.isfinite(access):
+        if queue_nodes:
             # §III-A: the oldest cached server is migrated to the new node
             # (the pricer takes the cheaper of migration and creation).
             donor = int(queue_nodes[0])
@@ -208,7 +164,7 @@ def _addition_choices(
         choices.append(
             Choice(
                 "create",
-                float(empty_costs[target]),
+                access,
                 run(k_active + 1, new_inactive),
                 transition,
                 target=target,
@@ -237,7 +193,10 @@ def apply_choice(
     entry as migration donor when one exists.
     """
     if choice.kind == "stay":
-        return config.replace_inactive(cache.nodes)
+        # Hand back the same object when nothing changed: the round loops
+        # then skip re-validating and re-pricing an identical configuration.
+        nodes = cache.nodes
+        return config if nodes == config.inactive else config.replace_inactive(nodes)
 
     if choice.kind == "migrate":
         src = config.active[choice.server]

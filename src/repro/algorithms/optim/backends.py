@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 __all__ = [
     "BACKENDS",
@@ -193,6 +192,10 @@ class Program:
         return matrix, lows, highs
 
     def _solve_scipy(self, relax: bool, time_limit: "float | None") -> Solution:
+        # Imported here: scipy.optimize costs ~0.2 s to import, and most
+        # runs never solve a program.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         integrality = np.zeros(self.n_variables, dtype=np.int64)
         if not relax:
             integrality[np.asarray(self._int, dtype=bool)] = 1

@@ -14,32 +14,47 @@ removes that redundancy without changing a single ledger bit:
   whose ``add_round``/``clear`` just move window pointers over the gather.
   Policies opt in through
   :meth:`~repro.core.policy.AllocationPolicy.bind_batch_gather`; their
-  epoch logic runs completely unchanged, which is what makes bit-identity
-  to the scalar path hold *by construction* — the windows produce the same
-  float values from the same reduction orders, only sourced from the
-  shared gather;
+  epoch logic runs unchanged. The window's one override of substance is
+  :meth:`GatherWindow.epoch_scan`: all five single-change families of an
+  epoch boundary in one fused pass, memoised on the gather so sibling
+  policies share scans;
 * :func:`simulate_batched` drives the round loop against the gather
   (vectorised nearest routing from column slices, a column-preallocated
   ledger) and transparently falls back to the scalar
   :func:`~repro.core.simulator.simulate` for policies that do not opt in.
 
-Bit-identity ground rules (why these transformations are safe): numpy's
-pairwise summation is a pure function of the summand sequence, so every sum
-here runs over the exact slice the scalar path sums (never padded, never
-transposed); ``min``/``argmin``/gathers are exact, so leave-one-out bases
-may be composed from prefix/suffix minima; integer ``bincount`` equals
-``np.add.at`` counts, so derived load floats are identical. Algebraic
-shortcuts that change float values in ULPs are deliberately avoided.
+Bit-identity ground rules (why these transformations are safe):
+
+* numpy's pairwise summation is a pure function of the summand sequence
+  and the operand layout, so every sum here runs over the exact values, in
+  the exact layout, that the scalar path sums (never padded, never
+  transposed);
+* ``min``/``argmin``/gathers are exact, so a leave-one-out base is the
+  min over the remaining rows in any grouping, and a row of minima sums
+  like the argmin gather it equals;
+* integer ``bincount`` equals ``np.add.at`` counts, so derived load floats
+  are identical;
+* dyadic exactness: under :class:`~repro.core.load.LinearLoad` with one
+  uniform power-of-two strength ``s``, every ``count/s`` and every partial
+  sum of them is exact, so the summed load of *any* assignment is
+  ``Σ sizes/s`` bit for bit (:func:`~repro.core.load.dyadic_linear_strength`
+  decides this from the model). Only then may the scan and the round loop
+  skip the argmin → bincount → load → sum chain.
+
+Any other algebraic shortcut that changes float values in ULPs is
+deliberately avoided.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.evaluation import RequestBatch
+from repro.core.evaluation import EpochScan, RequestBatch
+from repro.core.load import dyadic_linear_strength
 from repro.core.policy import AllocationPolicy, OfflinePolicy
 from repro.core.results import RunResult
 from repro.core.routing import RoutingResult, RoutingStrategy, route_requests
@@ -55,8 +70,8 @@ __all__ = [
     "simulate_batched",
 ]
 
-#: Cap on the stacked ``(k, n, requests)`` candidate broadcast; above this
-#: the memoised migration scan falls back to per-server rows (identical
+#: Cap on the stacked ``(rows, n, requests)`` candidate broadcast; above
+#: this the fused epoch scan falls back to one row at a time (identical
 #: values, lower peak memory).
 _STACK_ELEMS_MAX = 1 << 24
 
@@ -64,6 +79,15 @@ _STACK_ELEMS_MAX = 1 << 24
 #: active set is unchanged. Rebuilt early whenever the policy moves a
 #: server, so larger spans only pay off across stable epochs.
 _SPAN_ROUNDS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _leave_one_out(k: int) -> np.ndarray:
+    """Read-only ``(k, k-1)`` index whose row ``i`` is ``np.delete(arange(k), i)``."""
+    slots = np.arange(k - 1, dtype=np.int64)
+    index = slots + (slots >= np.arange(k)[:, None])
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +115,11 @@ class DistanceGather:
         rounds = trace.rounds if isinstance(trace, Trace) else tuple(
             np.asarray(r, dtype=np.int64) for r in trace
         )
-        self._rounds = rounds
         self.sizes = np.asarray([r.size for r in rounds], dtype=np.int64)
         self.offsets = np.zeros(len(rounds) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=self.offsets[1:])
+        #: ``offsets`` as Python ints, for indexing in per-round code.
+        self.offset_list: list[int] = self.offsets.tolist()
         self.flat = (
             np.concatenate(rounds)
             if self.offsets[-1]
@@ -109,6 +134,9 @@ class DistanceGather:
                     f"trace references node {hi} but substrate has "
                     f"{substrate.n} nodes"
                 )
+        #: The uniform strength when summed loads are exact in any order
+        #: (see :func:`~repro.core.load.dyadic_linear_strength`), else None.
+        self.exact_strength = dyadic_linear_strength(costs.load, substrate.strengths)
         self._columns: "np.ndarray | None" = None
         self._row_of: "np.ndarray | None" = None
         self._sizes_f64: "np.ndarray | None" = None
@@ -138,11 +166,6 @@ class DistanceGather:
         self._memo[key] = value
 
     @property
-    def n_rounds(self) -> int:
-        """Number of rounds covered by the gather."""
-        return len(self._rounds)
-
-    @property
     def has_columns(self) -> bool:
         """Whether the full column gather has been materialised."""
         return self._columns is not None
@@ -164,7 +187,7 @@ class DistanceGather:
         """Round index of each flattened request."""
         if self._row_of is None:
             self._row_of = np.repeat(
-                np.arange(len(self._rounds), dtype=np.int64), self.sizes
+                np.arange(self.sizes.size, dtype=np.int64), self.sizes
             )
         return self._row_of
 
@@ -192,7 +215,8 @@ class GatherWindow(RequestBatch):
     accessors are slices of the gather. All candidate-evaluation methods of
     the base class therefore see byte-identical inputs in the same shapes
     and reduction orders as a freshly built scalar window — the outputs are
-    bit-identical, just cheaper to produce.
+    bit-identical, just cheaper to produce. :meth:`epoch_scan` replaces the
+    base class's family-by-family scan with one fused, memoised pass.
     """
 
     def __init__(self, gather: DistanceGather) -> None:
@@ -208,10 +232,10 @@ class GatherWindow(RequestBatch):
     # -- window pointers --------------------------------------------------------
 
     def add_round(self, requests: np.ndarray) -> None:
-        gather = self._gather
+        bounds = self._gather.offset_list
         t = self._t1
-        if t >= gather.n_rounds or np.asarray(requests).size != int(
-            gather.sizes[t]
+        if t >= len(bounds) - 1 or np.asarray(requests).size != (
+            bounds[t + 1] - bounds[t]
         ):
             raise RuntimeError(
                 "gather window out of sync: fed a round that does not match "
@@ -228,11 +252,11 @@ class GatherWindow(RequestBatch):
 
     @property
     def _c0(self) -> int:
-        return int(self._gather.offsets[self._t0])
+        return self._gather.offset_list[self._t0]
 
     @property
     def _c1(self) -> int:
-        return int(self._gather.offsets[self._t1])
+        return self._gather.offset_list[self._t1]
 
     @property
     def flat(self) -> np.ndarray:
@@ -247,6 +271,10 @@ class GatherWindow(RequestBatch):
         return self._gather.sizes_f64[self._t0 : self._t1]
 
     def _invariant_load(self) -> float:
+        strength = self._gather.exact_strength
+        if strength is not None:
+            # Dyadic loads: Σ sizes/s is exact, hence (requests)/s.
+            return (self._c1 - self._c0) / strength
         # The base-class memo invalidates in add_round/clear, which here
         # only move pointers — key the memo on the window range instead.
         key = (self._t0, self._t1)
@@ -267,198 +295,155 @@ class GatherWindow(RequestBatch):
     def _candidate_matrix(self) -> np.ndarray:
         return self._gather.columns[:, self._c0 : self._c1]
 
-    def _active_block(self, active: np.ndarray) -> np.ndarray:
-        """Memoised ``_distance_block(active)`` — several cost methods of one
-        epoch evaluation (and sibling policies on shared windows) read the
-        same block; consumers must treat it as read-only."""
-        key = ("blk", self._t0, self._t1, active.tobytes())
-        block = self._gather.memo_get(key)
-        if block is None:
-            block = self._gather.columns[active, self._c0 : self._c1]
-            self._gather.memo_put(key, block)
-        return block
-
-    def base_latency(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
-        active = np.asarray(active, dtype=np.int64)
-        if self.flat.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if active.size == 0:
-            return np.full(self.flat.size, np.inf)
-        return self._active_block(active).min(axis=0)
-
-    # -- fast exact costs -------------------------------------------------------
-    #
-    # Every override below produces the same floats as the base class from
-    # the same reduction orders; the wins are (a) slicing the shared gather
-    # instead of re-gathering distance columns, (b) fusing per-server scans
-    # into stacked passes, and (c) memoising per-(window, placement)
-    # artefacts on the gather so sibling policies over the same trace
-    # (ONBR fixed vs dyn especially) reuse each other's epoch evaluations.
-
     def exact_access_cost(self, active: "np.ndarray | tuple[int, ...]") -> float:
+        """Memoised on the gather: the non-invariant scans' shortlists
+        re-score the same placements across sibling policies."""
         active = np.asarray(active, dtype=np.int64)
-        flat = self.flat
-        if flat.size == 0:
-            return 0.0
-        if active.size == 0:
-            raise ValueError("cannot evaluate a window against zero active servers")
-
         key = ("exact", self._t0, self._t1, active.tobytes())
-        cached = self._gather.memo_get(key)
-        if cached is not None:
-            return cached
+        cost = self._gather.memo_get(key)
+        if cost is None:
+            cost = super().exact_access_cost(active)
+            self._gather.memo_put(key, cost)
+        return cost
 
-        distances = self._active_block(active)
-        assignment = np.argmin(distances, axis=0)
-        latency = float(distances[assignment, self._gather.arange(flat.size)].sum())
-        latency += self._costs.wireless_hop * flat.size
+    # -- fused epoch scan -------------------------------------------------------
 
-        # Same integer counts as the base class's np.add.at scatter, via one
-        # bincount over combined (round, server) keys — identical ints give
-        # identical load floats.
-        k = active.size
-        counts = np.bincount(
-            self.round_ids * k + assignment, minlength=self.n_rounds * k
-        ).reshape(self.n_rounds, k)
-        strengths = self._substrate.strengths[active]
-        load = float(self._costs.load(strengths, counts).sum())
-        result = latency + load
-        self._gather.memo_put(key, result)
-        return result
+    def epoch_scan(
+        self,
+        active: "np.ndarray | tuple[int, ...]",
+        occupied: "np.ndarray | tuple[int, ...]",
+        migrate: bool = True,
+        deactivate: bool = True,
+        add: bool = True,
+    ) -> EpochScan:
+        """The base-class scan, fused into one pass and memoised on the gather.
 
-    def removal_costs(
-        self, active: "np.ndarray | tuple[int, ...]"
-    ) -> np.ndarray:
+        Sibling policies over the same trace (ONBR fixed vs dyn especially)
+        reach identical (window, placement) states, so the whole scan is
+        cached per (window, active, occupied, families) and its arrays are
+        read-only. Non-invariant loads, empty windows and empty placements
+        run the base-class families.
+        """
         active = np.asarray(active, dtype=np.int64)
+        occupied = np.asarray(occupied, dtype=np.int64)
+        key = (
+            "scan", self._t0, self._t1, active.tobytes(), occupied.tobytes(),
+            migrate, deactivate, add,
+        )
+        scan = self._gather.memo_get(key)
+        if scan is None:
+            if active.size and self._c1 > self._c0 and self._load_is_invariant():
+                scan = self._fused_scan(active, occupied, migrate, deactivate, add)
+            else:
+                scan = super().epoch_scan(active, occupied, migrate, deactivate, add)
+            for arr in scan[1:]:
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._gather.memo_put(key, scan)
+        return scan
+
+    def _fused_scan(
+        self,
+        active: np.ndarray,
+        occupied: np.ndarray,
+        migrate: bool,
+        deactivate: bool,
+        add: bool,
+    ) -> EpochScan:
+        gather = self._gather
+        c0, c1 = self._c0, self._c1
+        m = c1 - c0
         k = active.size
-        if k <= 1:
-            return np.full(k, np.inf)
-        flat = self.flat
-        if flat.size == 0:
-            return np.zeros(k, dtype=np.float64)
+        hop = self._costs.wireless_hop * m
+        load = self._invariant_load()
+        exact_load = gather.exact_strength is not None
 
-        key = ("rem", self._t0, self._t1, active.tobytes())
-        cached = self._gather.memo_get(key)
-        if cached is not None:
-            return cached.copy()
+        # Per-request latency under each leave-one-out placement (rows
+        # 0..k-1, only when migrations or removals need them) and under
+        # `active` itself (row k). min is exact, and each row holds the very
+        # values the base class gathers through its argmin; as a contiguous
+        # row it sums in the same pairwise order.
+        block = gather.columns[active, c0:c1]
+        rows = np.empty((k + 1, m), dtype=np.float64)
+        block.min(axis=0, out=rows[k])
+        lo = 0 if migrate or deactivate else k
+        if lo == 0:
+            if k == 1:
+                rows[0] = np.inf
+            else:
+                blocks = block[_leave_one_out(k)]
+                blocks.min(axis=1, out=rows[:k])
+        sums = rows[lo:].sum(axis=1)
+        sums += hop
 
-        # All k leave-one-out placements in one fused pass. Row set i is
-        # exactly np.delete(active, i) in order, so per-column argmin
-        # indices, counts and loads coincide with the base class's k
-        # separate exact_access_cost calls.
-        m = flat.size
+        if exact_load:
+            # Dyadic loads: every assignment sums to the same load bits.
+            stay = float(sums[-1] + load)
+        else:
+            stay = float(sums[-1] + self._placement_loads(block[None], active[None])[0])
+
+        removal = None
+        if deactivate and k >= 2:
+            removal = sums[:k]
+            if exact_load:
+                removal += load
+            else:
+                removal += self._placement_loads(
+                    blocks, active[_leave_one_out(k)]
+                )
+
+        # One stacked candidate pass over the rows the enabled families
+        # need: the same operand layout and reduction order as the base
+        # class's per-family minimum(candidates, base).sum(axis=1).
+        first, stop = (0 if migrate else k), (k + 1 if add else k)
+        latency = self._candidate_latencies(rows[first:stop])
+        latency += hop
+        latency += load
+
+        targets = np.zeros(0, dtype=np.int64)
+        access = np.zeros(0, dtype=np.float64)
+        if migrate:
+            moves = latency[:k]
+            moves[:, occupied] = np.inf
+            targets = np.argmin(moves, axis=1)
+            access = moves[np.arange(k), targets]
+        addition = latency[-1] if add else None
+        return EpochScan(stay, targets, access, removal, addition)
+
+    def _candidate_latencies(self, stack: np.ndarray) -> np.ndarray:
+        """``minimum(candidates, stack[i]).sum(axis=1)`` for every row ``i``."""
+        candidates = self._candidate_matrix()
+        rows, m = stack.shape
+        n = candidates.shape[0]
+        if rows * n * m <= _STACK_ELEMS_MAX:
+            return np.minimum(candidates[None, :, :], stack[:, None, :]).sum(axis=2)
+        latency = np.empty((rows, n), dtype=np.float64)
+        for i in range(rows):
+            latency[i] = np.minimum(candidates, stack[i]).sum(axis=1)
+        return latency
+
+    def _placement_loads(self, blocks: np.ndarray, placements: np.ndarray) -> np.ndarray:
+        """Window load of each placement ``p`` serving nearest requests.
+
+        ``blocks[p]`` is the ``(j, m)`` distance block of placement
+        ``placements[p]``. One bincount over combined (placement, round,
+        server) keys yields the base class's integer counts, hence its
+        load floats.
+        """
+        count, j, _ = blocks.shape
         n_rounds = self.n_rounds
-        block = self._active_block(active)
-        rows = np.arange(k, dtype=np.int64)
-        index = np.empty((k, k - 1), dtype=np.int64)
-        for i in range(k):
-            index[i, :i] = rows[:i]
-            index[i, i:] = rows[i + 1 :]
-        blocks = block[index]  # (k, k-1, m)
-        assignment = blocks.argmin(axis=1)  # (k, m)
-        latency = blocks.min(axis=1).sum(axis=1)  # same elements as the argmin gather
-        latency += self._costs.wireless_hop * m
-
+        assignment = blocks.argmin(axis=1)
         keys = (
-            rows[:, None] * (n_rounds * (k - 1))
-            + self.round_ids[None, :] * (k - 1)
+            np.arange(count, dtype=np.int64)[:, None] * (n_rounds * j)
+            + self.round_ids[None, :] * j
             + assignment
         )
         counts = np.bincount(
-            keys.ravel(), minlength=k * n_rounds * (k - 1)
-        ).reshape(k, n_rounds, k - 1)
-        strengths = self._substrate.strengths[active][index]  # (k, k-1)
+            keys.ravel(), minlength=count * n_rounds * j
+        ).reshape(count, n_rounds, j)
+        strengths = self._substrate.strengths[placements]
         loads = self._costs.load(strengths[:, None, :], counts)
-        result = latency + loads.reshape(k, -1).sum(axis=1)
-        self._gather.memo_put(key, result)
-        return result.copy()
-
-    def addition_costs(
-        self, active: "np.ndarray | tuple[int, ...]",
-        base: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        if base is not None:
-            return super().addition_costs(active, base)
-        active = np.asarray(active, dtype=np.int64)
-        flat = self.flat
-        if flat.size == 0:
-            return np.zeros(self._substrate.n, dtype=np.float64)
-
-        key = ("add", self._t0, self._t1, active.tobytes())
-        latency = self._gather.memo_get(key)
-        if latency is None:
-            computed = self.base_latency(active)
-            latency = np.minimum(self._candidate_matrix(), computed).sum(axis=1)
-            latency += self._costs.wireless_hop * flat.size
-            self._gather.memo_put(key, latency)
-
-        if self._load_is_invariant():
-            return latency + self._invariant_load()
-        return self._with_exact_shortlist(latency, active)
-
-    def migration_costs(
-        self, active: "np.ndarray | tuple[int, ...]", server_index: int
-    ) -> np.ndarray:
-        active = np.asarray(active, dtype=np.int64)
-        if not 0 <= server_index < active.size:
-            raise IndexError(f"server index {server_index} out of range")
-        if self.flat.size == 0:
-            return np.zeros(self._substrate.n, dtype=np.float64)
-        if not self._load_is_invariant():
-            return super().migration_costs(active, server_index)
-
-        latencies = self._migration_latencies(active)
-        result = latencies[server_index] + self._invariant_load()
-        result[active] = np.inf
-        return result
-
-    def migration_costs_all(
-        self, active: "np.ndarray | tuple[int, ...]"
-    ) -> np.ndarray:
-        active = np.asarray(active, dtype=np.int64)
-        if self.flat.size == 0:
-            return np.zeros((active.size, self._substrate.n), dtype=np.float64)
-        if not self._load_is_invariant():
-            return super().migration_costs_all(active)
-        result = self._migration_latencies(active) + self._invariant_load()
-        result[:, active] = np.inf
-        return result
-
-    def _migration_latencies(self, active: np.ndarray) -> np.ndarray:
-        key = ("mig", self._t0, self._t1, active.tobytes())
-        cached = self._gather.memo_get(key)
-        if cached is not None:
-            return cached
-
-        candidates = self._candidate_matrix()
-        block = self._active_block(active)
-        k, m = block.shape
-        # Leave-one-out base latencies from prefix/suffix minima — min is
-        # exact, so composing it this way is bitwise identical to the
-        # scalar path's direct min over the k-1 remaining rows.
-        bases = np.empty((k, m), dtype=np.float64)
-        if k == 1:
-            bases[0] = np.inf
-        else:
-            prefix = np.minimum.accumulate(block, axis=0)
-            suffix = np.minimum.accumulate(block[::-1], axis=0)[::-1]
-            bases[0] = suffix[1]
-            bases[-1] = prefix[-2]
-            for i in range(1, k - 1):
-                np.minimum(prefix[i - 1], suffix[i + 1], out=bases[i])
-
-        n = self._substrate.n
-        if k * n * m <= _STACK_ELEMS_MAX:
-            stacked = np.minimum(candidates[None, :, :], bases[:, None, :])
-            latencies = stacked.sum(axis=2)
-        else:
-            latencies = np.empty((k, n), dtype=np.float64)
-            for i in range(k):
-                latencies[i] = np.minimum(candidates, bases[i]).sum(axis=1)
-        latencies += self._costs.wireless_hop * m
-
-        self._gather.memo_put(key, latencies)
-        return latencies
+        return loads.reshape(count, -1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,23 +520,36 @@ def _run_gathered(
         for name in ("migrations", "creations", "n_active", "n_inactive")
     )
     columns["n_requests"] = gather.sizes.copy()
+    latency_col, load_col, running_col, n_active_col, n_inactive_col = (
+        columns[name] for name in (
+            "latency_cost", "load_cost", "running_cost", "n_active", "n_inactive",
+        )
+    )
 
     fast_nearest = routing is RoutingStrategy.NEAREST
-    offsets = gather.offsets
+    offsets = gather.offset_list
     flat = gather.flat
     strengths = substrate.strengths
     hop = costs.wireless_hop
+    # Dyadic loads (see dyadic_linear_strength): a round's summed load is
+    # size/strength bit for bit, whatever the assignment.
+    round_loads = (
+        None if gather.exact_strength is None
+        else gather.sizes / gather.exact_strength
+    )
     # Span router state: while the active set is value-unchanged (threshold
-    # policies hold their placement across whole epochs, and even "stay"
-    # decisions rebuild the tuple object), nearest assignments for the next
-    # _SPAN_ROUNDS rounds are computed in one argmin. Per-round latencies
-    # are then sums over contiguous slices of the span gather — the same
-    # summand sequences as per-round scalar routing, hence bit-identical.
+    # policies hold their placement across whole epochs, and a rebuilt
+    # configuration may keep the same active servers), nearest assignments
+    # for the next _SPAN_ROUNDS rounds are computed in one argmin. Per-round
+    # latencies are then sums over contiguous slices of the span gather —
+    # the same summand sequences as per-round scalar routing, hence
+    # bit-identical.
     span_active: "tuple[int, ...] | None" = None
-    span_end = 0  # first round NOT covered by the current span arrays
+    span_t0 = span_end = 0  # the span covers rounds [span_t0, span_end)
     span_c0 = 0
     span_assign = np.zeros(0, dtype=np.int64)
     span_values = np.zeros(0, dtype=np.float64)
+    span_counts = np.zeros((0, 0), dtype=np.int64)
     active_arr = np.zeros(0, dtype=np.int64)
     active_strengths = np.zeros(0, dtype=np.float64)
     # Per-configuration-object caches for the ledger columns.
@@ -576,8 +574,8 @@ def _run_gathered(
                     raise ValueError("cannot route requests: no active servers")
                 active_strengths = strengths[active_arr]
                 span_end = min(n_rounds, t + _SPAN_ROUNDS)
-                span_c0 = int(offsets[t])
-                span_c1 = int(offsets[span_end])
+                span_c0 = offsets[t]
+                span_c1 = offsets[span_end]
                 if gather.has_columns:
                     block = gather.columns[active_arr, span_c0:span_c1]
                 else:
@@ -591,12 +589,23 @@ def _run_gathered(
                 span_values = block[
                     span_assign, gather.arange(span_assign.size)
                 ]
-            lo = int(offsets[t]) - span_c0
-            hi = int(offsets[t + 1]) - span_c0
+                # Per-round server counts of the whole span in one bincount
+                # over combined (round, server) keys.
+                k = active_arr.size
+                span_t0 = t
+                span_counts = np.bincount(
+                    (gather.row_of[span_c0:span_c1] - t) * k + span_assign,
+                    minlength=(span_end - t) * k,
+                ).reshape(span_end - t, k)
+            lo = offsets[t] - span_c0
+            hi = offsets[t + 1] - span_c0
             assignment = span_assign[lo:hi]
             latency = span_values[lo:hi].sum() + hop * size
-            counts = np.bincount(assignment, minlength=active_arr.size)
-            load = costs.load(active_strengths, counts).sum()
+            counts = span_counts[t - span_t0]
+            if round_loads is None:
+                load = costs.load(active_strengths, counts).sum()
+            else:
+                load = round_loads[t]
             routed = RoutingResult(float(latency), float(load), counts, assignment)
         else:
             routed = route_requests(
@@ -619,15 +628,16 @@ def _run_gathered(
             n_active = config.n_active
             n_inactive = config.n_inactive
 
-        columns["latency_cost"][t] = routed.latency_cost
-        columns["load_cost"][t] = routed.load_cost
-        columns["running_cost"][t] = run_cost
-        columns["migration_cost"][t] = outcome.migration_cost
-        columns["creation_cost"][t] = outcome.creation_cost
-        columns["migrations"][t] = outcome.migrations
-        columns["creations"][t] = outcome.creations
-        columns["n_active"][t] = n_active
-        columns["n_inactive"][t] = n_inactive
+        latency_col[t] = routed.latency_cost
+        load_col[t] = routed.load_cost
+        running_col[t] = run_cost
+        n_active_col[t] = n_active
+        n_inactive_col[t] = n_inactive
+        if outcome is not _NO_CHANGE:  # the columns start at zero
+            columns["migration_cost"][t] = outcome.migration_cost
+            columns["creation_cost"][t] = outcome.creation_cost
+            columns["migrations"][t] = outcome.migrations
+            columns["creations"][t] = outcome.creations
 
     for arr in columns.values():
         arr.flags.writeable = False

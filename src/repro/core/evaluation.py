@@ -17,20 +17,50 @@ costs a handful of numpy broadcasts instead of ``O(n · |σ|)`` Python work:
   (linear load, uniform strengths — the paper's default) it is a constant
   across candidates; otherwise the family is ranked by latency and a
   shortlist is re-scored exactly, including per-round loads.
+
+:meth:`RequestBatch.epoch_scan` bundles the five single-change families of
+one epoch boundary into a single :class:`EpochScan`; the per-family methods
+it is built from are the reference the batched window's fused scan is
+tested against.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.costs import CostModel
 from repro.topology.substrate import Substrate
 
-__all__ = ["RequestBatch"]
+__all__ = ["EpochScan", "RequestBatch"]
 
 #: How many latency-best candidates are re-scored exactly when the load
 #: model is not assignment-invariant.
 _SHORTLIST_SIZE = 8
+
+
+class EpochScan(NamedTuple):
+    """Window access costs of every single-change family at one epoch boundary.
+
+    Attributes:
+        stay: access cost of the current placement.
+        migrate_target: per active server, its cheapest unoccupied target
+            node (empty when migrations were not scanned).
+        migrate_access: access cost of each server's best migration
+            (``+inf`` when no target is free).
+        removal: access cost without each active server, or ``None`` when
+            removals were not scanned (or fewer than two servers are active).
+        addition: access cost of ``active + {u}`` for every node ``u``
+            (see :meth:`RequestBatch.addition_costs`), or ``None`` when
+            additions were not scanned.
+    """
+
+    stay: float
+    migrate_target: np.ndarray
+    migrate_access: np.ndarray
+    removal: "np.ndarray | None"
+    addition: "np.ndarray | None"
 
 
 class RequestBatch:
@@ -152,8 +182,12 @@ class RequestBatch:
         latency = float(distances[assignment, np.arange(flat.size)].sum())
         latency += self._costs.wireless_hop * flat.size
 
-        counts = np.zeros((self.n_rounds, active.size), dtype=np.int64)
-        np.add.at(counts, (self.round_ids, assignment), 1)
+        # One bincount over combined (round, server) keys: the same integer
+        # counts as a scatter-add, so the load floats are identical.
+        k = active.size
+        counts = np.bincount(
+            self.round_ids * k + assignment, minlength=self.n_rounds * k
+        ).reshape(self.n_rounds, k)
         strengths = self._substrate.strengths[active]
         load = float(self._costs.load(strengths, counts).sum())
         return latency + load
@@ -180,6 +214,35 @@ class RequestBatch:
 
     # -- candidate families ---------------------------------------------------------
 
+    def epoch_scan(
+        self,
+        active: "np.ndarray | tuple[int, ...]",
+        occupied: "np.ndarray | tuple[int, ...]",
+        migrate: bool = True,
+        deactivate: bool = True,
+        add: bool = True,
+    ) -> EpochScan:
+        """Scan the enabled single-change families of ``active`` in one call.
+
+        ``occupied`` lists every node hosting a server (active or cached);
+        no migration may target one. Built from the per-family methods
+        below, which makes this the reference implementation the batched
+        window's fused scan must reproduce bit for bit.
+        """
+        active = np.asarray(active, dtype=np.int64)
+        k = active.size
+        stay = float(self.exact_access_cost(active)) if k else 0.0
+        targets = np.zeros(0, dtype=np.int64)
+        access = np.zeros(0, dtype=np.float64)
+        if migrate and k:
+            access_all = self.migration_costs_all(active)
+            access_all[:, np.asarray(occupied, dtype=np.int64)] = np.inf
+            targets = np.argmin(access_all, axis=1)
+            access = access_all[np.arange(k), targets]
+        removal = self.removal_costs(active) if deactivate and k >= 2 else None
+        addition = self.addition_costs(active) if add else None
+        return EpochScan(stay, targets, access, removal, addition)
+
     def base_latency(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
         """Per-request nearest-server latency under ``active`` (no hop, no load)."""
         active = np.asarray(active, dtype=np.int64)
@@ -189,10 +252,7 @@ class RequestBatch:
             return np.full(self.flat.size, np.inf)
         return self._distance_block(active).min(axis=0)
 
-    def addition_costs(
-        self, active: "np.ndarray | tuple[int, ...]",
-        base: "np.ndarray | None" = None,
-    ) -> np.ndarray:
+    def addition_costs(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
         """Access cost of the window for ``active + {u}``, for every node ``u``.
 
         Entry ``u`` of the result is the exact window access cost of the
@@ -208,7 +268,7 @@ class RequestBatch:
         if flat.size == 0:
             return np.zeros(n, dtype=np.float64)
 
-        base = self.base_latency(active) if base is None else base
+        base = self.base_latency(active)
         latency = np.minimum(self._candidate_matrix(), base).sum(axis=1)
         latency += self._costs.wireless_hop * flat.size
 
@@ -328,7 +388,7 @@ class RequestBatch:
         """All migration families at once: row ``i`` is ``migration_costs(active, i)``.
 
         The epoch scan asks for every server's family against the same
-        window; batched windows override this with one stacked pass.
+        window.
         """
         active = np.asarray(active, dtype=np.int64)
         result = np.empty((active.size, self._substrate.n), dtype=np.float64)

@@ -14,12 +14,16 @@ can be supplied with :class:`CallableLoad`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["LoadFunction", "LinearLoad", "QuadraticLoad", "PowerLoad", "CallableLoad"]
+__all__ = [
+    "LoadFunction", "LinearLoad", "QuadraticLoad", "PowerLoad", "CallableLoad",
+    "dyadic_linear_strength",
+]
 
 
 @runtime_checkable
@@ -104,3 +108,23 @@ class CallableLoad:
                 f"load callable returned shape {result.shape}, expected {np.asarray(counts).shape}"
             )
         return result
+
+
+def dyadic_linear_strength(load: LoadFunction, strengths: np.ndarray) -> "float | None":
+    """The common strength ``s`` when summed load is exact, else ``None``.
+
+    Under :class:`LinearLoad` with every strength equal to one power of two
+    ``s``, each term ``count/s`` is a dyadic rational, and so is every
+    partial sum of such terms — no addition rounds. The summed load of
+    *any* split of a round's requests over servers, in any summation
+    order, therefore equals ``size/s`` bit for bit, and a window's equals
+    ``Σ sizes/s``. Callers use this to skip the assignment entirely.
+    """
+    if type(load) is not LinearLoad or strengths.size == 0:
+        return None
+    strength = float(strengths[0])
+    if not np.all(strengths == strength):
+        return None
+    if not (math.isfinite(strength) and strength > 0.0):
+        return None
+    return strength if math.frexp(strength)[0] == 0.5 else None

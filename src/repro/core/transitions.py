@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
@@ -132,6 +131,10 @@ def _match_donors(
     """
     if not newcomers:
         return 0, 0.0
+    # Imported here: scipy.optimize costs ~0.2 s to import, and only
+    # migration-matrix runs need it.
+    from scipy.optimize import linear_sum_assignment
+
     matrix = np.asarray(costs.migration_matrix)
     n_new, n_don = len(newcomers), len(vanished)
     # Columns: donors, then one creation column per newcomer. A creation

@@ -1,0 +1,177 @@
+"""Differential tests: the batched window's fused epoch scan vs the reference.
+
+:meth:`GatherWindow.epoch_scan` fuses the five single-change families into
+one pass (and, for dyadic linear loads, skips the assignment entirely);
+:meth:`RequestBatch.epoch_scan` builds the same scan from the per-family
+methods. Policies argmin over these floats, so the contract is exact
+equality — of the raw scan arrays and of the ``Choice`` lists
+``enumerate_choices`` assembles from them — on both sides of the
+exact-load gate.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.algorithms._families import Choice, apply_choice, enumerate_choices
+from repro.core.batch import DistanceGather
+from repro.core.config import Configuration
+from repro.core.costs import CostModel, bandwidth_migration_matrix
+from repro.core.evaluation import RequestBatch
+from repro.core.load import QuadraticLoad
+from repro.core.servercache import InactiveServerCache
+from repro.topology.generators import erdos_renyi
+from repro.topology.substrate import Substrate
+from repro.workload.base import Trace
+
+N = 24
+FLAGS = list(itertools.product((False, True), repeat=3))
+#: Strength settings; the first three pass the exact-load gate under
+#: LinearLoad, the last two do not.
+STRENGTHS = {
+    "s1.0": 1.0,
+    "s0.5": 0.5,
+    "s2.0": 2.0,
+    "s3.0": 3.0,
+    "nonuniform": "nonuniform",
+}
+COSTS = ("linear", "hop", "quadratic", "matrix")
+
+
+def build_substrate(strength, rng):
+    er = erdos_renyi(n=N, p=0.15, seed=rng)
+    if strength == "nonuniform":
+        strength = rng.uniform(0.5, 2.0, N)
+    return Substrate(N, er.links, strengths=strength)
+
+
+def build_costs(kind, substrate):
+    if kind == "linear":
+        return CostModel.paper_default()
+    if kind == "hop":
+        return CostModel.paper_default(wireless_hop=0.7)
+    if kind == "quadratic":
+        return CostModel.paper_default(load=QuadraticLoad())
+    return CostModel.paper_default(
+        migration_matrix=bandwidth_migration_matrix(substrate)
+    )
+
+
+def random_trace(rng, n_rounds):
+    """Rounds of 0–11 requests; half the rounds draw from a few hot nodes so
+    candidate costs tie, and some rounds are empty."""
+    rounds = []
+    for _ in range(n_rounds):
+        high = N if rng.random() < 0.5 else 4
+        rounds.append(rng.integers(0, high, size=int(rng.integers(0, 12))))
+    return Trace(tuple(np.asarray(r, dtype=np.int64) for r in rounds), "test")
+
+
+def window_over(gather, trace, t0, t1):
+    """A GatherWindow holding rounds [t0, t1), built through the public API."""
+    window = gather.new_window()
+    for t in range(t0):
+        window.add_round(trace.rounds[t])
+    window.clear()
+    for t in range(t0, t1):
+        window.add_round(trace.rounds[t])
+    return window
+
+
+def random_state(rng, k):
+    """A configuration with k active servers and a 0–3 entry cache."""
+    nodes = rng.choice(N, size=k + 3, replace=False).tolist()
+    cached = nodes[k : k + int(rng.integers(0, 4))]
+    cache = InactiveServerCache(max_size=3)
+    for node in cached:
+        cache.push(node)
+    return Configuration(tuple(nodes[:k]), cache.nodes), cache
+
+
+def assert_scans_equal(reference, fused):
+    assert reference.stay == fused.stay
+    for field in ("migrate_target", "migrate_access", "removal", "addition"):
+        a, b = getattr(reference, field), getattr(fused, field)
+        if a is None or b is None:
+            assert a is None and b is None, field
+        else:
+            assert np.array_equal(a, b), f"{field} not bit-identical"
+
+
+@pytest.mark.parametrize("costs_kind", COSTS)
+@pytest.mark.parametrize("strength", STRENGTHS.values(), ids=STRENGTHS.keys())
+@pytest.mark.parametrize("trial", range(3))
+def test_fused_scan_matches_reference(strength, costs_kind, trial):
+    rng = np.random.default_rng([71, trial, COSTS.index(costs_kind)])
+    substrate = build_substrate(strength, rng)
+    costs = build_costs(costs_kind, substrate)
+    trace = random_trace(rng, 16)
+    gather = DistanceGather(substrate, costs, trace)
+    gated = costs_kind in ("linear", "hop", "matrix") and strength in (1.0, 0.5, 2.0)
+    assert (gather.exact_strength is not None) == gated
+
+    for k in range(1, 7):
+        t0 = int(rng.integers(0, 12))
+        t1 = t0 + int(rng.integers(1, 5))
+        window = window_over(gather, trace, t0, t1)
+        reference = RequestBatch(substrate, costs, trace.rounds[t0:t1])
+        config, cache = random_state(rng, k)
+        occupied = sorted(config.occupied)
+        for migrate, deactivate, add in FLAGS:
+            assert_scans_equal(
+                reference.epoch_scan(config.active, occupied, migrate, deactivate, add),
+                window.epoch_scan(config.active, occupied, migrate, deactivate, add),
+            )
+            assert enumerate_choices(
+                reference, config, cache, costs, migrate, deactivate, add
+            ) == enumerate_choices(
+                window, config, cache, costs, migrate, deactivate, add
+            )
+
+
+def test_scan_is_memoised_across_sibling_windows():
+    rng = np.random.default_rng(5)
+    substrate = build_substrate(1.0, rng)
+    costs = CostModel.paper_default()
+    trace = random_trace(rng, 8)
+    gather = DistanceGather(substrate, costs, trace)
+    w1 = window_over(gather, trace, 2, 6)
+    w2 = window_over(gather, trace, 2, 6)
+    active, occupied = (3, 9), (3, 9, 11)
+    first = w1.epoch_scan(active, occupied)
+    assert w2.epoch_scan(active, occupied) is first
+    # A different family set, window or cache is a different scan.
+    assert w2.epoch_scan(active, occupied, add=False) is not first
+    assert w2.epoch_scan(active, (3, 9)) is not first
+
+
+def test_empty_window_and_empty_placement_fall_back():
+    rng = np.random.default_rng(6)
+    substrate = build_substrate(1.0, rng)
+    costs = CostModel.paper_default()
+    rounds = (np.zeros(0, dtype=np.int64), np.array([1, 5, 5], dtype=np.int64))
+    trace = Trace(rounds, "test")
+    gather = DistanceGather(substrate, costs, trace)
+    empty = window_over(gather, trace, 0, 1)
+    assert_scans_equal(
+        RequestBatch(substrate, costs, rounds[:1]).epoch_scan((2, 7), (2, 7, 8)),
+        empty.epoch_scan((2, 7), (2, 7, 8)),
+    )
+    full = window_over(gather, trace, 0, 2)
+    assert_scans_equal(
+        RequestBatch(substrate, costs, rounds).epoch_scan((), (4,)),
+        full.epoch_scan((), (4,)),
+    )
+
+
+def test_stay_keeps_the_configuration_object():
+    config = Configuration((2, 5), (7,))
+    cache = InactiveServerCache(max_size=3)
+    cache.push(7)
+    stay = Choice("stay", 0.0, 0.0, 0.0)
+    assert apply_choice(stay, config, cache) is config
+    # A cache that moved on (an expiry, say) still yields a new object.
+    cache.pop_oldest()
+    moved = apply_choice(stay, config, cache)
+    assert moved is not config and moved == Configuration((2, 5))
