@@ -1,25 +1,31 @@
 #!/usr/bin/env python
-"""Perf + bit-identity harness for the batched simulation core.
+"""Perf + bit-identity harness for the two round sources of ``simulate``.
 
-Benchmarks :func:`repro.core.batch.simulate_batched` against the scalar
-:func:`repro.core.simulator.simulate` on three points:
+:func:`repro.core.simulator.simulate` routes a materialised trace through a
+shared :class:`~repro.core.batch.DistanceGather` (span routing, gather
+windows, the fused and memoised epoch scan) and a streamed copy of the same
+rounds round by round (``route_requests``, plain ``RequestBatch``
+windows). The ``batched`` column times the former, the ``scalar`` column
+the latter, on four points:
 
 * ``fig03-n400-trio`` / ``fig03-n1000-trio`` — the paper's Figure 3 shape:
   the ONTH/ONBR-fixed/ONBR-dyn trio sharing one commuter trace per
   replicate, at the sweep's n=400 point and the 1000-node headline point.
 * ``routing-core-n1000-static`` — a static policy at n=1000, isolating the
-  batched round loop (span routing + shared gather) from epoch evaluation.
+  round loop (span routing + shared gather) from epoch evaluation.
+* ``onconf-wfa-n200`` — ONCONF and WFA (one server each) at n=200, whose
+  ``decide`` keeps no request window, so only routing differs.
 
 Every point also checks *bit-identity*: all ten ledger columns of the
-batched runs must equal the scalar runs exactly, which is the invariant
-that lets the experiment layer switch paths transparently.
+gathered runs must equal the streamed runs exactly, which is the invariant
+that lets ``simulate`` pick its round source from the input type alone.
 
-On speedup expectations: bit-identity pins every reduction to the scalar
-path's exact summand sequences. The batched path removes redundant
-distance gathers (scalar re-gathers columns per round and per epoch
-family), fuses each epoch's family scan into one pass memoised across
-sibling policies, and — under the default linear load with a
-power-of-two strength, where every load sum is exact — skips the
+On speedup expectations: bit-identity pins every reduction to the
+per-round path's exact summand sequences. The gathered path removes
+redundant distance gathers (the per-round path re-gathers columns per
+round and per epoch family), fuses each epoch's family scan into one pass
+memoised across sibling policies, and — under the default linear load
+with a power-of-two strength, where every load sum is exact — skips the
 assignment work behind the load term. The committed gate floors below
 sit well under the measured speedups, with CI-noise headroom.
 
@@ -40,7 +46,7 @@ import time
 import numpy as np
 
 from repro.api.registry import resolve_policy
-from repro.core.batch import DistanceGather, simulate_batched
+from repro.core.batch import DistanceGather
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.simulator import simulate
@@ -60,13 +66,23 @@ TRIO = (
     ("onbr-dyn", {"dynamic_threshold": True}),
 )
 
+#: ONCONF and WFA, one server each (k=2 would exceed ONCONF's enumeration
+#: budget at n=200).
+ONE_SERVER_PAIR = (
+    ("onconf", {"max_servers": 1}),
+    ("wfa", {"max_servers": 1}),
+)
+
 #: (name, n, horizon, replicate traces, policies, timing repeats, floor).
-#: Floors are far enough under the measured speedups (~2.5x, ~2.5x, ~4x)
-#: to absorb CI machine noise while still catching a path regression.
+#: Floors are far enough under the measured speedups to absorb CI machine
+#: noise while still catching a path regression. ONCONF/WFA spend their
+#: time in ``decide``, so the gathered path there must only not be slower
+#: (1.01x-1.04x over six runs on a 2-vCPU host).
 POINTS = (
     ("fig03-n400-trio", 400, 300, 2, TRIO, 3, 1.3),
     ("fig03-n1000-trio", 1000, 300, 1, TRIO, 2, 1.4),
     ("routing-core-n1000-static", 1000, 3000, 1, (("static", {}),), 3, 2.0),
+    ("onconf-wfa-n200", 200, 300, 1, ONE_SERVER_PAIR, 3, 0.9),
 )
 
 SEED = 20110330
@@ -99,7 +115,7 @@ def _bench_point(name, n, horizon, n_traces, policies, repeats, floor):
     def run_scalar():
         return [
             simulate(substrate, _build_policy(pname, kwargs, substrate),
-                     trace, costs, seed=np.random.default_rng(0))
+                     iter(trace.rounds), costs, seed=np.random.default_rng(0))
             for trace in traces
             for pname, kwargs in policies
         ]
@@ -109,7 +125,7 @@ def _bench_point(name, n, horizon, n_traces, policies, repeats, floor):
         for trace in traces:
             gather = DistanceGather(substrate, costs, trace)
             for pname, kwargs in policies:
-                out.append(simulate_batched(
+                out.append(simulate(
                     substrate, _build_policy(pname, kwargs, substrate),
                     trace, costs, seed=np.random.default_rng(0),
                     gather=gather,
@@ -182,11 +198,11 @@ def main(argv: "list[str] | None" = None) -> int:
             f"bit_identical={point['bit_identical']}) -> {output}"
         )
     if not payload["all_bit_identical"]:
-        print("FAIL: batched ledgers diverged from scalar simulate",
+        print("FAIL: gathered ledgers diverged from streamed ones",
               file=sys.stderr)
         return 1
     if not payload["all_speedups_ok"]:
-        print("FAIL: batched speedup under its committed floor",
+        print("FAIL: gathered speedup under its committed floor",
               file=sys.stderr)
         return 1
     return 0

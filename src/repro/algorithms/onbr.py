@@ -73,7 +73,6 @@ class OnBR(AllocationPolicy):
         self._config = Configuration.empty()
         self._cache = InactiveServerCache(cache_size, cache_expiry)
         self._batch: "RequestBatch | None" = None
-        self._gather = None  # DistanceGather bound for a batched run
         self._epoch_cost = 0.0
         self._epoch_rounds = 0
         self._previous_epoch_rounds: "int | None" = None
@@ -103,27 +102,12 @@ class OnBR(AllocationPolicy):
             raise ValueError(f"start node {start} outside the substrate")
         self._config = Configuration.single(start)
         self._cache = InactiveServerCache(self._cache_size, self._cache_expiry)
-        if self._gather is not None and self._gather.matches(substrate, costs):
-            self._batch = self._gather.new_window()
-        else:
-            self._batch = RequestBatch(substrate, costs)
+        self._batch = self.new_window(substrate, costs)
         self._epoch_cost = 0.0
         self._epoch_rounds = 0
         self._previous_epoch_rounds = None
         self._current_round = -1
         return self._config
-
-    def bind_batch_gather(self, gather) -> bool:
-        # Exact-type guard: OFFBR subclasses this policy and evaluates a
-        # *different* window (the upcoming epoch) that the gather cannot
-        # serve, so only plain ONBR opts in. ONBR consumes no randomness.
-        if type(self) is not OnBR:
-            return False
-        self._gather = gather
-        return True
-
-    def unbind_batch_gather(self) -> None:
-        self._gather = None
 
     def _threshold(self) -> float:
         base = self._threshold_factor * self._costs.creation

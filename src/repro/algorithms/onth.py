@@ -78,7 +78,6 @@ class OnTH(AllocationPolicy):
         self._cache = InactiveServerCache(cache_size, cache_expiry)
         self._small_batch: "RequestBatch | None" = None
         self._large_batch: "RequestBatch | None" = None
-        self._gather = None  # DistanceGather bound for a batched run
         self._small_cost = 0.0
         self._large_access = 0.0
         self._large_running = 0.0
@@ -108,29 +107,13 @@ class OnTH(AllocationPolicy):
             raise ValueError(f"start node {start} outside the substrate")
         self._config = Configuration.single(start)
         self._cache = InactiveServerCache(self._cache_size, self._cache_expiry)
-        if self._gather is not None and self._gather.matches(substrate, costs):
-            self._small_batch = self._gather.new_window()
-            self._large_batch = self._gather.new_window()
-        else:
-            self._small_batch = RequestBatch(substrate, costs)
-            self._large_batch = RequestBatch(substrate, costs)
+        self._small_batch = self.new_window(substrate, costs)
+        self._large_batch = self.new_window(substrate, costs)
         self._small_cost = 0.0
         self._large_access = 0.0
         self._large_running = 0.0
         self._current_round = -1
         return self._config
-
-    def bind_batch_gather(self, gather) -> bool:
-        # Exact-type guard: OFFTH subclasses this policy with lookahead
-        # windows the gather cannot serve, so only plain ONTH opts in.
-        # ONTH consumes no randomness.
-        if type(self) is not OnTH:
-            return False
-        self._gather = gather
-        return True
-
-    def unbind_batch_gather(self) -> None:
-        self._gather = None
 
     def decide(
         self,

@@ -75,13 +75,6 @@ class StaticPolicy(AllocationPolicy):
             return self._start
         return Configuration.single(substrate.center)
 
-    def bind_batch_gather(self, gather) -> bool:
-        # Stateless: the policy keeps no request window, so there is nothing
-        # to bind — opting in simply tells the batched simulator the decide
-        # loop is rng-free. Subclasses may override decide, so only the
-        # exact type opts in.
-        return type(self) is StaticPolicy
-
     def decide(
         self,
         t: int,

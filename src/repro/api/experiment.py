@@ -51,9 +51,10 @@ from repro.api.specs import (
     ReplicationSpec,
     SweepSpec,
 )
-from repro.core.batch import DistanceGather, simulate_batched
+from repro.core.batch import DistanceGather
 from repro.core.results import RunResult
-from repro.workload.base import generate_trace
+from repro.core.simulator import simulate
+from repro.workload.base import Trace, generate_trace
 
 # NOTE: repro.experiments.runner is imported lazily inside the functions that
 # need it. The figure modules import this module at load time, so a top-level
@@ -138,10 +139,10 @@ def _simulate_spec(
     runs: list[PolicyRun] = []
     taken: dict[str, bool] = {}
     # One CostModel per distinct cost spec and one DistanceGather per
-    # (trace, cost model): policies sharing both (the common case — e.g.
-    # the online trio of the size sweeps) then share the gathered distance
-    # columns and the epoch-evaluation memo of the batched path. CostModel
-    # is immutable, so sharing one instance cannot change any result.
+    # (materialised trace, cost model): policies sharing both (the common
+    # case — e.g. the online trio of the size sweeps) then share the
+    # gathered distance columns and the epoch-evaluation memo. CostModel is
+    # immutable, so sharing one instance cannot change any result.
     cost_models: list = []
     gathers: dict[tuple[int, int], DistanceGather] = {}
     for policy_spec, trace_index in zip(spec.policies, trace_of):
@@ -156,10 +157,10 @@ def _simulate_spec(
             cost_models.append((cost_spec, costs))
         gather_key = (trace_index, id(costs))
         gather = gathers.get(gather_key)
-        if gather is None:
+        if gather is None and isinstance(traces[trace_index], Trace):
             gather = DistanceGather(substrate, costs, traces[trace_index])
             gathers[gather_key] = gather
-        run = simulate_batched(
+        run = simulate(
             substrate,
             policy,
             traces[trace_index],

@@ -1,10 +1,10 @@
-"""Batched execution of the simulation core over a shared distance gather.
+"""A trace's distance columns, gathered once and shared by the round loop.
 
-A sweep point runs the same (policy, scenario) pair over many replicates,
-and the scalar round loop of :mod:`repro.core.simulator` re-gathers the
-same distance columns over and over: once per round for routing, and once
-per candidate family per epoch for the best-response scan. This module
-removes that redundancy without changing a single ledger bit:
+:func:`~repro.core.simulator.simulate` runs a materialised trace over a
+:class:`DistanceGather` instead of re-gathering the same distance columns
+over and over (once per round for routing, and once per candidate family
+per epoch for the best-response scan). This module removes that redundancy
+without changing a single ledger bit:
 
 * :class:`DistanceGather` gathers the substrate's distance columns for a
   whole trace **once** (``distances[:, flat]``); every per-round routing
@@ -12,23 +12,19 @@ removes that redundancy without changing a single ledger bit:
   that gather instead of a fresh fancy-indexed copy;
 * :class:`GatherWindow` is a drop-in :class:`~repro.core.evaluation.RequestBatch`
   whose ``add_round``/``clear`` just move window pointers over the gather.
-  Policies opt in through
-  :meth:`~repro.core.policy.AllocationPolicy.bind_batch_gather`; their
-  epoch logic runs unchanged. The window's one override of substance is
+  Policies get one from
+  :meth:`~repro.core.policy.AllocationPolicy.new_window`; their epoch
+  logic runs unchanged. The window's one override of substance is
   :meth:`GatherWindow.epoch_scan`: all five single-change families of an
   epoch boundary in one fused pass, memoised on the gather so sibling
-  policies share scans;
-* :func:`simulate_batched` drives the round loop against the gather
-  (vectorised nearest routing from column slices, a column-preallocated
-  ledger) and transparently falls back to the scalar
-  :func:`~repro.core.simulator.simulate` for policies that do not opt in.
+  policies share scans.
 
 Bit-identity ground rules (why these transformations are safe):
 
 * numpy's pairwise summation is a pure function of the summand sequence
   and the operand layout, so every sum here runs over the exact values, in
-  the exact layout, that the scalar path sums (never padded, never
-  transposed);
+  the exact layout, that per-round routing and a plain ``RequestBatch``
+  sum (never padded, never transposed);
 * ``min``/``argmin``/gathers are exact, so a leave-one-out base is the
   min over the remaining rows in any grouping, and a row of minima sums
   like the argmin gather it equals;
@@ -48,21 +44,15 @@ deliberately avoided.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.evaluation import EpochScan, RequestBatch
 from repro.core.load import dyadic_linear_strength
-from repro.core.policy import AllocationPolicy, OfflinePolicy
 from repro.core.results import RunResult
-from repro.core.routing import RoutingResult, RoutingStrategy, route_requests
-from repro.core.simulator import _check_config, simulate
-from repro.core.transitions import _NO_CHANGE, price_transition
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace
-from repro.util.rng import ensure_rng
 
 __all__ = [
     "DistanceGather",
@@ -74,11 +64,6 @@ __all__ = [
 #: this the fused epoch scan falls back to one row at a time (identical
 #: values, lower peak memory).
 _STACK_ELEMS_MAX = 1 << 24
-
-#: How many rounds the batched round loop routes per argmin while the
-#: active set is unchanged. Rebuilt early whenever the policy moves a
-#: server, so larger spans only pay off across stable epochs.
-_SPAN_ROUNDS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,20 +86,18 @@ class DistanceGather:
     request of the flattened trace — so routing round ``t`` needs only the
     contiguous column range ``offsets[t]:offsets[t+1]``, and any epoch
     window of a policy is likewise a column range. The gather itself is
-    lazy: a policy that declines the batched path never pays for it.
+    lazy: a run that never scans candidates never pays for it.
     """
 
     def __init__(
         self,
         substrate: Substrate,
         costs: CostModel,
-        trace: "Trace | Sequence[np.ndarray]",
+        trace: Trace,
     ) -> None:
         self.substrate = substrate
         self.costs = costs
-        rounds = trace.rounds if isinstance(trace, Trace) else tuple(
-            np.asarray(r, dtype=np.int64) for r in trace
-        )
+        rounds = trace.rounds
         self.sizes = np.asarray([r.size for r in rounds], dtype=np.int64)
         self.offsets = np.zeros(len(rounds) + 1, dtype=np.int64)
         np.cumsum(self.sizes, out=self.offsets[1:])
@@ -128,7 +111,11 @@ class DistanceGather:
         if self.flat.size:
             lo, hi = int(self.flat.min()), int(self.flat.max())
             if lo < 0:
-                raise ValueError(f"trace references negative node {lo}")
+                # Fancy indexing would wrap it to the substrate's last nodes.
+                raise ValueError(
+                    f"trace references negative node {lo} "
+                    f"(a negative node index {lo} is not a substrate node)"
+                )
             if hi >= substrate.n:
                 raise ValueError(
                     f"trace references node {hi} but substrate has "
@@ -174,7 +161,7 @@ class DistanceGather:
     def columns(self) -> np.ndarray:
         """``(n, total_requests)`` distance gather (computed on first use)."""
         if self._columns is None:
-            # Must be the same gather op the scalar RequestBatch uses: a
+            # Must be the same gather op a plain RequestBatch uses: a
             # column fancy-index yields a Fortran-ordered array, and numpy's
             # axis-1 reductions are only bitwise-reproducible when the
             # operand layout matches (np.take would give C order and shift
@@ -214,7 +201,7 @@ class GatherWindow(RequestBatch):
     request arrays; ``flat``/``round_ids``/``round_sizes`` and the distance
     accessors are slices of the gather. All candidate-evaluation methods of
     the base class therefore see byte-identical inputs in the same shapes
-    and reduction orders as a freshly built scalar window — the outputs are
+    and reduction orders as a freshly built plain window — the outputs are
     bit-identical, just cheaper to produce. :meth:`epoch_scan` replaces the
     base class's family-by-family scan with one fused, memoised pass.
     """
@@ -446,204 +433,8 @@ class GatherWindow(RequestBatch):
         return loads.reshape(count, -1).sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Batched round loop
+def simulate_batched(*args, **kwargs) -> RunResult:
+    """Former name of :func:`~repro.core.simulator.simulate`; forwards to it."""
+    from repro.core.simulator import simulate
 
-
-def simulate_batched(
-    substrate: Substrate,
-    policy: AllocationPolicy,
-    trace: "Trace | Iterable[np.ndarray]",
-    costs: "CostModel | None" = None,
-    routing: RoutingStrategy = RoutingStrategy.NEAREST,
-    seed: "int | np.random.Generator | None" = None,
-    max_servers: "int | None" = None,
-    gather: "DistanceGather | None" = None,
-) -> RunResult:
-    """Run one replicate through the batched path when the policy opts in.
-
-    Drop-in for :func:`~repro.core.simulator.simulate` with an identical
-    ledger: policies that do not implement the batched ``decide`` protocol
-    — and non-materialised (streaming) traces, whose O(round) memory
-    profile the scalar loop preserves — fall back to ``simulate``
-    transparently.
-    """
-    costs = costs if costs is not None else CostModel.paper_default()
-    rng = ensure_rng(seed)
-
-    if not isinstance(trace, Trace) or isinstance(policy, OfflinePolicy):
-        return simulate(substrate, policy, trace, costs, routing, rng, max_servers)
-    if costs.migration_matrix is not None and costs.migration_matrix.shape[0] != substrate.n:
-        raise ValueError(
-            f"migration_matrix is {costs.migration_matrix.shape[0]}x"
-            f"{costs.migration_matrix.shape[1]} but substrate has {substrate.n} nodes"
-        )
-
-    if gather is None:
-        gather = DistanceGather(substrate, costs, trace)
-    elif not gather.matches(substrate, costs):
-        raise ValueError("gather was built for a different substrate/cost model")
-
-    if not policy.bind_batch_gather(gather):
-        return simulate(substrate, policy, trace, costs, routing, rng, max_servers)
-    try:
-        return _run_gathered(
-            substrate, policy, trace, costs, routing, rng, max_servers, gather
-        )
-    finally:
-        policy.unbind_batch_gather()
-
-
-def _run_gathered(
-    substrate: Substrate,
-    policy: AllocationPolicy,
-    trace: Trace,
-    costs: CostModel,
-    routing: RoutingStrategy,
-    rng: np.random.Generator,
-    max_servers: "int | None",
-    gather: DistanceGather,
-) -> RunResult:
-    config = policy.reset(substrate, costs, rng)
-    _check_config(config, substrate, max_servers, t=-1)
-
-    n_rounds = len(trace.rounds)
-    columns = {
-        name: np.zeros(n_rounds, dtype=np.float64)
-        for name in (
-            "latency_cost", "load_cost", "running_cost",
-            "migration_cost", "creation_cost",
-        )
-    }
-    columns.update(
-        (name, np.zeros(n_rounds, dtype=np.int64))
-        for name in ("migrations", "creations", "n_active", "n_inactive")
-    )
-    columns["n_requests"] = gather.sizes.copy()
-    latency_col, load_col, running_col, n_active_col, n_inactive_col = (
-        columns[name] for name in (
-            "latency_cost", "load_cost", "running_cost", "n_active", "n_inactive",
-        )
-    )
-
-    fast_nearest = routing is RoutingStrategy.NEAREST
-    offsets = gather.offset_list
-    flat = gather.flat
-    strengths = substrate.strengths
-    hop = costs.wireless_hop
-    # Dyadic loads (see dyadic_linear_strength): a round's summed load is
-    # size/strength bit for bit, whatever the assignment.
-    round_loads = (
-        None if gather.exact_strength is None
-        else gather.sizes / gather.exact_strength
-    )
-    # Span router state: while the active set is value-unchanged (threshold
-    # policies hold their placement across whole epochs, and a rebuilt
-    # configuration may keep the same active servers), nearest assignments
-    # for the next _SPAN_ROUNDS rounds are computed in one argmin. Per-round
-    # latencies are then sums over contiguous slices of the span gather —
-    # the same summand sequences as per-round scalar routing, hence
-    # bit-identical.
-    span_active: "tuple[int, ...] | None" = None
-    span_t0 = span_end = 0  # the span covers rounds [span_t0, span_end)
-    span_c0 = 0
-    span_assign = np.zeros(0, dtype=np.int64)
-    span_values = np.zeros(0, dtype=np.float64)
-    span_counts = np.zeros((0, 0), dtype=np.int64)
-    active_arr = np.zeros(0, dtype=np.int64)
-    active_strengths = np.zeros(0, dtype=np.float64)
-    # Per-configuration-object caches for the ledger columns.
-    costed_config: "object | None" = None
-    run_cost = 0.0
-    n_active = n_inactive = 0
-
-    for t, requests in enumerate(trace.rounds):
-        size = int(requests.size)
-        if size == 0:
-            routed = RoutingResult(
-                latency_cost=0.0,
-                load_cost=0.0,
-                counts=np.zeros(len(config.active), dtype=np.int64),
-                assignment=np.zeros(0, dtype=np.int64),
-            )
-        elif fast_nearest:
-            if t >= span_end or config.active != span_active:
-                span_active = config.active
-                active_arr = config.active_array
-                if active_arr.size == 0:
-                    raise ValueError("cannot route requests: no active servers")
-                active_strengths = strengths[active_arr]
-                span_end = min(n_rounds, t + _SPAN_ROUNDS)
-                span_c0 = offsets[t]
-                span_c1 = offsets[span_end]
-                if gather.has_columns:
-                    block = gather.columns[active_arr, span_c0:span_c1]
-                else:
-                    # Policies that never scan candidates (stateless family)
-                    # should not pay for the full (n, requests) gather; the
-                    # span block is the same values either way.
-                    block = substrate.distances[
-                        np.ix_(active_arr, flat[span_c0:span_c1])
-                    ]
-                span_assign = np.argmin(block, axis=0)
-                span_values = block[
-                    span_assign, gather.arange(span_assign.size)
-                ]
-                # Per-round server counts of the whole span in one bincount
-                # over combined (round, server) keys.
-                k = active_arr.size
-                span_t0 = t
-                span_counts = np.bincount(
-                    (gather.row_of[span_c0:span_c1] - t) * k + span_assign,
-                    minlength=(span_end - t) * k,
-                ).reshape(span_end - t, k)
-            lo = offsets[t] - span_c0
-            hi = offsets[t + 1] - span_c0
-            assignment = span_assign[lo:hi]
-            latency = span_values[lo:hi].sum() + hop * size
-            counts = span_counts[t - span_t0]
-            if round_loads is None:
-                load = costs.load(active_strengths, counts).sum()
-            else:
-                load = round_loads[t]
-            routed = RoutingResult(float(latency), float(load), counts, assignment)
-        else:
-            routed = route_requests(
-                substrate, config.active_array, requests, costs, routing
-            )
-
-        new_config = policy.decide(t, requests, routed)
-        if new_config is config:
-            # Same object ⇒ already validated, and the transition pricer
-            # would short-circuit on equality anyway.
-            outcome = _NO_CHANGE
-        else:
-            _check_config(new_config, substrate, max_servers, t)
-            outcome = price_transition(config, new_config, costs)
-            config = new_config
-
-        if config is not costed_config:
-            costed_config = config
-            run_cost = costs.running_cost(config)
-            n_active = config.n_active
-            n_inactive = config.n_inactive
-
-        latency_col[t] = routed.latency_cost
-        load_col[t] = routed.load_cost
-        running_col[t] = run_cost
-        n_active_col[t] = n_active
-        n_inactive_col[t] = n_inactive
-        if outcome is not _NO_CHANGE:  # the columns start at zero
-            columns["migration_cost"][t] = outcome.migration_cost
-            columns["creation_cost"][t] = outcome.creation_cost
-            columns["migrations"][t] = outcome.migrations
-            columns["creations"][t] = outcome.creations
-
-    for arr in columns.values():
-        arr.flags.writeable = False
-    return RunResult(
-        policy_name=policy.name,
-        scenario_name=getattr(trace, "scenario_name", ""),
-        **columns,
-    )
-
+    return simulate(*args, **kwargs)

@@ -13,6 +13,9 @@ the entire trace before the run starts — the paper's "demand known ahead of
 time" standpoint. They still run through the same simulator so that their
 ledgers are produced by exactly the same accounting code as the online
 algorithms.
+
+Request windows come from :meth:`AllocationPolicy.new_window`, which the
+simulator serves from a shared distance gather when it can.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
+from repro.core.evaluation import RequestBatch
 from repro.core.routing import RoutingResult
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace
@@ -81,30 +85,25 @@ class AllocationPolicy(ABC):
             change" and is free.
         """
 
-    # -- batched execution protocol ---------------------------------------------
+    # -- request windows ------------------------------------------------------
 
-    def bind_batch_gather(self, gather) -> bool:
-        """Offer a precomputed distance gather for the next run.
+    #: The distance gather of the run in progress: bound by
+    #: :func:`~repro.core.simulator.simulate` around ``reset``/``decide``
+    #: when it runs a materialised trace, ``None`` otherwise.
+    _run_gather = None
 
-        The batched simulator (:mod:`repro.core.batch`) calls this right
-        before :meth:`reset` with a
-        :class:`~repro.core.batch.DistanceGather` covering the run's full
-        trace. A policy that can serve its request windows from the gather
-        stores it and returns ``True``. Opting in is a contract:
+    def new_window(self, substrate: Substrate, costs: CostModel) -> RequestBatch:
+        """An empty request window for the current run, created in ``reset``.
 
-        * ``reset`` and ``decide`` consume **no randomness** — a sibling
-          policy falling back to the scalar path must observe an identical
-          rng stream either way;
-        * every round is fed, in order, to windows created from the gather
-          (``gather.new_window()``), exactly once per window per round.
-
-        The default declines, which routes the policy through the scalar
-        :func:`~repro.core.simulator.simulate` unchanged.
+        Feed it every round in order (``add_round``) and ``clear`` it at
+        epoch boundaries. Over a materialised trace it is a
+        :class:`~repro.core.batch.GatherWindow` slicing the run's distance
+        gather, otherwise a plain :class:`RequestBatch`; both evaluate
+        candidates bit for bit alike.
         """
-        return False
-
-    def unbind_batch_gather(self) -> None:
-        """Drop a previously bound gather (called after a batched run)."""
+        if self._run_gather is not None:
+            return self._run_gather.new_window()
+        return RequestBatch(substrate, costs)
 
 
 class OfflinePolicy(AllocationPolicy):

@@ -1,10 +1,11 @@
 """Per-round cost ledger and aggregated run results.
 
-Every simulated round produces one :class:`RoundRecord` with the full cost
-breakdown of §II-B/§II-C (latency, load, running, migration, creation) plus
-the server census; a completed run is summarised in an immutable
-:class:`RunResult` exposing the series as numpy arrays — Figures 1 and 2
-plot exactly these series, and every other figure aggregates their totals.
+Every simulated round has one row of the full cost breakdown of
+§II-B/§II-C (latency, load, running, migration, creation) plus the server
+census (:class:`RoundRecord`); a completed run is summarised in an
+immutable :class:`RunResult` exposing the series as numpy arrays — Figures
+1 and 2 plot exactly these series, and every other figure aggregates their
+totals.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RoundRecord", "RunResult", "RunLedger", "CostBreakdown"]
+__all__ = ["RoundRecord", "RunResult", "RunLedger", "CostBreakdown", "LEDGER_COLUMNS"]
+
+#: The per-round columns of a :class:`RunResult`, in field order: the
+#: ``*_cost`` columns are float64, the others int64.
+LEDGER_COLUMNS = (
+    "latency_cost", "load_cost", "running_cost", "migration_cost",
+    "creation_cost", "migrations", "creations", "n_active", "n_inactive",
+    "n_requests",
+)
 
 
 @dataclass(frozen=True)
@@ -97,39 +106,25 @@ class CostBreakdown:
 
 
 class RunLedger:
-    """Mutable accumulator the simulator writes into, column-oriented."""
-
-    _FIELDS = (
-        "latency_cost",
-        "load_cost",
-        "running_cost",
-        "migration_cost",
-        "creation_cost",
-        "migrations",
-        "creations",
-        "n_active",
-        "n_inactive",
-        "n_requests",
-    )
+    """Mutable record-by-record accumulator, column-oriented."""
 
     def __init__(self) -> None:
         # Typed columns (8 bytes/round each) instead of lists of boxed
-        # Python numbers — a million-round ledger stays ~80 MB instead of
-        # several hundred, which is what keeps streaming-trace runs lean.
+        # Python numbers: a million-round ledger stays ~80 MB.
         self._columns: dict[str, array] = {
             name: array("d" if name.endswith("cost") else "q")
-            for name in self._FIELDS
+            for name in LEDGER_COLUMNS
         }
 
     def append(self, record: RoundRecord) -> None:
         """Record one round."""
-        for name in self._FIELDS:
+        for name in LEDGER_COLUMNS:
             self._columns[name].append(getattr(record, name))
 
     def finish(self, policy_name: str, scenario_name: str = "") -> "RunResult":
         """Freeze the ledger into an immutable :class:`RunResult`."""
         arrays = {}
-        for name in self._FIELDS:
+        for name in LEDGER_COLUMNS:
             dtype = np.float64 if name.endswith("cost") else np.int64
             arr = np.asarray(self._columns[name], dtype=dtype)
             arr.flags.writeable = False

@@ -1,10 +1,11 @@
 """The synchronous online game of §II-E, executed round by round.
 
-:func:`simulate` is the single entry point every experiment uses: it drives
-an :class:`~repro.core.policy.AllocationPolicy` over a
-:class:`~repro.workload.base.Trace` on a substrate, prices every
-configuration change with :func:`~repro.core.transitions.price_transition`,
-and returns the full per-round cost ledger.
+:func:`simulate` is the single entry point every experiment uses, and the
+only round loop: it drives an
+:class:`~repro.core.policy.AllocationPolicy` over a request sequence on a
+substrate, prices every configuration change with
+:func:`~repro.core.transitions.price_transition`, and returns the full
+per-round cost ledger.
 
 Accounting per round ``t`` (the exact order of §II-E):
 
@@ -16,23 +17,41 @@ Accounting per round ``t`` (the exact order of §II-E):
 
 The paper notes the results are insensitive to reordering steps 2 and 3
 because one round's requests are much cheaper than a migration.
+
+The input type picks where distances come from. A materialised
+:class:`~repro.workload.base.Trace` gets a
+:class:`~repro.core.batch.DistanceGather`: nearest routing reads it in
+spans of rounds, and every policy request window is a slice of it. Any
+other round-iterable (a lazily generated stream) is routed round by round
+with :func:`~repro.core.routing.route_requests` and plain
+:class:`~repro.core.evaluation.RequestBatch` windows, so memory stays
+O(round). Non-nearest routing always uses ``route_requests``. Both sources
+produce the same ledger bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+from repro.core.batch import DistanceGather
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.policy import AllocationPolicy, OfflinePolicy
-from repro.core.results import RoundRecord, RunLedger, RunResult
-from repro.core.routing import RoutingStrategy, route_requests
-from repro.core.transitions import price_transition
+from repro.core.results import LEDGER_COLUMNS, RunResult
+from repro.core.routing import RoutingResult, RoutingStrategy, route_requests
+from repro.core.transitions import _NO_CHANGE, price_transition
 from repro.topology.substrate import Substrate
-from repro.workload.base import RoundIterable, as_trace
+from repro.workload.base import RoundIterable, Trace, as_trace
 from repro.util.rng import ensure_rng
 
 __all__ = ["simulate"]
+
+#: How many rounds the span router assigns per argmin while the active set
+#: is unchanged. Rebuilt early whenever the policy moves a server, so
+#: larger spans only pay off across stable epochs.
+_SPAN_ROUNDS = 16
 
 
 def simulate(
@@ -43,6 +62,7 @@ def simulate(
     routing: RoutingStrategy = RoutingStrategy.NEAREST,
     seed: "int | np.random.Generator | None" = None,
     max_servers: "int | None" = None,
+    gather: "DistanceGather | None" = None,
 ) -> RunResult:
     """Run ``policy`` against ``trace`` on ``substrate`` and return the ledger.
 
@@ -62,14 +82,18 @@ def simulate(
         seed: randomness for the policy (e.g. ONCONF's random switch).
         max_servers: optional hard cap ``k`` on simultaneous in-use servers;
             a policy exceeding it is a bug and raises.
+        gather: the :class:`~repro.core.batch.DistanceGather` of a
+            materialised ``trace`` under this substrate and cost model, so
+            policies run over one trace share its columns and epoch memo;
+            built here when omitted, unused for streamed input.
 
     Returns:
         The immutable :class:`~repro.core.results.RunResult`.
 
     Raises:
         ValueError: if the trace references nodes outside the substrate, a
-            round with requests finds no active server, or ``max_servers``
-            is violated.
+            round with requests finds no active server, ``max_servers`` is
+            violated, or ``gather`` was built for another substrate/costs.
     """
     costs = costs if costs is not None else CostModel.paper_default()
     rng = ensure_rng(seed)
@@ -77,14 +101,13 @@ def simulate(
     if getattr(policy, "requires_full_trace", False) or isinstance(policy, OfflinePolicy):
         trace = as_trace(trace)
 
-    # A materialised Trace knows its maximum node up front; a streaming
-    # trace does not, so the bound check moves into the round loop.
-    max_node = getattr(trace, "max_node", None)
-    if max_node is not None and max_node >= substrate.n:
-        raise ValueError(
-            f"trace references node {max_node} but substrate has "
-            f"{substrate.n} nodes"
-        )
+    if not isinstance(trace, Trace):
+        # Streamed rounds are bounds-checked one by one in the loop.
+        gather = None
+    elif gather is None:
+        gather = DistanceGather(substrate, costs, trace)  # checks every node
+    elif not gather.matches(substrate, costs):
+        raise ValueError("gather was built for a different substrate/cost model")
     if costs.migration_matrix is not None and costs.migration_matrix.shape[0] != substrate.n:
         raise ValueError(
             f"migration_matrix is {costs.migration_matrix.shape[0]}x"
@@ -93,46 +116,167 @@ def simulate(
 
     if isinstance(policy, OfflinePolicy):
         policy.prepare(trace)
-    config = policy.reset(substrate, costs, rng)
-    _check_config(config, substrate, max_servers, t=-1)
+    # AllocationPolicy.new_window serves the run's windows from the gather.
+    policy._run_gather = gather
+    try:
+        config = policy.reset(substrate, costs, rng)
+        _check_config(config, substrate, max_servers, t=-1)
 
-    ledger = RunLedger()
-    for t, requests in enumerate(trace):
-        if max_node is None and requests.size:
-            if int(requests.max()) >= substrate.n:
-                raise ValueError(
-                    f"round {t} references node {int(requests.max())} but "
-                    f"substrate has {substrate.n} nodes"
-                )
-            if int(requests.min()) < 0:
-                raise ValueError(
-                    f"round {t} references negative node {int(requests.min())}"
-                )
-        routed = route_requests(
-            substrate, config.active_array, requests, costs, routing,
+        route = (
+            _SpanRouter(substrate, costs, gather).route
+            if gather is not None and routing is RoutingStrategy.NEAREST
+            else None
         )
-        new_config = policy.decide(t, requests, routed)
-        _check_config(new_config, substrate, max_servers, t)
-        outcome = price_transition(config, new_config, costs)
-        config = new_config
-
-        ledger.append(
-            RoundRecord(
-                t=t,
-                latency_cost=routed.latency_cost,
-                load_cost=routed.load_cost,
-                running_cost=costs.running_cost(config),
-                migration_cost=outcome.migration_cost,
-                creation_cost=outcome.creation_cost,
-                migrations=outcome.migrations,
-                creations=outcome.creations,
-                n_active=config.n_active,
-                n_inactive=config.n_inactive,
-                n_requests=int(requests.size),
+        # One column ledger, sized up front when the length is known and
+        # doubled otherwise. Columns are resized in place (the loop keeps
+        # no views into them), so the locals below stay valid.
+        capacity = operator.length_hint(trace)
+        columns = {
+            name: np.zeros(
+                capacity, dtype=np.float64 if name.endswith("cost") else np.int64
             )
-        )
+            for name in LEDGER_COLUMNS
+        }
+        (latency_col, load_col, running_col, migration_col, creation_col,
+         migrations_col, creations_col, n_active_col, n_inactive_col,
+         n_requests_col) = columns.values()
+        # Per-configuration-object caches for the ledger columns.
+        costed_config: "Configuration | None" = None
+        run_cost = 0.0
+        n_active = n_inactive = 0
 
-    return ledger.finish(policy.name, getattr(trace, "scenario_name", ""))
+        t = -1
+        for t, requests in enumerate(trace.rounds if gather is not None else trace):
+            size = requests.size
+            if gather is None and size:
+                if int(requests.max()) >= substrate.n:
+                    raise ValueError(
+                        f"round {t} references node {int(requests.max())} but "
+                        f"substrate has {substrate.n} nodes"
+                    )
+                if int(requests.min()) < 0:
+                    raise ValueError(
+                        f"round {t} references negative node {int(requests.min())}"
+                    )
+            if t == capacity:
+                capacity = max(2 * capacity, 1024)
+                for column in columns.values():
+                    column.resize(capacity, refcheck=False)
+
+            if route is None or not size:
+                routed = route_requests(
+                    substrate, config.active_array, requests, costs, routing,
+                )
+            else:
+                routed = route(t, config)
+
+            new_config = policy.decide(t, requests, routed)
+            if new_config is config:
+                # Same object ⇒ already validated, and the transition pricer
+                # would short-circuit on equality anyway.
+                outcome = _NO_CHANGE
+            else:
+                _check_config(new_config, substrate, max_servers, t)
+                outcome = price_transition(config, new_config, costs)
+                config = new_config
+
+            if config is not costed_config:
+                costed_config = config
+                run_cost = costs.running_cost(config)
+                n_active = config.n_active
+                n_inactive = config.n_inactive
+
+            latency_col[t] = routed.latency_cost
+            load_col[t] = routed.load_cost
+            running_col[t] = run_cost
+            n_active_col[t] = n_active
+            n_inactive_col[t] = n_inactive
+            n_requests_col[t] = size
+            if outcome is not _NO_CHANGE:  # the columns start at zero
+                migration_col[t] = outcome.migration_cost
+                creation_col[t] = outcome.creation_cost
+                migrations_col[t] = outcome.migrations
+                creations_col[t] = outcome.creations
+    finally:
+        policy._run_gather = None
+
+    for column in columns.values():
+        column.resize(t + 1, refcheck=False)  # trim the unused capacity
+        column.flags.writeable = False
+    return RunResult(
+        policy_name=policy.name,
+        scenario_name=getattr(trace, "scenario_name", ""),
+        **columns,
+    )
+
+
+class _SpanRouter:
+    """Nearest routing of a gathered trace, many rounds per argmin.
+
+    While the active set is value-unchanged (threshold policies hold their
+    placement across whole epochs, and a rebuilt configuration may keep the
+    same active servers), nearest assignments for the next
+    :data:`_SPAN_ROUNDS` rounds are computed in one argmin. Per-round
+    latencies are then sums over contiguous slices of the span gather — the
+    same summand sequences as per-round
+    :func:`~repro.core.routing.route_requests`, hence bit-identical.
+    """
+
+    def __init__(
+        self, substrate: Substrate, costs: CostModel, gather: DistanceGather
+    ) -> None:
+        self._substrate = substrate
+        self._costs = costs
+        self._gather = gather
+        # Dyadic loads (see dyadic_linear_strength): a round's summed load
+        # is size/strength bit for bit, whatever the assignment.
+        self._round_loads = (
+            None if gather.exact_strength is None
+            else gather.sizes / gather.exact_strength
+        )
+        # The span covers rounds [t0, end); the first route() builds it.
+        self._active: "tuple[int, ...] | None" = None
+        self._t0 = self._end = self._c0 = 0
+
+    def _rebuild(self, t: int, config: Configuration) -> None:
+        gather = self._gather
+        active = config.active_array
+        if active.size == 0:
+            raise ValueError("cannot route requests: no active servers")
+        self._active = config.active
+        self._strengths = self._substrate.strengths[active]
+        end = min(gather.sizes.size, t + _SPAN_ROUNDS)
+        c0, c1 = gather.offset_list[t], gather.offset_list[end]
+        if gather.has_columns:
+            block = gather.columns[active, c0:c1]
+        else:
+            # Policies that never scan candidates should not pay for the
+            # full (n, requests) gather; the span block holds the same values.
+            block = self._substrate.distances[np.ix_(active, gather.flat[c0:c1])]
+        self._assign = np.argmin(block, axis=0)
+        self._values = block[self._assign, gather.arange(self._assign.size)]
+        # Per-round server counts of the whole span in one bincount over
+        # combined (round, server) keys.
+        k = active.size
+        self._counts = np.bincount(
+            (gather.row_of[c0:c1] - t) * k + self._assign,
+            minlength=(end - t) * k,
+        ).reshape(end - t, k)
+        self._t0, self._end, self._c0 = t, end, c0
+
+    def route(self, t: int, config: Configuration) -> RoutingResult:
+        """Nearest routing of the non-empty round ``t`` under ``config``."""
+        if t >= self._end or config.active != self._active:
+            self._rebuild(t, config)
+        offsets = self._gather.offset_list
+        lo, hi = offsets[t] - self._c0, offsets[t + 1] - self._c0
+        latency = self._values[lo:hi].sum() + self._costs.wireless_hop * (hi - lo)
+        counts = self._counts[t - self._t0]
+        if self._round_loads is None:
+            load = self._costs.load(self._strengths, counts).sum()
+        else:
+            load = self._round_loads[t]
+        return RoutingResult(float(latency), float(load), counts, self._assign[lo:hi])
 
 
 def _check_config(

@@ -91,9 +91,9 @@ class Trace:
     def _memo(self, name: str, compute) -> int:
         """Compute-once statistics on a frozen dataclass.
 
-        ``max_node``/``total_requests`` sit on the simulator's validation
-        hot path and used to re-scan every round on each access; the rounds
-        are immutable, so the first computed value is final.
+        ``max_node``/``total_requests`` would otherwise re-scan every round
+        on each access; the rounds are immutable, so the first computed
+        value is final.
         """
         cached = self.__dict__.get(name)
         if cached is None:
@@ -118,8 +118,7 @@ class Trace:
     def max_node(self) -> int:
         """Largest node index referenced; -1 for an all-empty trace.
 
-        Computed once per trace: simulate() checks it on every run and the
-        rounds cannot change.
+        Computed once per trace: the rounds cannot change.
         """
         return self._memo(
             "_max_node",
