@@ -572,7 +572,9 @@ class ResultCache:
                 files = sorted(bucket.glob("*.json"))
             except OSError:  # bucket deleted between iterdir and glob
                 continue
-            yield from files
+            # checked as the consumer resumes: a file listed here may be
+            # deleted before then
+            yield from (path for path in files if path.exists())
 
     def stats(self) -> dict:
         """A summary of what is on disk: entry/byte counts per entry kind."""

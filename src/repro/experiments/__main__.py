@@ -1,6 +1,6 @@
 """Command-line experiment runner: ``python -m repro.experiments``.
 
-Two modes:
+Modes:
 
 * **figure regeneration** — rerun a registered reproduction by id::
 
@@ -20,6 +20,15 @@ Two modes:
           --runs 5 --workers 4 --json
       python -m repro.experiments run --policy onth --topology line:n=5 \\
           --metric cost_ratio_vs:reference=OPT --sweep scenario.sojourn=2,5
+
+* **reports and the work queue** — ``report`` renders figures into a
+  publishable EXPERIMENTS.md (``--bundle`` adds a repro bundle that
+  ``run --from-bundle`` replays); ``enqueue`` publishes a ``run`` sweep as
+  queue tasks that ``worker`` processes drain and ``serve`` answers over
+  HTTP::
+
+      python -m repro.experiments report fig03 --out EXPERIMENTS.md
+      python -m repro.experiments worker --queue q.db --cache-dir cache/
 
 * **inventory** — print every registered component with its parameters::
 
@@ -77,15 +86,24 @@ ones. Combined with ``--target-halfwidth``, adaptive replication stops as
 soon as the paired intervals (not the marginal ones) meet the target —
 same conclusions, fewer simulated replicates. Comparisons reuse the exact
 replicate samples (and cache entries) of a plain run.
+
+Each flag group is defined once and shared by the parsers that take it;
+the spec flags default to the :class:`CostSpec`/:class:`ExperimentSpec`
+fields. Every user error raises :class:`CLIError`, which :func:`main`
+prints as one ``error: ...`` line before returning exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
+import math
+import sqlite3
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -131,65 +149,82 @@ from repro.experiments.reporting import format_figure
 #: through repro.api.FIGURES but not through the CLI.
 _REGISTRY: dict = {name: entry for name, entry in FIGURES.items()}
 
+#: The execution options a sweep figure forwards to ``run_sweep`` through
+#: its ``**run`` keywords.
+_RUN_OPTIONS = ("backend", "cache", "shard", "replication", "comparison")
 
-def _backend_for(workers: "int | None"):
-    """The execution backend selected by ``--workers`` (None or 1 = serial)."""
-    if workers is None or workers == 1:
-        return None
-    return ProcessPoolBackend(workers)
+#: What opening a queue database or serving on it can raise.
+_QUEUE_ERRORS = (sqlite3.Error, OSError, ValueError)
 
 
-def _backend_from_args(args):
-    """The backend selected by ``--workers``/``--queue``; they conflict.
+class CLIError(Exception):
+    """A user error: :func:`main` prints it on one line and exits 2."""
 
-    Callers must have rejected the combination already (see
-    :func:`_validate_backend_args`) — both flags claim the same decision,
-    and silently preferring one would mislead.
+
+@contextmanager
+def _user_errors(*kinds, prefix: str = ""):
+    """Re-raise ``kinds`` escaping the block as :class:`CLIError`."""
+    try:
+        yield
+    except kinds as error:
+        raise CLIError(f"{prefix}{error}") from error
+
+
+def _queue_errors(path: str):
+    """The one error path of ``enqueue``/``worker`` opening a queue."""
+    return _user_errors(*_QUEUE_ERRORS, prefix=f"cannot open queue {path!r}: ")
+
+
+def _default(cls, name: str):
+    """The dataclass default of field ``name`` of spec class ``cls``."""
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+def _backend_for(args):
+    """The backend ``--workers``/``--queue`` select (None = serial).
+
+    The two flags claim the same decision, so passing both is an error
+    rather than silently preferring one.
     """
-    queue = getattr(args, "queue", None)
-    if queue is not None:
-        from repro.api.execution import QueueBackend
-
-        return QueueBackend(queue)
-    return _backend_for(getattr(args, "workers", None))
-
-
-def _validate_backend_args(args) -> None:
-    """Reject ``--queue`` + ``--workers`` (one execution strategy at a time)."""
-    if getattr(args, "queue", None) is not None and getattr(
-        args, "workers", None
-    ) is not None:
-        raise ValueError(
+    queue, workers = args.queue, args.workers
+    if queue is not None and workers is not None:
+        raise CLIError(
             "--queue and --workers are mutually exclusive: the queue "
             "backend already fans out to every worker process on the "
             "queue file"
         )
+    if queue is not None:
+        from repro.api.execution import QueueBackend
+
+        return QueueBackend(queue)
+    return None if workers is None or workers == 1 else ProcessPoolBackend(workers)
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for ``--workers``: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, valid, rule: str, flag: "str | None" = None):
+    """An argparse type: ``convert(text)``, which must satisfy ``valid``.
 
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (``--runs``, ...).
-
-    Keeps ``--runs 0`` a clean exit-2 flag error instead of a
-    ``ValueError`` traceback out of the sweep engine mid-run.
+    A bad value is argparse's usage error (exit 2). With ``flag`` it is a
+    :class:`CLIError` instead, which argparse lets through to :func:`main`:
+    the queue commands report every bad input on one line.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            if flag is None:
+                raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+            raise CLIError(f"{flag} must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: argparse type for counts that must be >= 1 (``--runs``, ``--workers``,
+#: ...): ``--runs 0`` is a flag error, not a traceback out of the sweep.
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _parse_queue(text: str) -> str:
@@ -199,8 +234,6 @@ def _parse_queue(text: str) -> str:
     directory) with a one-line flag error; everything else is handed to
     the broker, whose own failures the commands turn into exit 2.
     """
-    from pathlib import Path
-
     value = text.strip()
     if not value:
         raise argparse.ArgumentTypeError("queue path must not be empty")
@@ -212,28 +245,90 @@ def _parse_queue(text: str) -> str:
 
 
 def _cache_for(args) -> "ResultCache | None":
-    """The result cache selected by ``--cache-dir`` / ``--no-cache``."""
-    if getattr(args, "no_cache", False) or not getattr(args, "cache_dir", None):
+    """The result cache selected by ``--cache-dir`` / ``--no-cache``.
+
+    ``--shard`` writes into a shared cache, so it needs one.
+    """
+    if args.no_cache or not args.cache_dir:
+        if args.shard is not None:
+            raise CLIError(
+                "--shard needs a shared --cache-dir (without --no-cache)"
+            )
         return None
     return ResultCache(args.cache_dir)
 
 
-def _parse_shard(text: str) -> "tuple[int, int]":
-    """argparse type for ``--shard I/N`` (1-based): returns 0-based (I-1, N)."""
-    index, slash, count = text.partition("/")
-    try:
-        if not slash:
-            raise ValueError(text)
-        index, count = int(index), int(count)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected I/N (e.g. 1/4), got {text!r}"
-        ) from None
-    if count < 1 or not 1 <= index <= count:
-        raise argparse.ArgumentTypeError(
-            f"shard index must satisfy 1 <= I <= N, got {text!r}"
+def _shard_pair(text: str) -> "tuple[int, int]":
+    index, count = text.split("/")  # exactly one slash, else ValueError
+    return (int(index) - 1, int(count))
+
+
+#: argparse type for ``--shard I/N`` (1-based): returns 0-based (I-1, N).
+_parse_shard = _checked(
+    _shard_pair, lambda v: 0 <= v[0] < v[1], "I/N with 1 <= I <= N (e.g. 1/4)"
+)
+
+
+def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
+    """Figure scale: ``--paper``/``--seed``/``--runs`` (figure mode, report)."""
+    parser.add_argument(
+        "--paper", action="store_true",
+        help="use the exact caption parameters instead of the quick scale",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the master seed"
+    )
+    parser.add_argument(
+        "--runs", type=_positive_int, default=None,
+        help="override the replicate count per sweep point",
+    )
+
+
+def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
+    """Where replicates execute: ``--workers N`` or ``--queue PATH``."""
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="run sweep replicates on N worker processes (default: serial)",
+    )
+    parser.add_argument(
+        "--queue", type=_parse_queue, default=None, metavar="PATH",
+        help=(
+            "run sweep replicates through the work queue at PATH (see the "
+            "'worker' subcommand): this process drains blocks itself and "
+            "any workers on the same queue file help; incompatible with "
+            "--workers"
+        ),
+    )
+
+
+def _add_output_flags(
+    parser: argparse.ArgumentParser, what: str = "the result",
+    plot: bool = False,
+) -> None:
+    """``--json`` (emitting ``what``) and, with ``plot``, ``--plot``."""
+    parser.add_argument(
+        "--json", action="store_true", help=f"emit {what} as JSON"
+    )
+    if plot:
+        parser.add_argument(
+            "--plot", action="store_true",
+            help="also render the series as an ASCII chart",
         )
-    return (index - 1, count)
+
+
+def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
+    """``--resume``/``--no-resume``: per-point or all-or-nothing caching."""
+    parser.add_argument(
+        "--resume", dest="resume", action="store_true", default=True,
+        help=(
+            "reuse per-point cache entries and recompute only missing sweep "
+            "points (the default whenever --cache-dir is set)"
+        ),
+    )
+    parser.add_argument(
+        "--no-resume", dest="resume", action="store_false",
+        help="all-or-nothing caching: ignore and do not write per-point entries",
+    )
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -259,40 +354,23 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_ci_level(text: str) -> float:
-    """argparse type for ``--ci``: a confidence level in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid level: {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"confidence level must be in (0, 1), got {text!r}"
-        )
-    return value
+#: argparse type for ``--ci``: a confidence level in (0, 1).
+_parse_ci_level = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _parse_halfwidth(text: str) -> "tuple[float, bool]":
-    """argparse type for ``--target-halfwidth X[%]``: (value, relative)."""
+def _halfwidth_pair(text: str) -> "tuple[float, bool]":
     raw = text.strip()
     relative = raw.endswith("%")
-    if relative:
-        raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or percentage (e.g. 50 or 5%), got {text!r}"
-        )
-    if relative:
-        value /= 100.0
-    # `not value > 0` (rather than `value <= 0`) also rejects NaN, whose
-    # comparisons are all false.
-    if not value > 0 or value == float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"target halfwidth must be positive and finite, got {text!r}"
-        )
-    return (value, relative)
+    value = float(raw[:-1] if relative else raw)
+    return (value / 100.0 if relative else value, relative)
+
+
+#: argparse type for ``--target-halfwidth X[%]``: (value, relative). The
+#: chained comparison also rejects NaN, whose comparisons are all false.
+_parse_halfwidth = _checked(
+    _halfwidth_pair, lambda v: 0 < v[0] < math.inf,
+    "a positive finite number or percentage (e.g. 50 or 5%)",
+)
 
 
 #: --max-runs fallback when adaptive replication is requested without one.
@@ -324,7 +402,8 @@ def _add_confidence_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--ci-method", choices=CI_METHODS, default="t",
+        "--ci-method", choices=CI_METHODS,
+        default=_default(ReplicationSpec, "method"),
         help="interval estimator: Student-t (default) or BCa bootstrap",
     )
     parser.add_argument(
@@ -338,7 +417,8 @@ def _add_confidence_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--compare-mode", choices=COMPARISON_MODES, default="diff",
+        "--compare-mode", choices=COMPARISON_MODES,
+        default=_default(ComparisonSpec, "mode"),
         help=(
             "paired statistic: per-replicate difference contrast-baseline "
             "(default) or ratio contrast/baseline"
@@ -348,30 +428,31 @@ def _add_confidence_flags(parser: argparse.ArgumentParser) -> None:
 
 def _comparison_for(args) -> "ComparisonSpec | None":
     """The :class:`ComparisonSpec` requested by ``--compare``."""
-    baseline = getattr(args, "compare", None)
-    if baseline is None:
+    if args.compare is None:
         return None
-    level = getattr(args, "ci", None)
     return ComparisonSpec(
-        baseline=baseline,
+        baseline=args.compare,
         mode=args.compare_mode,
-        ci_level=level if level is not None else 0.95,
+        ci_level=(
+            _default(ComparisonSpec, "ci_level") if args.ci is None else args.ci
+        ),
         method=args.ci_method,
     )
 
 
 def _replication_for(args) -> "ReplicationSpec | None":
     """The :class:`ReplicationSpec` requested by the confidence flags."""
-    target = getattr(args, "target_halfwidth", None)
-    level = getattr(args, "ci", None)
+    target, level = args.target_halfwidth, args.ci
     if target is None and level is None:
         return None
     halfwidth, relative = target if target is not None else (None, False)
-    max_runs = getattr(args, "max_runs", None)
+    max_runs = args.max_runs
     if halfwidth is not None and max_runs is None:
         max_runs = DEFAULT_MAX_RUNS
     return ReplicationSpec(
-        ci_level=level if level is not None else 0.95,
+        ci_level=(
+            _default(ReplicationSpec, "ci_level") if level is None else level
+        ),
         target_halfwidth=halfwidth,
         relative=relative,
         max_runs=max_runs,
@@ -387,85 +468,60 @@ def _validate_confidence_args(args) -> None:
     without any confidence flag) believes adaptivity is active when
     nothing would happen.
     """
-    target = getattr(args, "target_halfwidth", None)
-    level = getattr(args, "ci", None)
-    runs = getattr(args, "runs", None)
-    max_runs = getattr(args, "max_runs", None)
+    target, level, compare = args.target_halfwidth, args.ci, args.compare
+    runs, max_runs = args.runs, args.max_runs
     if max_runs is not None and target is None:
-        raise ValueError(
+        raise CLIError(
             "--max-runs only caps adaptive replication; it needs "
             "--target-halfwidth"
         )
-    compare = getattr(args, "compare", None)
     if (
-        getattr(args, "ci_method", "t") != "t"
+        args.ci_method != _default(ReplicationSpec, "method")
         and target is None
         and level is None
         and compare is None
     ):
-        raise ValueError(
+        raise CLIError(
             "--ci-method has no effect without --ci, --target-halfwidth or "
             "--compare"
         )
-    if getattr(args, "compare_mode", "diff") != "diff" and compare is None:
-        raise ValueError("--compare-mode has no effect without --compare")
-    _replication_for(args)  # ReplicationSpec validation (levels, caps)
-    _comparison_for(args)   # ComparisonSpec validation (baseline, mode)
+    if args.compare_mode != _default(ComparisonSpec, "mode") and compare is None:
+        raise CLIError("--compare-mode has no effect without --compare")
+    with _user_errors(ValueError):
+        _replication_for(args)  # ReplicationSpec validation (levels, caps)
+        _comparison_for(args)   # ComparisonSpec validation (baseline, mode)
     if (
         target is not None
         and runs is not None
         and max_runs is not None
         and max_runs < runs
     ):
-        raise ValueError(
-            f"--max-runs ({max_runs}) must be >= --runs ({runs})"
-        )
-
-
-def _figure_runs(key: str, args) -> "int | None":
-    """The replicate count figure ``key`` will use, if statically known.
-
-    ``--runs`` wins; otherwise the quick-scale override applies (unless
-    ``--paper``), falling back to the figure function's own default.
-    """
-    if args.runs is not None:
-        return args.runs
-    fn, quick = _REGISTRY[key]
-    if not args.paper and "runs" in quick:
-        return quick["runs"]
-    parameter = inspect.signature(fn).parameters.get("runs")
-    if parameter is not None and isinstance(parameter.default, int):
-        return parameter.default
-    return None
+        raise CLIError(f"--max-runs ({max_runs}) must be >= --runs ({runs})")
 
 
 def _validate_figure_replication(key: str, args) -> None:
     """Reject --max-runs below figure ``key``'s effective replicate count.
 
-    Without this, the conflict would only surface as a mid-run
-    :class:`ValueError` traceback out of the sweep engine — every other
-    bad flag combination exits cleanly with code 2.
+    That count is ``--runs``, else the quick-scale override (unless
+    ``--paper``), else the figure function's own default. Without this
+    check the conflict would only surface as a mid-run :class:`ValueError`
+    traceback out of the sweep engine.
     """
     replication = _replication_for(args)
     if replication is None or not replication.adaptive:
         return
-    runs = _figure_runs(key, args)
-    if runs is not None and replication.initial_runs(runs) > replication.max_runs:
-        raise ValueError(
+    fn, quick = _REGISTRY[key]
+    runs = args.runs
+    if runs is None and not args.paper:
+        runs = quick.get("runs")
+    if runs is None:
+        parameter = inspect.signature(fn).parameters.get("runs")
+        runs = getattr(parameter, "default", None)
+    if isinstance(runs, int) and replication.initial_runs(runs) > replication.max_runs:
+        raise CLIError(
             f"--max-runs ({replication.max_runs}) is below {key}'s replicate "
             f"count ({runs}); raise --max-runs or lower --runs"
         )
-
-
-def _replication_stats_line(result) -> str:
-    """The per-point replicate summary printed after a confidence sweep."""
-    counts = [int(n) for n in result.counts]
-    low, high = min(counts), max(counts)
-    spread = str(low) if low == high else f"{low}-{high}"
-    return (
-        f"replicates/point: {spread} "
-        f"(total {sum(counts)} across {len(counts)} points)"
-    )
 
 
 def _point_stats_line(cache: ResultCache) -> str:
@@ -491,6 +547,52 @@ def _point_stats_line(cache: ResultCache) -> str:
     return line
 
 
+def _print_result(
+    result, args, cache, elapsed: float, extra: dict, footer: str,
+    emit_json: bool = True,
+) -> "dict | None":
+    """Print a finished figure or ``run`` sweep.
+
+    Stats lines go to stderr; then either the ``--json`` payload (the
+    result dict, ``extra`` and the elapsed time; returned, and printed when
+    ``emit_json``) or the table, the ``--plot`` charts and ``footer``.
+    """
+    if cache is not None and (cache.point_hits or cache.point_misses):
+        print(_point_stats_line(cache), file=sys.stderr)
+    counts = [int(n) for n in getattr(result, "counts", ())]
+    if counts:
+        low, high = min(counts), max(counts)
+        spread = str(low) if low == high else f"{low}-{high}"
+        print(
+            f"replicates/point: {spread} "
+            f"(total {sum(counts)} across {len(counts)} points)",
+            file=sys.stderr,
+        )
+    if args.json:
+        if args.plot:
+            print("note: --plot is ignored with --json", file=sys.stderr)
+        payload = {
+            **result.to_dict(), **extra, "elapsed_seconds": round(elapsed, 3),
+        }
+        if emit_json:
+            print(json.dumps(payload, indent=2))
+        return payload
+    print(format_figure(result))
+    if args.plot:
+        from repro.experiments.plotting import (
+            render_comparison_chart,
+            render_figure_chart,
+        )
+
+        print()
+        print(render_figure_chart(result))
+        if result.has_comparisons:
+            print()
+            print(render_comparison_chart(result))
+    print(f"  ({elapsed:.1f}s, {footer})")
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -506,46 +608,41 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="figure id (fig01..fig19, rocketfuel, abl-*); see --list",
     )
-    parser.add_argument(
-        "--paper",
-        action="store_true",
-        help="use the exact caption parameters instead of the quick scale",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
-    )
-    parser.add_argument(
-        "--runs", type=_positive_int, default=None,
-        help="override the replicate count per sweep point",
-    )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="run sweep replicates on N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help=(
-            "run sweep replicates through the work queue at PATH; any "
-            "'worker' processes on the same queue file share the load; "
-            "incompatible with --workers"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result as machine-readable JSON",
-    )
-    parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="also render the series as an ASCII chart",
-    )
+    _add_scale_flags(parser)
+    _add_backend_flags(parser)
+    _add_output_flags(parser, plot=True)
     parser.add_argument(
         "--list", action="store_true", help="list available figure ids"
     )
     _add_cache_flags(parser)
     _add_confidence_flags(parser)
     return parser
+
+
+#: The cost, horizon and routing flags of ``run``/``enqueue``: flag ->
+#: (spec class, field, type or choices, help). Defaults are the spec
+#: dataclass defaults; spec_from_args builds CostSpec from the CostSpec rows.
+_SPEC_FLAGS = {
+    "--horizon": (ExperimentSpec, "horizon", int, "rounds to simulate"),
+    "--routing": (
+        ExperimentSpec, "routing", ("nearest", "load-aware", "load_aware"),
+        "request routing strategy",
+    ),
+    "--beta": (CostSpec, "migration", float, "migration cost β"),
+    "--creation": (CostSpec, "creation", float, "creation cost c"),
+    "--run-active": (
+        CostSpec, "run_active", float, "per-round active running cost",
+    ),
+    "--run-inactive": (
+        CostSpec, "run_inactive", float, "per-round inactive running cost",
+    ),
+    "--load": (
+        CostSpec, "load", ("linear", "quadratic", "power"), "server load model",
+    ),
+    "--load-exponent": (
+        CostSpec, "load_exponent", float, "exponent for --load power",
+    ),
+}
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -578,28 +675,11 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
             f"series; known: {', '.join(list_metrics())}"
         ),
     )
-    parser.add_argument("--horizon", type=int, default=500, help="rounds to simulate")
-    parser.add_argument(
-        "--routing", default="nearest", choices=("nearest", "load-aware", "load_aware"),
-        help="request routing strategy",
-    )
-    parser.add_argument("--beta", type=float, default=40.0, help="migration cost β")
-    parser.add_argument("--creation", type=float, default=400.0, help="creation cost c")
-    parser.add_argument(
-        "--run-active", type=float, default=2.5, help="per-round active running cost"
-    )
-    parser.add_argument(
-        "--run-inactive", type=float, default=0.5,
-        help="per-round inactive running cost",
-    )
-    parser.add_argument(
-        "--load", default="linear", choices=("linear", "quadratic", "power"),
-        help="server load model",
-    )
-    parser.add_argument(
-        "--load-exponent", type=float, default=1.0,
-        help="exponent for --load power",
-    )
+    for flag, (cls, field, kind, text) in _SPEC_FLAGS.items():
+        parser.add_argument(
+            flag, default=_default(cls, field), help=text,
+            **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}),
+        )
     parser.add_argument(
         "--sweep", default=None, metavar="PARAM=V1,V2,...",
         help=(
@@ -623,74 +703,32 @@ def build_run_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_spec_flags(parser)
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="run replicates on N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help=(
-            "run replicates through the work queue at PATH (see the "
-            "'worker' subcommand): this process drains blocks itself and "
-            "any workers on the same queue file help; incompatible with "
-            "--workers"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the result (with the resolved spec) as JSON",
-    )
-    parser.add_argument(
-        "--plot", action="store_true", help="also render an ASCII chart"
-    )
+    _add_backend_flags(parser)
+    _add_output_flags(parser, "the result (with the resolved spec)", plot=True)
     _add_cache_flags(parser)
     _add_confidence_flags(parser)
-    parser.add_argument(
-        "--resume", dest="resume", action="store_true", default=True,
-        help=(
-            "reuse per-point cache entries and recompute only missing sweep "
-            "points (the default whenever --cache-dir is set)"
-        ),
-    )
-    parser.add_argument(
-        "--no-resume", dest="resume", action="store_false",
-        help="all-or-nothing caching: ignore and do not write per-point entries",
-    )
+    _add_resume_flags(parser)
     return parser
-
-
-#: first-positional subcommands; anything else is treated as a figure id.
-_SUBCOMMANDS = {
-    "run": lambda argv: run_command(argv),
-    "list": lambda argv: list_command(argv),
-    "cache": lambda argv: cache_command(argv),
-    "trace": lambda argv: trace_command(argv),
-    "enqueue": lambda argv: enqueue_command(argv),
-    "worker": lambda argv: worker_command(argv),
-    "serve": lambda argv: serve_command(argv),
-    "report": lambda argv: report_command(argv),
-}
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
-
-    args = build_parser().parse_args(argv)
-
-    if args.shard is not None and _cache_for(args) is None:
-        print(
-            "error: --shard needs a shared --cache-dir (without --no-cache)",
-            file=sys.stderr,
-        )
-        return 2
+    command = _SUBCOMMANDS.get(argv[0]) if argv else None
     try:
-        _validate_backend_args(args)
-        _validate_confidence_args(args)
-    except ValueError as error:
+        if command is not None:
+            return command(argv[1:])
+        return figure_command(argv)
+    except CLIError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+
+
+def figure_command(argv: "list[str]") -> int:
+    """Figure mode: regenerate one registered figure, or ``all``."""
+    args = build_parser().parse_args(argv)
+    _cache_for(args)  # --shard without a cache fails before anything runs
+    backend = _backend_for(args)
+    _validate_confidence_args(args)
 
     if args.list or not args.figure:
         for name, (fn, _quick) in sorted(_REGISTRY.items()):
@@ -698,35 +736,36 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{name:<14} {doc}")
         return 0
 
-    if args.figure.lower() == "all":
-        return _run_all(args)
-    try:
-        key = _lookup_figure(args.figure)
-    except UnknownNameError as error:
-        print(
-            f"{error}; use --list, or one of the subcommands: "
-            f"{', '.join(sorted(_SUBCOMMANDS))}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
+    every = args.figure.lower() == "all"
+    if every:
+        keys = sorted(_REGISTRY)
+    else:
+        try:
+            keys = [_lookup_figure(args.figure)]
+        except UnknownNameError as error:
+            raise CLIError(
+                f"{error}; use --list, or one of the subcommands: "
+                f"{', '.join(sorted(_SUBCOMMANDS))}"
+            ) from error
+    for key in keys:
         _validate_figure_replication(key, args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
-    try:
-        _run_one(key, args)
-    except ComparisonSeriesError as error:
-        # a typo'd --compare baseline only surfaces once the figure's
-        # series exist; still a user error, not a traceback
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ImportError as error:
-        # optimizer figures with backend=pulp but no [opt] extra: the
-        # message already names the install command
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    started = time.perf_counter()
+    payloads = []
+    for i, key in enumerate(keys):
+        if i and not args.json:
+            print()
+        payloads.append(_run_one(key, args, backend, emit_json=not every))
+    if every:
+        summary = (
+            f"regenerated {len(keys)} experiments in "
+            f"{time.perf_counter() - started:.0f}s"
+        )
+        if args.json:
+            print(json.dumps(payloads, indent=2))
+            print(summary, file=sys.stderr)
+        else:
+            print(f"\n{summary}")
     return 0
 
 
@@ -752,28 +791,30 @@ def _lookup_figure(name: str) -> str:
     raise UnknownNameError("figure", name, tuple(sorted(_REGISTRY)))
 
 
-def _figure_kwargs(key: str, args, cache) -> "dict":
+def _figure_kwargs(key: str, args, cache, backend) -> "dict":
     """The keyword arguments one figure function takes from CLI flags.
 
     Shared between the figure mode and the ``report`` subcommand so both
-    thread seed/runs/backend/cache/replication/comparison identically;
-    flags a figure does not accept are noted on stderr and dropped.
+    thread seed/runs/backend/cache/replication/comparison identically.
+    Sweep figures take the execution options through ``**run``; flags a
+    figure does not accept are noted on stderr and dropped.
     """
     fn, quick = _REGISTRY[key]
     kwargs = {} if args.paper else dict(quick)
-    accepted = set(inspect.signature(fn).parameters)
+    parameters = inspect.signature(fn).parameters
+    takes_run = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
     for flag, option, value in (
         ("seed", "seed", args.seed),
         ("runs", "runs", args.runs),
-        ("backend", "workers/--queue", _backend_from_args(args)),
+        ("backend", "workers/--queue", backend),
         ("cache", "cache-dir", cache),
-        ("shard", "shard", getattr(args, "shard", None)),
+        ("shard", "shard", args.shard),
         ("replication", "ci/--target-halfwidth", _replication_for(args)),
         ("comparison", "compare", _comparison_for(args)),
     ):
         if value is None:
             continue
-        if flag in accepted:
+        if flag in parameters or (takes_run and flag in _RUN_OPTIONS):
             kwargs[flag] = value
         else:
             print(f"note: {key} does not take --{option}; ignored",
@@ -781,83 +822,28 @@ def _figure_kwargs(key: str, args, cache) -> "dict":
     return kwargs
 
 
-def _run_one(key: str, args, emit_json: bool = True) -> "dict | None":
+def _run_one(key: str, args, backend, emit_json: bool = True) -> "dict | None":
     """Run one figure; returns the JSON payload when ``--json`` is active."""
     fn, _quick = _REGISTRY[key]
     cache = _cache_for(args)
-    kwargs = _figure_kwargs(key, args, cache)
-
+    kwargs = _figure_kwargs(key, args, cache, backend)
     started = time.perf_counter()
-    result = fn(**kwargs)
+    # A typo'd --compare baseline only surfaces once the figure's series
+    # exist; an optimizer figure without the [opt] extra names the install.
+    with _user_errors(ComparisonSeriesError, ImportError):
+        result = fn(**kwargs)
     elapsed = time.perf_counter() - started
-    if cache is not None and (cache.point_hits or cache.point_misses):
-        print(_point_stats_line(cache), file=sys.stderr)
-    if getattr(result, "counts", ()):
-        print(_replication_stats_line(result), file=sys.stderr)
-    if args.json:
-        if args.plot:
-            print("note: --plot is ignored with --json", file=sys.stderr)
-        payload = result.to_dict()
-        payload["params"] = {
-            k: (
-                v.to_dict()
-                if isinstance(v, (ReplicationSpec, ComparisonSpec))
-                else v
-            )
-            for k, v in kwargs.items()
-            # execution/orchestration knobs, not figure parameters
-            if k not in ("backend", "cache", "shard")
-        }
-        payload["elapsed_seconds"] = round(elapsed, 3)
-        if emit_json:
-            print(json.dumps(payload, indent=2))
-        return payload
-    print(format_figure(result))
-    if args.plot:
-        from repro.experiments.plotting import (
-            render_comparison_chart,
-            render_figure_chart,
-        )
-
-        print()
-        print(render_figure_chart(result))
-        if result.has_comparisons:
-            print()
-            print(render_comparison_chart(result))
-    print(f"  ({elapsed:.1f}s, {'paper' if args.paper else 'quick'} scale)")
-    return None
-
-
-def _run_all(args) -> int:
-    """Regenerate every registered figure in sequence (`all`).
-
-    With ``--json`` the output is one JSON array (stdout stays a single
-    machine-readable document; the summary line goes to stderr).
-    """
-    started = time.perf_counter()
-    payloads = []
-    for key in sorted(_REGISTRY):
-        try:
-            _validate_figure_replication(key, args)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    for i, key in enumerate(sorted(_REGISTRY)):
-        if i and not args.json:
-            print()
-        try:
-            payloads.append(_run_one(key, args, emit_json=False))
-        except ComparisonSeriesError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    total = time.perf_counter() - started
-    if args.json:
-        print(json.dumps(payloads, indent=2))
-        print(f"regenerated {len(_REGISTRY)} experiments in {total:.0f}s",
-              file=sys.stderr)
-    else:
-        print(f"\nregenerated {len(_REGISTRY)} experiments in {total:.0f}s")
-    return 0
+    params = {
+        k: v.to_dict() if isinstance(v, (ReplicationSpec, ComparisonSpec)) else v
+        for k, v in kwargs.items()
+        # execution/orchestration knobs, not figure parameters
+        if k not in ("backend", "cache", "shard")
+    }
+    scale = "paper" if args.paper else "quick"
+    return _print_result(
+        result, args, cache, elapsed, {"params": params}, f"{scale} scale",
+        emit_json,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -882,37 +868,35 @@ def _parse_sweep(text: str) -> "tuple[str, tuple]":
 
 def spec_from_args(args) -> SweepSpec:
     """Build the :class:`SweepSpec` described by ``run`` subcommand flags."""
-    policies = []
-    for item in args.policy:
-        kind, params = parse_component(item)
+
+    def labelled(cls, items):
         # "label" is reserved for the series name, so same-name variants can
         # be disambiguated from the CLI: --policy onth:cache_size=5,label=ONTH-5
-        label = params.pop("label", None)
-        policies.append(PolicySpec(kind, params, label=label))
-    metrics = []
-    for item in args.metric or ():
-        kind, params = parse_component(item)
-        # same reserved param as --policy: label renames/prefixes the series
-        label = params.pop("label", None)
-        metrics.append(MetricSpec(kind, params, label=label))
+        # (for --metric it renames/prefixes the series)
+        specs = []
+        for item in items:
+            kind, params = parse_component(item)
+            label = params.pop("label", None)
+            specs.append(cls(kind, params, label=label))
+        return tuple(specs)
+
+    policies = labelled(PolicySpec, args.policy)
+    metrics = labelled(MetricSpec, args.metric or ())
     topo_kind, topo_params = parse_component(args.topology)
     scen_kind, scen_params = parse_component(args.scenario)
     experiment = ExperimentSpec(
         topology=TopologySpec(topo_kind, topo_params),
         scenario=ScenarioSpec(scen_kind, scen_params),
-        policies=tuple(policies),
-        costs=CostSpec(
-            migration=args.beta,
-            creation=args.creation,
-            run_active=args.run_active,
-            run_inactive=args.run_inactive,
-            load=args.load,
-            load_exponent=args.load_exponent,
-        ),
+        policies=policies,
+        costs=CostSpec(**{
+            field: getattr(args, flag[2:].replace("-", "_"))
+            for flag, (cls, field, _kind, _help) in _SPEC_FLAGS.items()
+            if cls is CostSpec
+        }),
         horizon=args.horizon,
         routing=args.routing,
         seed=args.seed,
-        **({"metrics": tuple(metrics)} if metrics else {}),
+        **({"metrics": metrics} if metrics else {}),
     )
     parameter, values = (None, ("total cost",))
     if args.sweep:
@@ -936,38 +920,46 @@ def _validated_spec(args) -> SweepSpec:
     policies, metrics — everything but the simulation) so typos and bad
     values anywhere in ``--sweep`` fail fast with a one-line message
     instead of a traceback after earlier points already ran — or, worse
-    for ``enqueue``, a poisoned job failing worker by worker. Raises the
-    same :class:`ValueError`-family errors the flag validators do.
+    for ``enqueue``, a poisoned job failing worker by worker. Raises
+    :class:`CLIError` for every bad input.
     """
     from repro.api.experiment import resolve_series_labels
 
     _validate_confidence_args(args)
-    spec = spec_from_args(args)
-    substrate = None
-    topology_swept = any(
-        path.startswith("topology.") for path in spec.parameter_paths
-    )
-    for value in spec.values:
-        probe = spec.experiment_at(value)
-        if substrate is None or topology_swept:
-            substrate = probe.topology.build(np.random.default_rng(spec.seed))
-        probe.scenario.build(substrate)
-        resolve_series_labels(probe)
-    for metric in spec.experiment.metrics:
-        # Resolve the kind and check the parameter names against the
-        # metric's signature (the leading placeholder stands in for the
-        # evaluation context).
-        inspect.signature(metric.resolve()).bind(None, **metric.params)
-    if spec.comparison is not None and all(
-        m.kind == "total_cost" and m.label is None
-        for m in spec.experiment.metrics
+    if args.load != "power" and args.load_exponent != _default(
+        CostSpec, "load_exponent"
     ):
-        # With the default metric the result series are exactly the
-        # policy labels, so a typo'd --compare baseline can fail fast
-        # here; metric-derived series names only exist after simulating.
-        spec.comparison.resolve_contrasts(
-            resolve_series_labels(spec.experiment)
+        raise CLIError(
+            f"--load-exponent only shapes --load power; it has no effect "
+            f"with --load {args.load}"
         )
+    with _user_errors(UnknownNameError, ValueError, TypeError, ImportError):
+        spec = spec_from_args(args)
+        substrate = None
+        topology_swept = any(
+            path.startswith("topology.") for path in spec.parameter_paths
+        )
+        for value in spec.values:
+            probe = spec.experiment_at(value)
+            if substrate is None or topology_swept:
+                substrate = probe.topology.build(np.random.default_rng(spec.seed))
+            probe.scenario.build(substrate)
+            resolve_series_labels(probe)
+        for metric in spec.experiment.metrics:
+            # Resolve the kind and check the parameter names against the
+            # metric's signature (the leading placeholder stands in for the
+            # evaluation context).
+            inspect.signature(metric.resolve()).bind(None, **metric.params)
+        if spec.comparison is not None and all(
+            m.kind == "total_cost" and m.label is None
+            for m in spec.experiment.metrics
+        ):
+            # With the default metric the result series are exactly the
+            # policy labels, so a typo'd --compare baseline can fail fast
+            # here; metric-derived series names only exist after simulating.
+            spec.comparison.resolve_contrasts(
+                resolve_series_labels(spec.experiment)
+            )
     return spec
 
 
@@ -985,27 +977,10 @@ def build_from_bundle_parser() -> argparse.ArgumentParser:
         "--from-bundle", dest="from_bundle", required=True, metavar="DIR",
         help="bundle directory holding MANIFEST.json + specs/*.json",
     )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="run replicates on N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help="run replicates through the work queue at PATH",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON array with every replayed result (+ its spec)",
-    )
+    _add_backend_flags(parser)
+    _add_output_flags(parser, "one array with every replayed result (+ its spec)")
     _add_cache_flags(parser)
-    parser.add_argument(
-        "--resume", dest="resume", action="store_true", default=True,
-        help="reuse per-point cache entries (the default)",
-    )
-    parser.add_argument(
-        "--no-resume", dest="resume", action="store_false",
-        help="all-or-nothing caching: ignore per-point entries",
-    )
+    _add_resume_flags(parser)
     return parser
 
 
@@ -1017,18 +992,13 @@ def _run_from_bundle(argv: "list[str]") -> int:
 
     args = build_from_bundle_parser().parse_args(argv)
     if args.shard is not None:
-        print(
-            "error: bundle replay renders complete sweeps; --shard is not "
-            "supported here",
-            file=sys.stderr,
+        raise CLIError(
+            "bundle replay renders complete sweeps; --shard is not "
+            "supported here"
         )
-        return 2
-    try:
-        _validate_backend_args(args)
+    backend = _backend_for(args)
+    with _user_errors(ValueError):
         manifest, pairs = load_bundle(args.from_bundle)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
     fingerprint = manifest.get("environment", {}).get("code_fingerprint")
     if fingerprint is not None and fingerprint != _code_fingerprint():
@@ -1040,17 +1010,13 @@ def _run_from_bundle(argv: "list[str]") -> int:
         )
 
     cache = _cache_for(args)
-    backend = _backend_from_args(args)
     payloads = []
     for i, (key, spec) in enumerate(pairs):
         result = run_sweep(
             spec, backend=backend, cache=cache, resume=args.resume
         )
         if args.json:
-            payload = result.to_dict()
-            payload["key"] = key
-            payload["spec"] = spec.to_dict()
-            payloads.append(payload)
+            payloads.append({**result.to_dict(), "key": key, "spec": spec.to_dict()})
         else:
             if i:
                 print()
@@ -1070,40 +1036,20 @@ def run_command(argv: "list[str]") -> int:
         return _run_from_bundle(argv)
 
     args = build_run_parser().parse_args(argv)
-    if args.shard is not None and _cache_for(args) is None:
-        print(
-            "error: --shard needs a shared --cache-dir (without --no-cache)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard is not None and not args.resume:
-        print(
-            "error: --shard requires per-point resume; drop --no-resume",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        _validate_backend_args(args)
-        spec = _validated_spec(args)
-    except (UnknownNameError, ValueError, TypeError, ImportError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
     cache = _cache_for(args)
+    if args.shard is not None and not args.resume:
+        raise CLIError("--shard requires per-point resume; drop --no-resume")
+    backend = _backend_for(args)
+    spec = _validated_spec(args)
+
     started = time.perf_counter()
-    try:
+    # --compare against a metric-derived series name the pre-flight could
+    # not know is still a bad flag
+    with _user_errors(ComparisonSeriesError):
         result = run_sweep(
-            spec,
-            backend=_backend_from_args(args),
-            cache=cache,
-            shard=args.shard,
+            spec, backend=backend, cache=cache, shard=args.shard,
             resume=args.resume,
         )
-    except ComparisonSeriesError as error:
-        # --compare against a metric-derived series name the pre-flight
-        # could not know; clean exit like every other bad flag
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - started
     if cache is not None:
         status = "hit" if cache.hits else "miss"
@@ -1111,38 +1057,16 @@ def run_command(argv: "list[str]") -> int:
             f"cache {status} {cache.key_for(spec)[:12]} in {cache.root}",
             file=sys.stderr,
         )
-        if cache.point_hits or cache.point_misses:
-            print(_point_stats_line(cache), file=sys.stderr)
-    if result.counts:
-        print(_replication_stats_line(result), file=sys.stderr)
-
-    if args.json:
-        if args.plot:
-            print("note: --plot is ignored with --json", file=sys.stderr)
-        payload = result.to_dict()
-        payload["spec"] = spec.to_dict()
-        payload["elapsed_seconds"] = round(elapsed, 3)
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(format_figure(result))
-    if args.plot:
-        from repro.experiments.plotting import (
-            render_comparison_chart,
-            render_figure_chart,
-        )
-
-        print()
-        print(render_figure_chart(result))
-        if result.has_comparisons:
-            print()
-            print(render_comparison_chart(result))
     if args.queue:
         backend_label = f"queue {args.queue}"
     elif args.workers and args.workers > 1:
         backend_label = f"{args.workers} workers"
     else:
         backend_label = "serial"
-    print(f"  ({elapsed:.1f}s, backend={backend_label})")
+    _print_result(
+        result, args, cache, elapsed, {"spec": spec.to_dict()},
+        f"backend={backend_label}",
+    )
     return 0
 
 
@@ -1169,25 +1093,8 @@ def build_report_parser() -> argparse.ArgumentParser:
         "figures", nargs="*", metavar="FIGURE",
         help="figure ids to render (fig01..fig19, rocketfuel, abl-*)",
     )
-    parser.add_argument(
-        "--paper", action="store_true",
-        help="use the exact caption parameters instead of the quick scale",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
-    )
-    parser.add_argument(
-        "--runs", type=_positive_int, default=None,
-        help="override the replicate count per sweep point",
-    )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="run sweep replicates on N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help="run sweep replicates through the work queue at PATH",
-    )
+    _add_scale_flags(parser)
+    _add_backend_flags(parser)
     parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the markdown to PATH instead of stdout",
@@ -1229,44 +1136,30 @@ def report_command(argv: "list[str]") -> int:
 
     args = build_report_parser().parse_args(argv)
     if args.shard is not None:
-        print(
-            "error: reports render complete figures; run the shards first, "
-            "then report without --shard over the shared cache",
-            file=sys.stderr,
+        raise CLIError(
+            "reports render complete figures; run the shards first, then "
+            "report without --shard over the shared cache"
         )
-        return 2
     if args.from_bundle and args.figures:
-        print(
-            "error: --from-bundle re-renders the bundled specs; figure ids "
-            "cannot be combined with it",
-            file=sys.stderr,
+        raise CLIError(
+            "--from-bundle re-renders the bundled specs; figure ids cannot "
+            "be combined with it"
         )
-        return 2
     if args.from_bundle and args.bundle:
-        print(
-            "error: --bundle cannot be combined with --from-bundle (that "
-            "bundle already exists)",
-            file=sys.stderr,
+        raise CLIError(
+            "--bundle cannot be combined with --from-bundle (that bundle "
+            "already exists)"
         )
-        return 2
     if not args.from_bundle and not args.figures:
-        print(
-            "error: name at least one figure to report, or --from-bundle "
-            "DIR",
-            file=sys.stderr,
+        raise CLIError(
+            "name at least one figure to report, or --from-bundle DIR"
         )
-        return 2
-    try:
-        _validate_backend_args(args)
-        _validate_confidence_args(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    backend = _backend_for(args)
+    _validate_confidence_args(args)
 
     cache = _cache_for(args)
-    backend = _backend_from_args(args)
     sections = []
-    try:
+    with _user_errors(UnknownNameError, ComparisonSeriesError, ValueError):
         if args.from_bundle:
             _manifest, pairs = load_bundle(args.from_bundle)
             for key, spec in pairs:
@@ -1278,7 +1171,7 @@ def report_command(argv: "list[str]") -> int:
                 _validate_figure_replication(key, args)
             for key in keys:
                 fn, _quick = _REGISTRY[key]
-                kwargs = _figure_kwargs(key, args, cache)
+                kwargs = _figure_kwargs(key, args, cache, backend)
                 with capture_sweeps() as captured:
                     fn(**kwargs)
                 if not captured:
@@ -1292,12 +1185,8 @@ def report_command(argv: "list[str]") -> int:
                         key if len(captured) == 1 else f"{key}-{index + 1}"
                     )
                     sections.append(ReportSection(section_key, spec, result))
-    except (UnknownNameError, ComparisonSeriesError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if not sections:
-        print("error: nothing to report (no sweeps ran)", file=sys.stderr)
-        return 2
+        raise CLIError("nothing to report (no sweeps ran)")
 
     environment = capture_environment()
     text = render_report(
@@ -1359,10 +1248,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
         "--max-age", type=float, default=None, metavar="SECONDS",
         help="prune: remove entries older than SECONDS (by file mtime)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the outcome as machine-readable JSON",
-    )
+    _add_output_flags(parser, "the outcome")
     return parser
 
 
@@ -1376,18 +1262,11 @@ def cache_command(argv: "list[str]") -> int:
         payload = {"root": str(cache.root), "removed": cache.clear()}
     else:  # prune
         if args.max_entries is None and args.max_age is None:
-            print(
-                "error: prune needs --max-entries and/or --max-age",
-                file=sys.stderr,
-            )
-            return 2
-        try:
+            raise CLIError("prune needs --max-entries and/or --max-age")
+        with _user_errors(ValueError):
             removed = cache.prune(
                 max_entries=args.max_entries, max_age=args.max_age
             )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         payload = {"root": str(cache.root), "removed": removed}
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -1508,10 +1387,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
         "--top", type=_positive_int, default=5, metavar="N",
         help="stats: how many busiest nodes to report (default 5)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the outcome as machine-readable JSON",
-    )
+    _add_output_flags(parser, "the outcome")
     return parser
 
 
@@ -1542,8 +1418,7 @@ def trace_command(argv: "list[str]") -> int:
     try:
         if args.action == "convert":
             if args.out is None:
-                print("error: convert needs --out OUT.npz", file=sys.stderr)
-                return 2
+                raise CLIError("convert needs --out OUT.npz")
             mapping = args.mapping
             if mapping is None:
                 from repro.traces.replay import infer_format
@@ -1551,11 +1426,7 @@ def trace_command(argv: "list[str]") -> int:
                 fmt = args.format or infer_format(args.log)
                 mapping = "none" if fmt == "npz" else "hash"
             if mapping != "none" and args.nodes is None:
-                print(
-                    f"error: mapping {mapping!r} needs --nodes N to map onto",
-                    file=sys.stderr,
-                )
-                return 2
+                raise CLIError(f"mapping {mapping!r} needs --nodes N to map onto")
             if args.nodes is not None:
                 mapper = make_mapper(mapping, np.arange(args.nodes), n_nodes=args.nodes)
             else:
@@ -1582,10 +1453,9 @@ def trace_command(argv: "list[str]") -> int:
             if args.action == "validate":
                 payload.pop("busiest_nodes")
     except (ValueError, OSError) as error:
-        if args.json:
-            print(json.dumps({"ok": False, "error": str(error)}, indent=2))
-        else:
-            print(f"error: {error}", file=sys.stderr)
+        if not args.json:
+            raise CLIError(str(error)) from error
+        print(json.dumps({"ok": False, "error": str(error)}, indent=2))
         return 2
 
     if args.json:
@@ -1601,19 +1471,26 @@ def trace_command(argv: "list[str]") -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_queue_flags(
-    parser: argparse.ArgumentParser, cache_required: bool = True
-) -> None:
+def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--queue`` file and ``--cache-dir`` of the queue commands."""
     parser.add_argument(
         "--queue", type=_parse_queue, required=True, metavar="PATH",
         help="the shared queue database file (created on first use)",
     )
     parser.add_argument(
-        "--cache-dir", required=cache_required, metavar="DIR",
+        "--cache-dir", required=True, metavar="DIR",
         help=(
             "the shared result cache directory; workers commit replicate "
             "samples here and the final figure assembles from it"
         ),
+    )
+
+
+def _seconds(flag: str, positive: bool = False):
+    """argparse type for a duration ``flag``: finite seconds >= 0 (or > 0)."""
+    return _checked(
+        float, lambda v: (v > 0 if positive else v >= 0) and v < math.inf,
+        f"{'>' if positive else '>='} 0 and finite", flag,
     )
 
 
@@ -1640,37 +1517,24 @@ def build_enqueue_parser() -> argparse.ArgumentParser:
         help="poll until the job finishes and print the figure result",
     )
     parser.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
+        "--poll", type=_seconds("--poll"), default=0.5, metavar="SECONDS",
         help="status poll interval with --wait (default 0.5)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit job state (and, with --wait, the result) as JSON",
-    )
+    _add_output_flags(parser, "job state (and, with --wait, the result)")
     return parser
 
 
 def enqueue_command(argv: "list[str]") -> int:
     """Entry point of ``python -m repro.experiments enqueue ...``."""
-    import sqlite3
-
     from repro.queue.broker import Broker
     from repro.queue.worker import enqueue_sweep
 
     args = build_enqueue_parser().parse_args(argv)
-    try:
-        spec = _validated_spec(args)
-    except (UnknownNameError, ValueError, TypeError, ImportError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    spec = _validated_spec(args)
     cache = ResultCache(args.cache_dir)
-    try:
+    with _queue_errors(args.queue):
         broker = Broker(args.queue)
         state = enqueue_sweep(broker, cache, spec, requeue=args.requeue)
-    except (sqlite3.Error, OSError, ValueError) as error:
-        print(f"error: cannot open queue {args.queue!r}: {error}",
-              file=sys.stderr)
-        return 2
 
     if args.wait and not state.get("cached"):
         while state is not None and state["status"] not in ("done", "failed"):
@@ -1719,11 +1583,11 @@ def build_worker_parser() -> argparse.ArgumentParser:
     )
     _add_queue_flags(parser)
     parser.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
+        "--poll", type=_seconds("--poll"), default=0.5, metavar="SECONDS",
         help="sleep between polls when the queue is empty (default 0.5)",
     )
     parser.add_argument(
-        "--ttl", type=float, default=None, metavar="SECONDS",
+        "--ttl", type=_seconds("--ttl", positive=True), default=None, metavar="SECONDS",
         help="lease lifetime; a silent worker's task re-serves after this",
     )
     parser.add_argument(
@@ -1731,7 +1595,8 @@ def build_worker_parser() -> argparse.ArgumentParser:
         help="exit after executing N tasks (default: unlimited)",
     )
     parser.add_argument(
-        "--idle-exit", type=float, default=None, metavar="SECONDS",
+        "--idle-exit", type=_seconds("--idle-exit"), default=None,
+        metavar="SECONDS",
         help="exit after the queue stayed empty this long (default: never)",
     )
     parser.add_argument(
@@ -1742,26 +1607,17 @@ def build_worker_parser() -> argparse.ArgumentParser:
 
 def worker_command(argv: "list[str]") -> int:
     """Entry point of ``python -m repro.experiments worker ...``."""
-    import sqlite3
-
     from repro.queue.broker import DEFAULT_TTL, Broker, default_worker_id
     from repro.queue.worker import worker_loop
 
     args = build_worker_parser().parse_args(argv)
-    if args.ttl is not None and not args.ttl > 0:
-        print(f"error: --ttl must be > 0, got {args.ttl}", file=sys.stderr)
-        return 2
     ttl = args.ttl if args.ttl is not None else DEFAULT_TTL
     worker_id = default_worker_id()
     log = None if args.quiet else (
         lambda message: print(f"[{worker_id}] {message}", file=sys.stderr)
     )
-    try:
+    with _queue_errors(args.queue):
         broker = Broker(args.queue, ttl=ttl)
-    except (sqlite3.Error, OSError, ValueError) as error:
-        print(f"error: cannot open queue {args.queue!r}: {error}",
-              file=sys.stderr)
-        return 2
     try:
         executed = worker_loop(
             broker,
@@ -1796,10 +1652,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
     parser.add_argument(
-        "--port", type=int, default=8765, help="bind port (default 8765; 0 = pick)"
+        "--port", default=8765,
+        type=_checked(int, lambda v: 0 <= v <= 65535, "in 0..65535", "--port"),
+        help="bind port (default 8765; 0 = pick)",
     )
     parser.add_argument(
-        "--workers", type=_worker_count, default=0, metavar="N",
+        "--workers", type=_positive_int, default=0, metavar="N",
         help=(
             "also drain the queue with N in-process worker threads "
             "(default 0: rely on external 'worker' processes)"
@@ -1810,19 +1668,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_command(argv: "list[str]") -> int:
     """Entry point of ``python -m repro.experiments serve ...``."""
-    import sqlite3
-
     from repro.queue.service import ResultsServer
 
     args = build_serve_parser().parse_args(argv)
-    try:
+    prefix = f"cannot serve on {args.host}:{args.port}: "
+    with _user_errors(*_QUEUE_ERRORS, prefix=prefix):
         server = ResultsServer(
             (args.host, args.port), args.queue, args.cache_dir
         )
-    except (sqlite3.Error, OSError, ValueError) as error:
-        print(f"error: cannot serve on {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 2
     if args.workers:
         server.start_workers(args.workers)
     print(
@@ -1916,6 +1769,19 @@ def list_command(argv: "list[str]") -> int:
             if doc:
                 print(f"      {doc}")
     return 0
+
+
+#: first-positional subcommands; anything else is treated as a figure id.
+_SUBCOMMANDS = {
+    "run": run_command,
+    "list": list_command,
+    "cache": cache_command,
+    "trace": trace_command,
+    "enqueue": enqueue_command,
+    "worker": worker_command,
+    "serve": serve_command,
+    "report": report_command,
+}
 
 
 if __name__ == "__main__":

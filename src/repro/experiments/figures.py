@@ -34,6 +34,11 @@ Tab R  Rocketfuel AS-7018 totals (time zones, 600 rounds, λ=20, p=50%)
 The network-size sweeps couple the commuter day length to the size via
 ``T(n) = 2(⌊log2 n⌋ − 2)`` (DESIGN.md §3). OPT-based figures run on line
 graphs, exactly as §V-A prescribes.
+
+Every sweep figure takes :func:`~repro.api.experiment.run_sweep`'s
+execution options (``backend``, ``cache``, ``shard``, ``resume``,
+``replication``, ``comparison``) as ``**run`` keywords and forwards them
+unchanged.
 """
 
 from __future__ import annotations
@@ -267,11 +272,7 @@ def figure03(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Algorithm cost vs network size, commuter scenario with dynamic load."""
     return run_sweep(
@@ -279,11 +280,7 @@ def figure03(
             "fig03", "cost vs network size, commuter dynamic load",
             True, sizes, horizon, sojourn, runs, seed,
         ),
-        backend=backend,
-        cache=cache,
-        shard=shard,
-        replication=replication,
-        comparison=comparison,
+        **run,
     )
 
 
@@ -296,11 +293,7 @@ def figure04(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Like Figure 3, but with static load."""
     return run_sweep(
@@ -308,11 +301,7 @@ def figure04(
             "fig04", "cost vs network size, commuter static load",
             False, sizes, horizon, sojourn, runs, seed,
         ),
-        backend=backend,
-        cache=cache,
-        shard=shard,
-        replication=replication,
-        comparison=comparison,
+        **run,
     )
 
 
@@ -325,11 +314,7 @@ def figure05(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Like Figure 3, but for the time zone scenario.
 
@@ -362,7 +347,7 @@ def figure05(
         x_label="network size",
         notes="paper: ONTH below both ONBR variants; T grows with n",
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 @register_figure(
@@ -374,11 +359,7 @@ def figure06(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """ONBR cost breakdown vs network size in the β=400 > c=40 regime."""
     spec = SweepSpec(
@@ -407,7 +388,7 @@ def figure06(
         x_label="network size",
         notes="paper: access cost dominates and grows with n",
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +407,7 @@ def figure07(
     sojourn: int = 20,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Cost vs T in the commuter scenario with static load."""
     spec = SweepSpec(
@@ -452,7 +429,7 @@ def figure07(
         x_label="T",
         notes="paper: cost rises slightly with T; ONTH best throughout",
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 def _lambda_sweep(
@@ -495,11 +472,7 @@ def figure08(
     horizon: int = 900,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Cost vs λ, commuter scenario with dynamic load."""
     spec = _lambda_sweep(
@@ -507,7 +480,7 @@ def figure08(
         ScenarioSpec("commuter", {"period": period, "dynamic_load": True}),
         lambdas, n, horizon, runs, seed,
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 @register_figure(
@@ -520,11 +493,7 @@ def figure09(
     horizon: int = 900,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Cost vs λ, commuter scenario with static load."""
     spec = _lambda_sweep(
@@ -532,7 +501,7 @@ def figure09(
         ScenarioSpec("commuter", {"period": period, "dynamic_load": False}),
         lambdas, n, horizon, runs, seed,
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 @register_figure(
@@ -545,11 +514,7 @@ def figure10(
     horizon: int = 900,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Cost vs λ, time zone scenario with p = 50%."""
     spec = _lambda_sweep(
@@ -557,7 +522,7 @@ def figure10(
         ScenarioSpec("timezones", {"period": period}),
         lambdas, n, horizon, runs, seed,
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +538,7 @@ def figure11(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Competitive ratio of ONTH against OPT as a function of λ.
 
@@ -622,7 +583,7 @@ def figure11(
         x_label="λ",
         notes="paper: ratios fairly low; commuter static peaks at intermediate λ",
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +648,7 @@ def _absolute_vs_lambda(
     horizon: int,
     runs: int,
     seed: int,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     spec = SweepSpec(
         experiment=ExperimentSpec(
@@ -714,7 +671,7 @@ def _absolute_vs_lambda(
         x_label="λ",
         notes="paper: absolute cost falls as dynamics slow (larger λ)",
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 @register_figure("fig13", quick=dict(runs=5))
@@ -725,17 +682,13 @@ def figure13(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Absolute OFFSTAT and OPT costs vs λ, commuter dynamic load, β < c."""
     return _absolute_vs_lambda(
         "fig13", "OFFSTAT vs OPT absolute cost (β=40 < c=400)",
         CostSpec.paper_default(), lambdas, n, period, horizon, runs, seed,
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -747,17 +700,13 @@ def figure14(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Like Figure 13 with β = 400 > c = 40."""
     return _absolute_vs_lambda(
         "fig14", "OFFSTAT vs OPT absolute cost (β=400 > c=40)",
         CostSpec.migration_expensive(), lambdas, n, period, horizon, runs,
-        seed, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        seed, **run,
     )
 
 
@@ -773,11 +722,7 @@ def _ratio_sweep(
     runs: int,
     seed: int,
     notes: str,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """The OFFSTAT/OPT two-regime ratio figures (15-19) as one spec each."""
     spec = SweepSpec(
@@ -798,7 +743,7 @@ def _ratio_sweep(
         x_label=x_label,
         notes=notes,
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 @register_figure("fig15", quick=dict(runs=5))
@@ -809,11 +754,7 @@ def figure15(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """OFFSTAT/OPT ratio vs λ, commuter dynamic load."""
     return _ratio_sweep(
@@ -822,7 +763,7 @@ def figure15(
         ScenarioSpec("commuter", {"period": period}),
         n, horizon, runs, seed,
         "paper: benefit of flexibility peaks (≈2x) at moderate dynamics",
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -834,11 +775,7 @@ def figure16(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """OFFSTAT/OPT ratio vs λ, commuter static load."""
     return _ratio_sweep(
@@ -847,7 +784,7 @@ def figure16(
         ScenarioSpec("commuter", {"period": period, "dynamic_load": False}),
         n, horizon, runs, seed,
         "paper: β<c ≈1.2 flat then →1; β>c up to ≈2 at intermediate λ",
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -859,11 +796,7 @@ def figure17(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """OFFSTAT/OPT ratio vs λ, time zones with 3 requests/round."""
     return _ratio_sweep(
@@ -873,7 +806,7 @@ def figure17(
         n, horizon, runs, seed,
         "paper: ratio rises quickly for small λ then declines ~linearly; "
         "β<c similar to β>c",
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -885,11 +818,7 @@ def figure18(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """OFFSTAT/OPT ratio vs T, commuter dynamic load."""
     return _ratio_sweep(
@@ -898,7 +827,7 @@ def figure18(
         ScenarioSpec("commuter", {"sojourn": sojourn}),
         n, horizon, runs, seed,
         "paper: ratio grows with T; β>c benefits more from flexibility",
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -910,11 +839,7 @@ def figure19(
     horizon: int = 200,
     runs: int = 10,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """OFFSTAT/OPT ratio vs T, commuter static load."""
     return _ratio_sweep(
@@ -923,7 +848,7 @@ def figure19(
         ScenarioSpec("commuter", {"sojourn": sojourn, "dynamic_load": False}),
         n, horizon, runs, seed,
         "paper: as Figure 18 but static load",
-        backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison,
+        **run,
     )
 
 
@@ -945,11 +870,7 @@ def rocketfuel_table(
     runs: int = 3,
     seed: int = DEFAULT_SEED,
     substrate: "Substrate | None" = None,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Total costs of OFFSTAT, ONTH and ONBR on the AT&T-like topology.
 
@@ -963,7 +884,7 @@ def rocketfuel_table(
     inline sweep; the default AT&T-like run is a pure :class:`SweepSpec`.
     """
     if substrate is not None:
-        if replication is not None:
+        if run.get("replication") is not None:
             raise ValueError(
                 "replication needs the spec-driven path; a custom substrate "
                 "object cannot be expressed as spec data"
@@ -991,7 +912,8 @@ def rocketfuel_table(
 
         return sweep_experiment(
             "tabR", _ROCKETFUEL_TITLE, "metric", ["total cost"], replicate,
-            runs=runs, seed=seed, notes=_ROCKETFUEL_NOTES, backend=backend,
+            runs=runs, seed=seed, notes=_ROCKETFUEL_NOTES,
+            backend=run.get("backend"),
         )
 
     spec = SweepSpec(
@@ -1021,7 +943,7 @@ def rocketfuel_table(
         x_label="metric",
         notes=_ROCKETFUEL_NOTES,
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return run_sweep(spec, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +960,7 @@ def figure_optim(
     horizon: int = 60,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
-    cache=None,
-    shard=None,
-    replication=None,
-    comparison=None,
+    **run,
 ) -> FigureResult:
     """Heuristics vs ILP vs LP-relaxation vs OPT: paired cost ratios.
 
@@ -1086,10 +1004,6 @@ def figure_optim(
             "traces; OPT < 1 bounds the optimality gap, heuristics > 1 is "
             "the threshold overhead"
         ),
-        comparison=(
-            comparison
-            if comparison is not None
-            else ComparisonSpec(baseline="ILP", mode="ratio")
-        ),
+        comparison=ComparisonSpec(baseline="ILP", mode="ratio"),
     )
-    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication)
+    return run_sweep(spec, **run)
