@@ -23,6 +23,7 @@ with how :func:`~repro.core.transitions.price_transition` will charge it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = ["Choice", "enumerate_choices", "apply_choice", "best_choice"]
 _KIND_PRIORITY = {"stay": 0, "deactivate": 1, "activate": 2, "migrate": 3, "create": 4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Choice:
     """The best concrete candidate of one family.
 
@@ -77,19 +78,47 @@ def enumerate_choices(
     allow_migrate: bool = True,
     allow_deactivate: bool = True,
     allow_add: bool = True,
-) -> list[Choice]:
+) -> tuple[Choice, ...]:
     """All family representatives for the current (config, cache) state.
 
     ONBR enumerates every family; ONTH's small epochs exclude additions
     (``allow_add=False``) because servers are only added at large-epoch
     boundaries (§III-A). The access costs come from one
     :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`.
+
+    The result is a pure function of the window's requests and of the
+    arguments' values, so the batch may memoise it
+    (:meth:`~repro.core.evaluation.RequestBatch.memoised`); the key below
+    names every input the assembly reads.
     """
+    queue_nodes, max_cache = cache.nodes, cache.max_size
+    key = (
+        "choices", config.active, config.inactive, queue_nodes, max_cache,
+        costs, allow_migrate, allow_deactivate, allow_add,
+    )
+    return batch.memoised(
+        key,
+        lambda: _assemble_choices(
+            batch, config, queue_nodes, max_cache, costs,
+            allow_migrate, allow_deactivate, allow_add,
+        ),
+    )
+
+
+def _assemble_choices(
+    batch: RequestBatch,
+    config: Configuration,
+    queue_nodes: "tuple[int, ...]",
+    max_cache: int,
+    costs: CostModel,
+    allow_migrate: bool,
+    allow_deactivate: bool,
+    allow_add: bool,
+) -> tuple[Choice, ...]:
     occupied = sorted(config.occupied)
     scan = batch.epoch_scan(
         config.active, occupied, allow_migrate, allow_deactivate, allow_add
     )
-    queue_nodes = cache.nodes
     k_active, k_inactive = config.n_active, len(queue_nodes)
     run = costs.running_cost_counts
     run_same = run(k_active, k_inactive)
@@ -119,7 +148,7 @@ def enumerate_choices(
         best = removal.index(min(removal))
         if math.isfinite(removal[best]):
             # Deactivation is free; a full cache evicts its oldest entry.
-            new_inactive = min(k_inactive + 1, cache.max_size)
+            new_inactive = min(k_inactive + 1, max_cache)
             choices.append(
                 Choice(
                     "deactivate",
@@ -132,7 +161,7 @@ def enumerate_choices(
 
     addition = scan.addition
     if addition is None:
-        return choices
+        return tuple(choices)
     # Best in-place activation of a cached server.
     if queue_nodes:
         cached = [float(addition[v]) for v in queue_nodes]
@@ -170,10 +199,10 @@ def enumerate_choices(
                 target=target,
             )
         )
-    return choices
+    return tuple(choices)
 
 
-def best_choice(choices: list[Choice], n_rounds: int) -> Choice:
+def best_choice(choices: "Sequence[Choice]", n_rounds: int) -> Choice:
     """The cheapest choice; ties resolved by :data:`_KIND_PRIORITY`."""
     if not choices:
         raise ValueError("no choices to select from")

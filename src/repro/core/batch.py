@@ -16,8 +16,21 @@ without changing a single ledger bit:
   :meth:`~repro.core.policy.AllocationPolicy.new_window`; their epoch
   logic runs unchanged. The window's one override of substance is
   :meth:`GatherWindow.epoch_scan`: all five single-change families of an
-  epoch boundary in one fused pass, memoised on the gather so sibling
-  policies share scans.
+  epoch boundary in one fused pass.
+
+The gather also holds one memo that every window and the round loop share,
+keyed on **content**, not position. At build, each round is interned into
+:attr:`DistanceGather.round_ids` (equal request arrays share an id), and a
+window's :attr:`~GatherWindow.content_key` is the bytes of its run of ids.
+Periodic demand repeats whole windows (a commuter day recurs every
+``T·λ`` rounds), so one scan serves every recurrence, across sibling
+policies too. Three things are memoised under it: epoch scans and exact
+access costs (:meth:`GatherWindow.memoised`), a policy's family choices
+(:func:`~repro.algorithms._families.enumerate_choices`), and nearest
+routing of a repeated round under one active set (the simulator's span
+router). Each value is a pure function of its key: it reads only the
+window's gathered columns and reduces into freshly allocated arrays, so
+its values, layout and summation order are the same at any position.
 
 Bit-identity ground rules (why these transformations are safe):
 
@@ -103,6 +116,27 @@ class DistanceGather:
         np.cumsum(self.sizes, out=self.offsets[1:])
         #: ``offsets`` as Python ints, for indexing in per-round code.
         self.offset_list: list[int] = self.offsets.tolist()
+        # Intern the rounds: equal request arrays (``Trace`` rounds are all
+        # int64) share one id, so equal ids mean equal content.
+        interned: dict[bytes, int] = {}
+        first_seen = np.fromiter(
+            (interned.setdefault(r.tobytes(), len(interned)) for r in rounds),
+            dtype=np.int64,
+            count=len(rounds),
+        )
+        # Number the contents held by two or more rounds first, so a
+        # round's routing is memoised only when its content recurs.
+        repeated = np.bincount(first_seen, minlength=len(interned)) > 1
+        del interned
+        # Half the bytes of int64 in every content key (and the id array).
+        id_type = np.int32 if repeated.size < 2**31 else np.int64
+        renumber = np.empty(repeated.size, dtype=id_type)
+        #: How many contents recur: ids below this belong to repeated rounds.
+        self.repeated_ids = int(np.count_nonzero(repeated))
+        renumber[repeated] = np.arange(self.repeated_ids, dtype=id_type)
+        renumber[~repeated] = np.arange(self.repeated_ids, repeated.size, dtype=id_type)
+        #: Content id of each round: equal ids hold equal request arrays.
+        self.round_ids = renumber[first_seen]
         self.flat = (
             np.concatenate(rounds)
             if self.offsets[-1]
@@ -128,10 +162,11 @@ class DistanceGather:
         self._row_of: "np.ndarray | None" = None
         self._sizes_f64: "np.ndarray | None" = None
         self._arange: "np.ndarray | None" = None
-        # Epoch-evaluation memo shared by every window over this gather:
-        # keyed (kind, t0, t1, active-bytes). Policies running over the same
-        # trace (ONBR fixed/dyn especially) evaluate many identical windows;
-        # the cached latency arrays are pure functions of the key.
+        # Memo shared by every window over this gather and by the round
+        # loop's router. Window entries are keyed (kind, *state, content
+        # key) through GatherWindow.memoised, routes ("route", round id,
+        # active). A recurring window, in any policy run over the trace,
+        # hits; every value is a pure function of its key.
         self._memo: dict = {}
 
     def arange(self, size: int) -> np.ndarray:
@@ -143,11 +178,11 @@ class DistanceGather:
         return self._arange[:size]
 
     def memo_get(self, key):
-        """Cached epoch-evaluation artefact for ``key`` (or ``None``)."""
+        """Cached scan, choice list or routing for ``key`` (or ``None``)."""
         return self._memo.get(key)
 
     def memo_put(self, key, value) -> None:
-        """Cache an epoch-evaluation artefact (bounded)."""
+        """Cache a scan, choice list or routing (bounded)."""
         if len(self._memo) >= 32768:
             self._memo.clear()
         self._memo[key] = value
@@ -215,6 +250,8 @@ class GatherWindow(RequestBatch):
         self._invariant: "bool | None" = None
         self._inv_key: "tuple[int, int] | None" = None
         self._inv_load_value = 0.0
+        self._key_span: "tuple[int, int] | None" = None
+        self._key = b""
 
     # -- window pointers --------------------------------------------------------
 
@@ -282,16 +319,40 @@ class GatherWindow(RequestBatch):
     def _candidate_matrix(self) -> np.ndarray:
         return self._gather.columns[:, self._c0 : self._c1]
 
+    # -- content-keyed memo -----------------------------------------------------
+
+    @property
+    def content_key(self) -> bytes:
+        """What the window holds: the bytes of its rounds' content ids.
+
+        Two windows anywhere in the trace with equal keys hold the same
+        rounds in the same order, hence the same gathered columns. The
+        bytes are built once per window range, so the scan and choice
+        entries of one epoch share them.
+        """
+        span = (self._t0, self._t1)
+        if self._key_span != span:
+            self._key = self._gather.round_ids[self._t0 : self._t1].tobytes()
+            self._key_span = span
+        return self._key
+
+    def memoised(self, key: tuple, compute):
+        """``compute()``, memoised on the gather under ``key`` + :attr:`content_key`."""
+        key = (*key, self.content_key)
+        value = self._gather.memo_get(key)
+        if value is None:
+            value = compute()
+            self._gather.memo_put(key, value)
+        return value
+
     def exact_access_cost(self, active: "np.ndarray | tuple[int, ...]") -> float:
-        """Memoised on the gather: the non-invariant scans' shortlists
-        re-score the same placements across sibling policies."""
+        """Memoised: the non-invariant scans' shortlists re-score the same
+        placements across sibling policies and recurring windows."""
         active = np.asarray(active, dtype=np.int64)
-        key = ("exact", self._t0, self._t1, active.tobytes())
-        cost = self._gather.memo_get(key)
-        if cost is None:
-            cost = super().exact_access_cost(active)
-            self._gather.memo_put(key, cost)
-        return cost
+        return self.memoised(
+            ("exact", active.tobytes()),
+            lambda: RequestBatch.exact_access_cost(self, active),
+        )
 
     # -- fused epoch scan -------------------------------------------------------
 
@@ -306,28 +367,31 @@ class GatherWindow(RequestBatch):
         """The base-class scan, fused into one pass and memoised on the gather.
 
         Sibling policies over the same trace (ONBR fixed vs dyn especially)
-        reach identical (window, placement) states, so the whole scan is
-        cached per (window, active, occupied, families) and its arrays are
-        read-only. Non-invariant loads, empty windows and empty placements
-        run the base-class families.
+        and recurring windows of periodic demand reach identical (content,
+        placement) states, so the whole scan is cached per (content, active,
+        occupied, families) and its arrays are read-only. Non-invariant
+        loads, empty windows and empty placements run the base-class
+        families.
         """
         active = np.asarray(active, dtype=np.int64)
         occupied = np.asarray(occupied, dtype=np.int64)
-        key = (
-            "scan", self._t0, self._t1, active.tobytes(), occupied.tobytes(),
-            migrate, deactivate, add,
-        )
-        scan = self._gather.memo_get(key)
-        if scan is None:
+
+        def scan() -> EpochScan:
             if active.size and self._c1 > self._c0 and self._load_is_invariant():
-                scan = self._fused_scan(active, occupied, migrate, deactivate, add)
+                result = self._fused_scan(active, occupied, migrate, deactivate, add)
             else:
-                scan = super().epoch_scan(active, occupied, migrate, deactivate, add)
-            for arr in scan[1:]:
+                result = RequestBatch.epoch_scan(
+                    self, active, occupied, migrate, deactivate, add
+                )
+            for arr in result[1:]:
                 if arr is not None:
                     arr.flags.writeable = False
-            self._gather.memo_put(key, scan)
-        return scan
+            return result
+
+        return self.memoised(
+            ("scan", active.tobytes(), occupied.tobytes(), migrate, deactivate, add),
+            scan,
+        )
 
     def _fused_scan(
         self,

@@ -152,6 +152,12 @@ class RequestBatch:
             )
         return self._sizes
 
+    def memoised(self, key: tuple, compute):
+        """``compute()``, which must be a pure function of ``key`` and the
+        window's requests. A plain batch has no content key and memoises
+        nothing; a gather window caches the value on its gather."""
+        return compute()
+
     # -- distance access (overridable by the batched gather window) -------------
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:

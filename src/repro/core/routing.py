@@ -41,7 +41,7 @@ class RoutingStrategy(Enum):
     LOAD_AWARE = "load_aware"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingResult:
     """Outcome of routing one round's requests.
 

@@ -21,9 +21,11 @@ because one round's requests are much cheaper than a migration.
 The input type picks where distances come from. A materialised
 :class:`~repro.workload.base.Trace` gets a
 :class:`~repro.core.batch.DistanceGather`: nearest routing reads it in
-spans of rounds, and every policy request window is a slice of it. Any
-other round-iterable (a lazily generated stream) is routed round by round
-with :func:`~repro.core.routing.route_requests` and plain
+spans of rounds (a round whose content recurs is routed once per active
+set, from the gather's content-keyed memo), and every policy request
+window is a slice of it. Any other round-iterable (a lazily generated
+stream) is routed round by round with
+:func:`~repro.core.routing.route_requests` and plain
 :class:`~repro.core.evaluation.RequestBatch` windows, so memory stays
 O(round). Non-nearest routing always uses ``route_requests``. Both sources
 produce the same ledger bit for bit.
@@ -211,15 +213,24 @@ def simulate(
 
 
 class _SpanRouter:
-    """Nearest routing of a gathered trace, many rounds per argmin.
+    """Nearest routing of a gathered trace, memoised and many rounds per argmin.
 
-    While the active set is value-unchanged (threshold policies hold their
-    placement across whole epochs, and a rebuilt configuration may keep the
-    same active servers), nearest assignments for the next
-    :data:`_SPAN_ROUNDS` rounds are computed in one argmin. Per-round
-    latencies are then sums over contiguous slices of the span gather — the
-    same summand sequences as per-round
-    :func:`~repro.core.routing.route_requests`, hence bit-identical.
+    A round whose content recurs in the trace (see
+    :attr:`~repro.core.batch.DistanceGather.repeated_ids`) is routed once
+    per active set: its :class:`RoutingResult` is memoised on the gather
+    under ``("route", round id, active)`` and shared by every later
+    recurrence and every policy run over the gather. The result is a pure
+    function of that key, so sharing it is exact.
+
+    A miss is routed from a span: while the active set is value-unchanged
+    (threshold policies hold their placement across whole epochs, and a
+    rebuilt configuration may keep the same active servers), nearest
+    assignments for the next :data:`_SPAN_ROUNDS` rounds are computed in one
+    argmin. Per-round latencies are then sums over contiguous slices of the
+    span gather — the same summand sequences as per-round
+    :func:`~repro.core.routing.route_requests`, hence bit-identical. The
+    span's ``counts``/``assignment`` arrays are read-only, so a policy can
+    never write into a result that later rounds or other policies share.
     """
 
     def __init__(
@@ -262,21 +273,44 @@ class _SpanRouter:
             (gather.row_of[c0:c1] - t) * k + self._assign,
             minlength=(end - t) * k,
         ).reshape(end - t, k)
+        # Every result hands out views of these two arrays.
+        self._assign.flags.writeable = False
+        self._counts.flags.writeable = False
         self._t0, self._end, self._c0 = t, end, c0
 
     def route(self, t: int, config: Configuration) -> RoutingResult:
         """Nearest routing of the non-empty round ``t`` under ``config``."""
+        gather = self._gather
+        round_id = int(gather.round_ids[t])
+        if round_id >= gather.repeated_ids:
+            return self._route_span(t, config)  # the only round with its content
+        key = ("route", round_id, config.active)
+        routed = gather.memo_get(key)
+        if routed is None:
+            routed = self._route_span(t, config, own=True)
+            gather.memo_put(key, routed)
+        return routed
+
+    def _route_span(
+        self, t: int, config: Configuration, own: bool = False
+    ) -> RoutingResult:
         if t >= self._end or config.active != self._active:
             self._rebuild(t, config)
         offsets = self._gather.offset_list
         lo, hi = offsets[t] - self._c0, offsets[t + 1] - self._c0
         latency = self._values[lo:hi].sum() + self._costs.wireless_hop * (hi - lo)
         counts = self._counts[t - self._t0]
+        assignment = self._assign[lo:hi]
+        if own:
+            # A memoised result holds its own arrays: views would keep the
+            # whole span's arrays alive for the life of the memo entry.
+            counts, assignment = counts.copy(), assignment.copy()
+            counts.flags.writeable = assignment.flags.writeable = False
         if self._round_loads is None:
             load = self._costs.load(self._strengths, counts).sum()
         else:
             load = self._round_loads[t]
-        return RoutingResult(float(latency), float(load), counts, self._assign[lo:hi])
+        return RoutingResult(float(latency), float(load), counts, assignment)
 
 
 def _check_config(
