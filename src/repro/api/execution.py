@@ -1,38 +1,33 @@
 """Execution backends: where a sweep's replicates actually run.
 
-The sweep engine (:func:`~repro.api.experiment.run_sweep`, and
-:func:`~repro.experiments.runner.sweep_experiment` for closure replicates)
-hands a backend a list of :class:`ReplicateTask`\\ s — one per replicate,
-each carrying the ``numpy.random.SeedSequence`` its position in the sweep
-pins. A backend only chooses *where* those tasks execute:
+The sweep engine (:func:`~repro.api.experiment.run_sweep`) hands a backend
+a list of :class:`ReplicateTask`\\ s — one per replicate, each carrying the
+``numpy.random.SeedSequence`` its position in the sweep pins. A backend
+only chooses *where* those tasks execute:
 
 * :class:`SerialBackend` — in-process loop, the default;
-* :class:`ProcessPoolBackend` — fan-out over worker processes.
+* :class:`ProcessPoolBackend` — fan-out over worker processes;
+* :class:`QueueBackend` — fan-out through a shared queue database.
 
 Because the child seeds are spawned up front in the parent and travel with
 the tasks, a replicate sees bit-identical randomness no matter which backend
 runs it: serial and parallel sweeps produce identical
 :class:`~repro.experiments.runner.FigureResult`\\ s.
 
-Replicate callables defined at module level (e.g. the spec-driven
-:class:`~repro.api.experiment.SpecReplicate`) are pickled to the workers
-directly. Closure replicates — the style the figure modules use — cannot be
-pickled; for those the pool falls back to ``fork``-started workers that
-inherit the replicate through process memory (available on POSIX). If
-neither route works the backend degrades to serial execution with a warning
-rather than failing the sweep.
+The pool and the queue ship the replicate callable and its tasks to other
+processes by pickling them, so both must be picklable; the spec-driven
+:class:`~repro.api.experiment.SpecReplicate` is (it holds only plain spec
+data). An unpicklable replicate raises instead of running serially.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import multiprocessing
+import math
 import os
 import pickle
-import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -119,27 +114,6 @@ class SerialBackend(ExecutionBackend):
         return "SerialBackend()"
 
 
-#: Work shipped to fork-started workers through inherited memory; set only
-#: for the duration of one ``run_replicates`` call. The lock serialises
-#: concurrent fork-path calls (e.g. from threads), which would otherwise
-#: overwrite each other's state before the workers fork.
-_FORK_STATE: "tuple[Replicate, list[ReplicateTask]] | None" = None
-_FORK_LOCK = threading.Lock()
-
-
-def _execute_forked(index: int) -> Mapping[str, float]:
-    replicate, tasks = _FORK_STATE
-    return _execute(replicate, tasks[index])
-
-
-def _is_picklable(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
 class ProcessPoolBackend(ExecutionBackend):
     """Fan replicates out across worker processes.
 
@@ -168,42 +142,11 @@ class ProcessPoolBackend(ExecutionBackend):
         workers = min(self.workers, len(tasks))
         chunksize = max(1, len(tasks) // (workers * 4))
 
-        if _is_picklable(replicate):
-            execute = functools.partial(_execute, replicate)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return _collect(
-                    tasks, pool.map(execute, tasks, chunksize=chunksize),
-                    on_result,
-                )
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            global _FORK_STATE
-            with _FORK_LOCK:
-                _FORK_STATE = (replicate, tasks)
-                try:
-                    context = multiprocessing.get_context("fork")
-                    with ProcessPoolExecutor(
-                        max_workers=workers, mp_context=context
-                    ) as pool:
-                        return _collect(
-                            tasks,
-                            pool.map(
-                                _execute_forked,
-                                range(len(tasks)),
-                                chunksize=chunksize,
-                            ),
-                            on_result,
-                        )
-                finally:
-                    _FORK_STATE = None
-
-        warnings.warn(
-            "replicate is not picklable and fork start method is unavailable; "
-            "running the sweep serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return SerialBackend().run_replicates(replicate, tasks, on_result)
+        execute = functools.partial(_execute, replicate)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _collect(
+                tasks, pool.map(execute, tasks, chunksize=chunksize), on_result
+            )
 
     def __repr__(self) -> str:
         return f"ProcessPoolBackend(workers={self.workers})"
@@ -218,9 +161,9 @@ class QueueBackend(ExecutionBackend):
     ``repro-experiments worker`` processes, possibly on other machines
     sharing the filesystem — execute them. Each block task carries the
     pickled ``(replicate, tasks)`` chunk and returns its pickled samples
-    on the task row, so the batch needs no cache and works for arbitrary
-    replicates (same pickling contract as the pool; unpicklable work
-    degrades to serial with the same warning).
+    on the task row, so the batch needs no cache and works for any
+    picklable replicate (the pool's contract; unpicklable work raises
+    before anything is enqueued).
 
     With ``local=True`` (the default) the backend also work-steals its own
     block tasks between polls, so a sweep makes progress even with zero
@@ -235,8 +178,9 @@ class QueueBackend(ExecutionBackend):
         chunk: replicate tasks per block task (larger = fewer, longer
             leases).
         poll: seconds between progress polls while waiting on external
-            workers.
-        ttl: lease lifetime granted to whichever worker takes a block.
+            workers (finite, ``>= 0``).
+        ttl: lease lifetime granted to whichever worker takes a block
+            (``> 0``; ``None`` = the broker's default).
         local: execute unleased blocks in-process while waiting.
         timeout: seconds before giving up on a stuck queue (``None`` =
             wait forever; abandoned leases re-serve on their own).
@@ -253,12 +197,18 @@ class QueueBackend(ExecutionBackend):
     ) -> None:
         from repro.queue.broker import Broker
 
-        self.broker = queue if isinstance(queue, Broker) else Broker(queue)
-        chunk = int(chunk)
+        chunk, poll = int(chunk), float(poll)
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
+        # checked here: time.sleep would fail on a bad poll only after the
+        # batch is enqueued, and a ttl <= 0 grants already-expired leases
+        if not (math.isfinite(poll) and poll >= 0):
+            raise ValueError(f"poll must be finite and >= 0, got {poll}")
+        if ttl is not None and not float(ttl) > 0:
+            raise ValueError(f"ttl must be > 0, got {ttl}")
+        self.broker = queue if isinstance(queue, Broker) else Broker(queue)
         self.chunk = chunk
-        self.poll = float(poll)
+        self.poll = poll
         self.ttl = ttl
         self.local = bool(local)
         self.timeout = timeout
@@ -276,15 +226,6 @@ class QueueBackend(ExecutionBackend):
         tasks = list(tasks)
         if not tasks:
             return []
-        if not _is_picklable(replicate) or not _is_picklable(tasks):
-            warnings.warn(
-                "replicate (or its tasks) is not picklable and cannot "
-                "travel through the queue; running the batch serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialBackend().run_replicates(replicate, tasks, on_result)
-
         chunks = [
             tasks[start : start + self.chunk]
             for start in range(0, len(tasks), self.chunk)

@@ -53,6 +53,7 @@ from repro.api.specs import (
 )
 from repro.core.batch import DistanceGather
 from repro.core.results import RunResult
+from repro.core.routing import RoutingStrategy
 from repro.core.simulator import simulate
 from repro.workload.base import Trace, generate_trace
 
@@ -142,7 +143,8 @@ def _simulate_spec(
     # (materialised trace, cost model): policies sharing both (the common
     # case — e.g. the online trio of the size sweeps) then share the
     # gathered distance columns and the epoch-evaluation memo. CostModel is
-    # immutable, so sharing one instance cannot change any result.
+    # immutable, so sharing one instance cannot change any result; routing
+    # needs no key of its own, as only nearest routing memoises routes.
     cost_models: list = []
     gathers: dict[tuple[int, int], DistanceGather] = {}
     for policy_spec, trace_index in zip(spec.policies, trace_of):
@@ -153,7 +155,7 @@ def _simulate_spec(
                 costs = model
                 break
         else:
-            costs = cost_spec.to_cost_model()
+            costs = cost_spec.to_cost_model(substrate)
             cost_models.append((cost_spec, costs))
         gather_key = (trace_index, id(costs))
         gather = gathers.get(gather_key)
@@ -165,7 +167,7 @@ def _simulate_spec(
             policy,
             traces[trace_index],
             costs,
-            routing=spec.routing_strategy,
+            routing=RoutingStrategy(policy_spec.routing or spec.routing),
             seed=rng,
             gather=gather,
         )

@@ -36,6 +36,7 @@ Built-ins:
                     absolute cost next to a policy's, Figures 13-14)
 ``cost_breakdown``  per cost factor totals; parts may be summed with ``+``
                     (e.g. ``migration+creation``, Figure 6)
+``migrations``      migration count per policy
 ================== =========================================================
 """
 
@@ -301,3 +302,17 @@ def cost_breakdown(
             name = part if len(context.runs) == 1 else f"{run.label} {part}"
             out[str(name)] = value
     return out
+
+
+@register_metric("migrations")
+def migrations(context: MetricContext) -> "dict[str, float]":
+    """How many migrations each policy performed.
+
+    Named like :func:`cost_breakdown`: the series is ``migrations`` for a
+    single policy and ``"<label> migrations"`` for several.
+    """
+    return {
+        "migrations" if len(context.runs) == 1 else f"{run.label} migrations":
+            float(run.run.total_migrations)
+        for run in context.runs
+    }

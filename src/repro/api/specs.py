@@ -16,17 +16,18 @@ The composition is::
       ├─ TopologySpec           e.g. ("erdos_renyi", {"n": 200})
       ├─ ScenarioSpec           e.g. ("commuter", {"sojourn": 10})
       ├─ PolicySpec ×k          e.g. ("onth", {}, label="ONTH")
-      │    └─ optional per-policy CostSpec / ScenarioSpec overrides
+      │    └─ optional per-policy CostSpec / ScenarioSpec / routing overrides
       ├─ CostSpec               β, c, Ra, Ri, load model
       └─ MetricSpec ×m          e.g. ("cost_ratio_vs", {"reference": "OPT"})
     SweepSpec                 parameter(s) swept over an ExperimentSpec
 
-A policy entry may override the experiment's cost regime or demand scenario
-(``PolicySpec(..., costs=..., scenario=...)``), which is how the paper's
-two-regime ratio figures (β<c vs β>c on one shared trace) and multi-scenario
-comparisons (Figure 11) are expressed as one spec. Metrics turn the
-replicate's full per-policy ledgers into named result series; the default
-``total_cost`` metric reproduces the historical per-policy totals.
+A policy entry may override the experiment's cost regime, demand scenario
+or routing (``PolicySpec(..., costs=..., scenario=..., routing=...)``),
+which is how the paper's two-regime ratio figures (β<c vs β>c on one shared
+trace), multi-scenario comparisons (Figure 11) and the routing ablation are
+expressed as one spec. Metrics turn the replicate's full per-policy ledgers
+into named result series; the default ``total_cost`` metric reproduces the
+historical per-policy totals.
 
 Execution lives in :mod:`repro.api.experiment`
 (:func:`~repro.api.experiment.run_experiment`,
@@ -55,7 +56,7 @@ from repro.api.registry import (
     resolve_scenario,
     resolve_topology,
 )
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, bandwidth_migration_matrix
 from repro.core.load import LinearLoad, LoadFunction, PowerLoad, QuadraticLoad
 from repro.core.routing import RoutingStrategy
 
@@ -90,6 +91,20 @@ def canonical_key(data: Any) -> str:
 
 #: Load-model names accepted by :class:`CostSpec`.
 _LOAD_MODELS = ("linear", "quadratic", "power")
+#: Migration-cost models accepted by :class:`CostSpec`.
+_MIGRATION_MODELS = ("constant", "bandwidth")
+#: Routing names accepted by :class:`ExperimentSpec` and :class:`PolicySpec`.
+_ROUTINGS = tuple(sorted(strategy.value for strategy in RoutingStrategy))
+
+
+def _routing_name(value: Any) -> str:
+    """Normalise a routing name (``"load-aware"`` -> ``"load_aware"``)."""
+    name = str(value).strip().lower().replace("-", "_")
+    if name not in _ROUTINGS:
+        raise ValueError(
+            f"unknown routing {name!r}; expected one of {list(_ROUTINGS)}"
+        )
+    return name
 
 
 def _jsonable(value: Any) -> Any:
@@ -216,12 +231,15 @@ class PolicySpec(_ComponentSpec):
     ``PolicySpec("offstat", label="β<c")`` next to
     ``PolicySpec("offstat", label="β>c", costs=CostSpec.migration_expensive())``
     compares the two regimes on identical demand — the structure of the
-    paper's ratio figures.
+    paper's ratio figures. ``routing`` likewise overrides
+    :attr:`ExperimentSpec.routing`, so nearest and load-aware routing can
+    serve one shared trace.
     """
 
     label: "str | None" = None
     costs: "CostSpec | None" = None
     scenario: "ScenarioSpec | None" = None
+    routing: "str | None" = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -240,6 +258,8 @@ class PolicySpec(_ComponentSpec):
             object.__setattr__(
                 self, "scenario", ScenarioSpec.from_dict(self.scenario)
             )
+        if self.routing is not None:
+            object.__setattr__(self, "routing", _routing_name(self.routing))
 
     def build(self):
         """Instantiate the policy."""
@@ -253,12 +273,15 @@ class PolicySpec(_ComponentSpec):
         data["scenario"] = (
             self.scenario.to_dict() if self.scenario is not None else None
         )
+        data["routing"] = self.routing
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PolicySpec":
         _check_keys(
-            data, {"kind", "params", "label", "costs", "scenario"}, "PolicySpec"
+            data,
+            {"kind", "params", "label", "costs", "scenario", "routing"},
+            "PolicySpec",
         )
         costs = data.get("costs")
         scenario = data.get("scenario")
@@ -270,6 +293,7 @@ class PolicySpec(_ComponentSpec):
             scenario=(
                 ScenarioSpec.from_dict(scenario) if scenario is not None else None
             ),
+            routing=data.get("routing"),
         )
 
 
@@ -278,9 +302,11 @@ class CostSpec:
     """The cost constants of §II as data; builds a :class:`CostModel`.
 
     ``load`` selects the server-load model by name (``linear``, ``quadratic``
-    or ``power`` with ``load_exponent``). The distance-dependent
-    ``migration_matrix`` extension is substrate-shaped and therefore not
-    representable in a spec; construct a :class:`CostModel` directly for it.
+    or ``power`` with ``load_exponent``). ``migration_model`` selects β:
+    ``"constant"`` (the paper's) or ``"bandwidth"``, the distance-dependent
+    :func:`~repro.core.costs.bandwidth_migration_matrix` of the substrate,
+    scaled so its off-diagonal mean equals ``migration``. That matrix is
+    substrate-shaped, so :meth:`to_cost_model` builds it per replicate.
     """
 
     migration: float = 40.0
@@ -290,13 +316,19 @@ class CostSpec:
     wireless_hop: float = 0.0
     load: str = "linear"
     load_exponent: float = 1.0
+    migration_model: str = "constant"
 
     def __post_init__(self) -> None:
         if self.load not in _LOAD_MODELS:
             raise ValueError(
                 f"unknown load model {self.load!r}; expected one of {_LOAD_MODELS}"
             )
-        self.to_cost_model()  # surface bad constants at spec-build time
+        if self.migration_model not in _MIGRATION_MODELS:
+            raise ValueError(
+                f"unknown migration model {self.migration_model!r}; expected "
+                f"one of {_MIGRATION_MODELS}"
+            )
+        self._cost_model()  # surface bad constants at spec-build time
 
     @classmethod
     def paper_default(cls, **overrides: Any) -> "CostSpec":
@@ -316,8 +348,24 @@ class CostSpec:
             return QuadraticLoad()
         return PowerLoad(self.load_exponent)
 
-    def to_cost_model(self) -> CostModel:
-        """The equivalent :class:`CostModel`."""
+    def to_cost_model(self, substrate=None) -> CostModel:
+        """The equivalent :class:`CostModel` on ``substrate``.
+
+        The ``"bandwidth"`` migration model needs the substrate; the
+        constant one ignores it.
+        """
+        if self.migration_model == "constant":
+            return self._cost_model()
+        if substrate is None:
+            raise ValueError(
+                "migration model 'bandwidth' needs the substrate to build "
+                "its per-pair β matrix"
+            )
+        matrix = bandwidth_migration_matrix(substrate)
+        off_diagonal = matrix[~np.eye(substrate.n, dtype=bool)]
+        return self._cost_model(matrix * (self.migration / off_diagonal.mean()))
+
+    def _cost_model(self, migration_matrix=None) -> CostModel:
         return CostModel(
             migration=self.migration,
             creation=self.creation,
@@ -325,6 +373,7 @@ class CostSpec:
             run_inactive=self.run_inactive,
             load=self.load_function(),
             wireless_hop=self.wireless_hop,
+            migration_matrix=migration_matrix,
         )
 
     def to_dict(self) -> dict:
@@ -688,14 +737,7 @@ class ExperimentSpec:
             )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        object.__setattr__(
-            self, "routing", str(self.routing).strip().lower().replace("-", "_")
-        )
-        valid = {strategy.value for strategy in RoutingStrategy}
-        if self.routing not in valid:
-            raise ValueError(
-                f"unknown routing {self.routing!r}; expected one of {sorted(valid)}"
-            )
+        object.__setattr__(self, "routing", _routing_name(self.routing))
         # Only *explicit* labels can be checked statically; same-kind policies
         # with different parameters are legitimate (their built ``.name``s may
         # differ, e.g. onbr vs onbr:dynamic_threshold=true) and real runtime
@@ -706,11 +748,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"policy labels must be unique, duplicated: {sorted(duplicates)}"
             )
-
-    @property
-    def routing_strategy(self) -> RoutingStrategy:
-        """The :class:`RoutingStrategy` member selected by :attr:`routing`."""
-        return RoutingStrategy(self.routing)
 
     # -- parameter substitution ---------------------------------------------------
 

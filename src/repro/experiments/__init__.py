@@ -2,14 +2,17 @@
 
 ``repro.experiments.figures`` holds one function per figure/table of the
 paper's §V; ``repro.experiments.ablations`` holds the extra design-choice
-studies; :func:`sweep_experiment` is the multi-run engine and
-:func:`format_figure` the plain-text renderer used by the benchmarks.
+studies; :func:`format_figure` is the plain-text renderer used by the
+benchmarks, and :func:`sweep_experiment` a serial harness for replicate
+functions no spec can express.
 
 Every figure/ablation registers itself in :data:`repro.api.FIGURES` via
-``@register_figure`` (together with its quick-scale parameters), and the
-sweep-based ones accept a ``backend=`` argument to parallelise replicates;
-see :mod:`repro.api` for the declarative spec layer and the CLI's generic
-``run`` subcommand.
+``@register_figure`` (together with its quick-scale parameters). The
+sweep-based ones build a :class:`~repro.api.specs.SweepSpec` and forward
+:func:`~repro.api.experiment.run_sweep`'s execution options (``backend``,
+``cache``, ``shard``, ``resume``, ``replication``, ``comparison``) through
+``**run``; see :mod:`repro.api` for the declarative spec layer and the
+CLI's generic ``run`` subcommand.
 """
 
 from repro.experiments import ablations, figures

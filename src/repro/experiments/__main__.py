@@ -62,7 +62,8 @@ result including the resolved spec. ``--cache-dir DIR`` memoizes results on
 disk keyed on the spec (``--no-cache`` bypasses an enabled cache): whole
 sweeps *and* every individual sweep point, so an interrupted or partially
 invalidated sweep resumes from the per-point entries instead of restarting
-(``--no-resume`` restores all-or-nothing caching). ``--shard I/N`` computes
+(``--no-resume`` restores all-or-nothing caching); stderr reports
+``cache hit`` or ``cache miss`` for the sweep. ``--shard I/N`` computes
 only every N-th sweep point starting at the I-th (1-based) into the shared
 cache directory — run the N shards as N independent processes or CI jobs,
 then rerun without ``--shard`` to assemble the full figure from the warm
@@ -524,6 +525,13 @@ def _validate_figure_replication(key: str, args) -> None:
         )
 
 
+def _print_cache_status(cache: ResultCache, specs) -> None:
+    """The whole-sweep cache hit/miss line printed to stderr after a run."""
+    status = "hit" if cache.hits else "miss"
+    keys = " ".join(cache.key_for(spec)[:12] for spec in specs)
+    print(f"cache {status} {keys} in {cache.root}", file=sys.stderr)
+
+
 def _point_stats_line(cache: ResultCache) -> str:
     """The per-point hit/miss summary printed to stderr after a sweep.
 
@@ -824,15 +832,20 @@ def _figure_kwargs(key: str, args, cache, backend) -> "dict":
 
 def _run_one(key: str, args, backend, emit_json: bool = True) -> "dict | None":
     """Run one figure; returns the JSON payload when ``--json`` is active."""
+    from repro.api.experiment import capture_sweeps
+
     fn, _quick = _REGISTRY[key]
     cache = _cache_for(args)
     kwargs = _figure_kwargs(key, args, cache, backend)
     started = time.perf_counter()
     # A typo'd --compare baseline only surfaces once the figure's series
     # exist; an optimizer figure without the [opt] extra names the install.
-    with _user_errors(ComparisonSeriesError, ImportError):
+    with _user_errors(ComparisonSeriesError, ImportError), \
+            capture_sweeps() as captured:
         result = fn(**kwargs)
     elapsed = time.perf_counter() - started
+    if cache is not None and captured:
+        _print_cache_status(cache, [spec for spec, _result in captured])
     params = {
         k: v.to_dict() if isinstance(v, (ReplicationSpec, ComparisonSpec)) else v
         for k, v in kwargs.items()
@@ -1052,11 +1065,7 @@ def run_command(argv: "list[str]") -> int:
         )
     elapsed = time.perf_counter() - started
     if cache is not None:
-        status = "hit" if cache.hits else "miss"
-        print(
-            f"cache {status} {cache.key_for(spec)[:12]} in {cache.root}",
-            file=sys.stderr,
-        )
+        _print_cache_status(cache, [spec])
     if args.queue:
         backend_label = f"queue {args.queue}"
     elif args.workers and args.workers > 1:

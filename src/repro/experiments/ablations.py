@@ -10,24 +10,31 @@ reporting as the figure reproductions.
 * constant-β vs bandwidth-derived migration costs,
 * demand correlation in the §II-D mobility model,
 * a continuous sweep of the migration/creation cost ratio β/c.
+
+Each is a :class:`~repro.api.specs.SweepSpec` run by
+:func:`~repro.api.experiment.run_sweep`, so every ablation takes its
+execution options (``backend``, ``cache``, ``shard``, ``resume``,
+``replication``, ``comparison``) as ``**run`` keywords, like the figures.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.costs import CostModel, bandwidth_migration_matrix
-from repro.core.load import QuadraticLoad
-from repro.core.routing import RoutingStrategy
-from repro.core.simulator import simulate
-from repro.algorithms import OffStat, OnBR, OnTH
+from repro.api.experiment import run_sweep
 from repro.api.registry import register_figure
-from repro.experiments.figures import DEFAULT_SEED, _commuter_trace, _timezone_trace
-from repro.experiments.runner import FigureResult, sweep_experiment
-from repro.topology.generators import erdos_renyi
-from repro.topology.rocketfuel import att_like_topology
-from repro.workload.base import generate_trace
-from repro.workload.mobility import MobilityScenario
+from repro.api.specs import (
+    CostSpec,
+    ExperimentSpec,
+    MetricSpec,
+    PolicySpec,
+    ScenarioSpec,
+    SweepSpec,
+    TopologySpec,
+)
+from repro.experiments.figures import DEFAULT_SEED
+from repro.experiments.runner import FigureResult
+from repro.workload.commuter import default_period_for
 
 __all__ = [
     "ablation_routing",
@@ -39,6 +46,22 @@ __all__ = [
 ]
 
 
+def _commuter_experiment(
+    policies, horizon: int, sojourn: int, dynamic: bool, n: "int | None" = None,
+    costs: CostSpec = CostSpec.paper_default(),
+) -> ExperimentSpec:
+    """ER substrate + commuter demand with the size-coupled day length."""
+    return ExperimentSpec(
+        topology=TopologySpec("erdos_renyi", {} if n is None else {"n": n}),
+        scenario=ScenarioSpec(
+            "commuter", {"sojourn": sojourn, "dynamic_load": dynamic}
+        ),
+        policies=policies,
+        costs=costs,
+        horizon=horizon,
+    )
+
+
 @register_figure("abl-routing", quick=dict(sizes=(50, 100), horizon=200, runs=3))
 def ablation_routing(
     sizes=(50, 100, 200),
@@ -46,35 +69,32 @@ def ablation_routing(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """Nearest vs load-aware request routing under quadratic load.
 
     With convex load, piling requests on the latency-closest server is
     super-linear; load-aware routing should never be worse.
     """
-    costs = CostModel.paper_default(load=QuadraticLoad())
-
-    def replicate(n, rng):
-        substrate = erdos_renyi(int(n), seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, False, rng)
-        return {
-            "nearest": simulate(
-                substrate, OnTH(), trace, costs,
-                routing=RoutingStrategy.NEAREST, seed=rng,
-            ).total_cost,
-            "load-aware": simulate(
-                substrate, OnTH(), trace, costs,
-                routing=RoutingStrategy.LOAD_AWARE, seed=rng,
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-routing", "routing strategy under quadratic load (ONTH)",
-        "network size", sizes, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=_commuter_experiment(
+            (
+                PolicySpec("onth", label="nearest", routing="nearest"),
+                PolicySpec("onth", label="load-aware", routing="load_aware"),
+            ),
+            horizon, sojourn, dynamic=False,
+            costs=CostSpec.paper_default(load="quadratic"),
+        ),
+        parameter="topology.n",
+        values=tuple(int(n) for n in sizes),
+        runs=runs,
+        seed=seed,
+        figure="abl-routing",
+        title="routing strategy under quadratic load (ONTH)",
+        x_label="network size",
         notes="load-aware routing balances convex load at equal latency cost",
-        backend=backend,
     )
+    return run_sweep(spec, **run)
 
 
 @register_figure("abl-cache", quick=dict(cache_sizes=(1, 3, 8), n=100, horizon=300, runs=3))
@@ -85,29 +105,24 @@ def ablation_cache_size(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """Effect of the inactive-server FIFO cache size (paper fixes 3)."""
-    costs = CostModel.paper_default()
-
-    def replicate(size, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, True, rng)
-        return {
-            "ONTH": simulate(
-                substrate, OnTH(cache_size=int(size)), trace, costs, seed=rng
-            ).total_cost,
-            "ONBR": simulate(
-                substrate, OnBR(cache_size=int(size)), trace, costs, seed=rng
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-cache", "inactive cache size sweep (commuter dynamic)",
-        "cache size", cache_sizes, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=_commuter_experiment(
+            (PolicySpec("onth", label="ONTH"), PolicySpec("onbr", label="ONBR")),
+            horizon, sojourn, dynamic=True, n=n,
+        ),
+        parameter="policies.cache_size",
+        values=tuple(int(size) for size in cache_sizes),
+        runs=runs,
+        seed=seed,
+        figure="abl-cache",
+        title="inactive cache size sweep (commuter dynamic)",
+        x_label="cache size",
         notes="paper fixes size 3; diminishing returns expected beyond that",
-        backend=backend,
     )
+    return run_sweep(spec, **run)
 
 
 @register_figure("abl-threshold", quick=dict(factors=(0.5, 2.0, 8.0), n=100, horizon=300, runs=3))
@@ -118,25 +133,24 @@ def ablation_threshold(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """ONBR's epoch threshold θ = factor·c (paper fixes factor 2)."""
-    costs = CostModel.paper_default()
-
-    def replicate(factor, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, True, rng)
-        run = simulate(
-            substrate, OnBR(threshold_factor=float(factor)), trace, costs, seed=rng
-        )
-        return {"ONBR total": run.total_cost}
-
-    return sweep_experiment(
-        "abl-threshold", "ONBR threshold factor sweep (θ = factor·c)",
-        "θ/c", factors, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=_commuter_experiment(
+            (PolicySpec("onbr", label="ONBR total"),),
+            horizon, sojourn, dynamic=True, n=n,
+        ),
+        parameter="policies.threshold_factor",
+        values=tuple(float(factor) for factor in factors),
+        runs=runs,
+        seed=seed,
+        figure="abl-threshold",
+        title="ONBR threshold factor sweep (θ = factor·c)",
+        x_label="θ/c",
         notes="small θ reacts faster but pays more transitions",
-        backend=backend,
     )
+    return run_sweep(spec, **run)
 
 
 @register_figure("abl-migration", quick=dict(runs=3))
@@ -147,7 +161,7 @@ def ablation_migration_model(
     requests_per_round: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """Constant β vs bandwidth-derived per-pair migration costs.
 
@@ -155,37 +169,33 @@ def ablation_migration_model(
     bandwidth-derived matrix heterogeneous; the matrix is scaled so its mean
     equals the constant β for a like-for-like comparison.
     """
-    topo = att_like_topology(access_routers=False)
-    base = CostModel(migration=40.0, creation=400.0, run_active=2.5, run_inactive=0.5)
-    matrix = bandwidth_migration_matrix(topo)
-    off_diagonal = matrix[~np.eye(topo.n, dtype=bool)]
-    scaled = matrix * (base.migration / off_diagonal.mean())
-    matrix_costs = CostModel(
-        migration=base.migration,
-        creation=base.creation,
-        run_active=base.run_active,
-        run_inactive=base.run_inactive,
-        migration_matrix=scaled,
-    )
-
-    def replicate(_x, rng):
-        trace = _timezone_trace(
-            topo, horizon, sojourn, rng, period=period,
-            requests_per_round=requests_per_round,
-        )
-        return {
-            "constant β": simulate(topo, OnTH(), trace, base, seed=rng).total_cost,
-            "bandwidth β(u,v)": simulate(
-                topo, OnTH(), trace, matrix_costs, seed=rng
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-migration", "constant vs bandwidth-derived migration cost (ONTH)",
-        "metric", ["total cost"], replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            # seed pinned: every replicate sees the same deterministic map
+            topology=TopologySpec("att", {"seed": 7018, "access_routers": False}),
+            scenario=ScenarioSpec(
+                "timezones",
+                {"period": period, "sojourn": sojourn,
+                 "requests_per_round": requests_per_round},
+            ),
+            policies=(
+                PolicySpec("onth", label="constant β"),
+                PolicySpec(
+                    "onth", label="bandwidth β(u,v)",
+                    costs=CostSpec(migration_model="bandwidth"),
+                ),
+            ),
+            costs=CostSpec(),
+            horizon=horizon,
+        ),
+        runs=runs,
+        seed=seed,
+        figure="abl-migration",
+        title="constant vs bandwidth-derived migration cost (ONTH)",
+        x_label="metric",
         notes="distance-dependent β changes which moves are worthwhile",
-        backend=backend,
     )
+    return run_sweep(spec, **run)
 
 
 @register_figure("abl-beta", quick=dict(ratios=(0.1, 0.5, 1.0, 10.0), n=60, horizon=250, runs=3))
@@ -197,7 +207,7 @@ def ablation_beta_over_c(
     sojourn: int = 10,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """Continuous sweep of the paper's β<c vs β>c dichotomy.
 
@@ -209,27 +219,40 @@ def ablation_beta_over_c(
     monotone in β: ONTH's small-epoch threshold is ``y·β``, so a very cheap
     β also makes the algorithm reconfigure myopically every few rounds —
     an ONTH coupling worth knowing about when transplanting the algorithm.
-    """
-    def replicate(ratio, rng):
-        costs = CostModel(
-            migration=float(ratio) * creation,
-            creation=creation,
-            run_active=2.5,
-            run_inactive=0.5,
-        )
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _timezone_trace(substrate, horizon, sojourn, rng)
-        run = simulate(substrate, OnTH(), trace, costs, seed=rng)
-        return {
-            "ONTH total": run.total_cost,
-            "migrations": float(run.total_migrations),
-        }
 
-    return sweep_experiment(
-        "abl-beta", "migration/creation cost ratio sweep (ONTH, time zones)",
-        "β/c", ratios, replicate, runs=runs, seed=seed,
+    The sweep runs over β itself; the result maps it back to β/c.
+    """
+    ratio_of = {float(ratio) * creation: ratio for ratio in ratios}
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=ScenarioSpec(
+                "timezones",
+                # the timezones default day length is 10, not the size-coupled T
+                {"period": default_period_for(n), "sojourn": sojourn},
+            ),
+            policies=(PolicySpec("onth"),),
+            costs=CostSpec(creation=creation),
+            horizon=horizon,
+            metrics=(
+                MetricSpec("total_cost", label="ONTH total"),
+                MetricSpec("migrations"),
+            ),
+        ),
+        parameter="costs.migration",
+        values=tuple(ratio_of),
+        runs=runs,
+        seed=seed,
+        figure="abl-beta",
+        title="migration/creation cost ratio sweep (ONTH, time zones)",
+        x_label=f"β (c={creation:g})",
         notes="migrations must vanish for β/c > 1 (§II-C)",
-        backend=backend,
+    )
+    result = run_sweep(spec, **run)
+    return replace(
+        result,
+        x_label="β/c",
+        x_values=tuple(ratio_of[beta] for beta in result.x_values),
     )
 
 
@@ -241,7 +264,7 @@ def ablation_mobility_correlation(
     horizon: int = 400,
     runs: int = 5,
     seed: int = DEFAULT_SEED,
-    backend=None,
+    **run,
 ) -> FigureResult:
     """Benefit of adaptation vs crowd correlation in the mobility model.
 
@@ -249,26 +272,34 @@ def ablation_mobility_correlation(
     a coherent crowd (correlation 1) is where migration pays off, so the
     gap between the static baseline and ONTH should widen.
     """
-    costs = CostModel.paper_default()
-
-    def replicate(corr, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        scenario = MobilityScenario(
-            substrate, n_users=n_users, mean_sojourn=10.0,
-            correlation=float(corr), attractor_period=50,
-        )
-        trace = generate_trace(scenario, horizon, rng)
-        onth = simulate(substrate, OnTH(), trace, costs, seed=rng)
-        offstat = simulate(substrate, OffStat(), trace, costs, seed=rng)
-        return {
-            "ONTH": onth.total_cost,
-            "OFFSTAT": offstat.total_cost,
-            "OFFSTAT/ONTH": offstat.total_cost / onth.total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-mobility", "mobility correlation sweep (ONTH vs static)",
-        "correlation", correlations, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=ScenarioSpec(
+                "mobility",
+                {"n_users": n_users, "mean_sojourn": 10.0,
+                 "attractor_period": 50},
+            ),
+            policies=(
+                PolicySpec("onth", label="ONTH"),
+                PolicySpec("offstat", label="OFFSTAT"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=horizon,
+            metrics=(
+                MetricSpec("total_cost"),
+                MetricSpec(
+                    "cost_ratio_vs", {"reference": "ONTH"}, label="OFFSTAT/ONTH"
+                ),
+            ),
+        ),
+        parameter="scenario.correlation",
+        values=tuple(float(corr) for corr in correlations),
+        runs=runs,
+        seed=seed,
+        figure="abl-mobility",
+        title="mobility correlation sweep (ONTH vs static)",
+        x_label="correlation",
         notes="adaptivity should pay off more as the crowd moves coherently",
-        backend=backend,
     )
+    return run_sweep(spec, **run)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import OffStat, OnBR, OnTH
+from repro.algorithms import OffStat, OnTH
 from repro.api.experiment import run_sweep
 from repro.api.registry import register_figure
 from repro.api.specs import (
@@ -61,7 +61,7 @@ from repro.api.specs import (
 from repro.core.costs import CostModel
 from repro.core.load import LinearLoad, QuadraticLoad
 from repro.core.simulator import simulate
-from repro.experiments.runner import FigureResult, sweep_experiment
+from repro.experiments.runner import FigureResult
 from repro.topology.generators import erdos_renyi
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace, generate_trace
@@ -869,7 +869,6 @@ def rocketfuel_table(
     requests_per_round: int = 10,
     runs: int = 3,
     seed: int = DEFAULT_SEED,
-    substrate: "Substrate | None" = None,
     **run,
 ) -> FigureResult:
     """Total costs of OFFSTAT, ONTH and ONBR on the AT&T-like topology.
@@ -878,44 +877,7 @@ def rocketfuel_table(
     (a factor < 2 above OFFSTAT), ONBR 111470.3. We check the ordering and
     the <2x ONTH/OFFSTAT gap; absolute values differ because the real map
     and the paper's request volume are unpublished (DESIGN.md §3).
-
-    ``substrate`` injects a custom topology object — which cannot be
-    expressed as spec data, so that path runs (and stays cached-off) as an
-    inline sweep; the default AT&T-like run is a pure :class:`SweepSpec`.
     """
-    if substrate is not None:
-        if run.get("replication") is not None:
-            raise ValueError(
-                "replication needs the spec-driven path; a custom substrate "
-                "object cannot be expressed as spec data"
-            )
-        costs = CostModel(
-            migration=40.0, creation=400.0, run_active=2.5, run_inactive=0.5
-        )
-
-        def replicate(_x, rng):
-            trace = _timezone_trace(
-                substrate, horizon, sojourn, rng, period=period,
-                requests_per_round=requests_per_round, hotspot_share=0.5,
-            )
-            return {
-                "OFFSTAT": simulate(
-                    substrate, OffStat(), trace, costs, seed=rng
-                ).total_cost,
-                "ONTH": simulate(
-                    substrate, OnTH(), trace, costs, seed=rng
-                ).total_cost,
-                "ONBR": simulate(
-                    substrate, OnBR(), trace, costs, seed=rng
-                ).total_cost,
-            }
-
-        return sweep_experiment(
-            "tabR", _ROCKETFUEL_TITLE, "metric", ["total cost"], replicate,
-            runs=runs, seed=seed, notes=_ROCKETFUEL_NOTES,
-            backend=run.get("backend"),
-        )
-
     spec = SweepSpec(
         experiment=ExperimentSpec(
             # seed pinned so every replicate sees the same deterministic map

@@ -2,9 +2,13 @@
 
 Every quantitative figure of the paper is a sweep: vary one parameter
 (network size, λ, T), run several independent replicates per point, and
-average the total costs per algorithm. :func:`sweep_experiment` is that
-engine; a figure module only supplies the *replicate function* mapping
-``(x, rng) -> {series name: value}``.
+average the total costs per algorithm. Figures and ablations describe
+theirs as :class:`~repro.api.specs.SweepSpec` data run by
+:func:`~repro.api.experiment.run_sweep`; this module holds the pieces that
+engine shares — seeding (:func:`spawn_tasks`), aggregation into a
+:class:`FigureResult`, paired comparisons. :func:`sweep_experiment` is a
+serial harness for replicate *functions* ``(x, rng) -> {series: value}``
+that no spec can express; it takes no backend.
 
 Determinism: replicate ``j`` of sweep point ``i`` always receives the same
 child generator (derived from one master seed through
@@ -31,7 +35,7 @@ from repro.analysis.stats import (
     paired_summary,
     point_summary,
 )
-from repro.api.execution import ExecutionBackend, ReplicateTask, SerialBackend
+from repro.api.execution import ReplicateTask, SerialBackend
 
 __all__ = [
     "ComparisonResult",
@@ -440,8 +444,6 @@ class SeriesValidator:
     Every replicate of a sweep must report the same series names; a ragged
     key set would merge silently into misaligned series. The first sample
     seen fixes the expectation, every later one is compared against it.
-    ``calls`` counts hook invocations so callers can detect backends that
-    ignored (or only partially invoked) the hook and re-validate.
 
     With ``runs`` the ``index`` is a flat :func:`spawn_tasks` position and
     the error names run ``index % runs``; without it ``index`` already is
@@ -451,10 +453,8 @@ class SeriesValidator:
     def __init__(self, runs: "int | None" = None) -> None:
         self.runs = runs
         self.expected: "set[str] | None" = None
-        self.calls = 0
 
     def __call__(self, index: int, task: ReplicateTask, sample) -> None:
-        self.calls += 1
         keys = set(sample)
         if self.expected is None:
             self.expected = keys
@@ -710,10 +710,9 @@ def sweep_experiment(
     runs: int = 5,
     seed: int = 0,
     notes: str = "",
-    backend: "ExecutionBackend | None" = None,
     comparison: "ComparisonSpec | None" = None,
 ) -> FigureResult:
-    """Run ``replicate`` ``runs`` times per sweep point and average.
+    """Run ``replicate`` ``runs`` times per sweep point, serially, and average.
 
     Args:
         figure/title/x_label: metadata copied into the result.
@@ -724,9 +723,6 @@ def sweep_experiment(
         runs: replicates per point (the paper uses 5 or 10).
         seed: master seed; see module docstring for the derivation scheme.
         notes: carried through to the result.
-        backend: where the replicates execute (``None`` = in-process serial).
-            The result is backend-independent: every task carries its
-            pre-spawned child seed.
         comparison: optional :class:`~repro.api.specs.ComparisonSpec`
             attaching paired contrast-vs-baseline payloads to the result.
 
@@ -735,24 +731,14 @@ def sweep_experiment(
     """
     x_values = list(x_values)
     tasks = spawn_tasks(x_values, runs, seed)
-    if backend is None:
-        backend = SerialBackend()
-
     # Validate every replicate against the very first one — a ragged key set
     # within the first sweep point must fail too, not merge silently into
-    # misaligned series. Running the check as a result hook fails fast: a
-    # serial sweep aborts at the offending replicate instead of burning the
-    # rest of a long run first.
-    check_series = SeriesValidator(runs)
-    samples = backend.run_replicates(replicate, tasks, on_result=check_series)
-
-    if check_series.calls < len(tasks):
-        # Backstop for third-party backends that ignore (or partially
-        # invoke) on_result; skipped entirely when the hook already saw
-        # every result — no double validation pass on large serial sweeps.
-        for index, (task, sample) in enumerate(zip(tasks, samples)):
-            check_series(index, task, sample)
-
+    # misaligned series. Running the check as a result hook fails fast: the
+    # sweep aborts at the offending replicate instead of burning the rest of
+    # a long run first.
+    samples = SerialBackend().run_replicates(
+        replicate, tasks, on_result=SeriesValidator(runs)
+    )
     return aggregate_samples(
         figure, title, x_label, x_values, samples, runs, notes=notes,
         comparison=comparison,

@@ -5,6 +5,8 @@ which backend executes it, because every replicate task carries its
 pre-spawned SeedSequence child.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.api.specs import (
     SweepSpec,
     TopologySpec,
 )
-from repro.experiments.runner import sweep_experiment
 
 
 def small_sweep(runs: int = 2) -> SweepSpec:
@@ -82,21 +83,21 @@ class TestProcessPoolBackend:
         assert parallel.errors == serial.errors
         assert parallel.x_values == serial.x_values
 
-    def test_matches_serial_for_closure_replicate(self):
-        # Closures are not picklable; the backend falls back to fork (or
-        # serial where fork is unavailable) — results must be identical.
+    def test_unpicklable_replicate_raises_without_serial_fallback(self):
+        # Replicates travel to the workers by pickle; a closure cannot, and
+        # the pool raises instead of quietly running the sweep serially.
         offset = 10.0
 
         def replicate(x, rng):
             return {"y": offset * x + float(rng.random())}
 
-        serial = sweep_experiment("f", "t", "x", [1, 2], replicate,
-                                  runs=3, seed=4)
-        parallel = sweep_experiment("f", "t", "x", [1, 2], replicate,
-                                    runs=3, seed=4,
-                                    backend=ProcessPoolBackend(2))
-        assert parallel.series == serial.series
-        assert parallel.errors == serial.errors
+        seen = []
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            ProcessPoolBackend(2).run_replicates(
+                replicate, tasks_for(4),
+                on_result=lambda index, task, sample: seen.append(index),
+            )
+        assert seen == []
 
 
 class TestSpecSweepExecution:

@@ -264,16 +264,31 @@ class TestQueueBackend:
             thread.join(timeout=10)
         assert queued.to_dict() == serial.to_dict()
 
-    def test_unpicklable_work_falls_back_to_serial(self, tmp_path):
+    def test_unpicklable_work_raises_without_enqueueing(self, tmp_path):
         backend = QueueBackend(tmp_path / "queue.db")
         tasks = _make_tasks(3)
         replicate = lambda x, rng: {"value": float(x)}  # noqa: E731 - unpicklable
-        with pytest.raises(Exception):
-            pickle.dumps(replicate)
-        with pytest.warns(RuntimeWarning, match="serially"):
-            results = backend.run_replicates(replicate, tasks)
-        assert results == [{"value": 0.0}, {"value": 1.0}, {"value": 2.0}]
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            backend.run_replicates(replicate, tasks)
         assert backend.broker.stats()["jobs"] == {}
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"poll": -1},
+            {"poll": float("nan")},
+            {"poll": float("inf")},
+            {"ttl": 0},
+            {"ttl": -5},
+        ],
+        ids=["poll-negative", "poll-nan", "poll-inf", "ttl-zero", "ttl-negative"],
+    )
+    def test_rejects_bad_poll_and_ttl(self, tmp_path, options):
+        name = next(iter(options))
+        with pytest.raises(ValueError, match=name):
+            QueueBackend(tmp_path / "queue.db", local=False, **options)
+        # rejected before the queue database is even opened
+        assert not (tmp_path / "queue.db").exists()
 
     def test_on_result_sees_tasks_in_order(self, tmp_path):
         backend = QueueBackend(tmp_path / "queue.db", chunk=2, poll=0.01)

@@ -115,25 +115,6 @@ class TestSweepExperiment:
             )
         assert calls == [1, 2, 3]  # replicates after the bad one never ran
 
-    def test_backend_ignoring_on_result_still_validated(self):
-        """The backstop pass catches ragged series from third-party backends
-        that never invoke the result hook."""
-        from repro.api.execution import ExecutionBackend
-
-        class SilentBackend(ExecutionBackend):
-            def run_replicates(self, replicate, tasks, on_result=None):
-                return [replicate(t.x, np.random.default_rng(t.seed))
-                        for t in tasks]  # on_result deliberately ignored
-
-        def replicate(x, rng):
-            return {"a": 1.0} if x == 1 else {"b": 1.0}
-
-        with pytest.raises(RuntimeError, match="series"):
-            sweep_experiment(
-                "f", "t", "x", [1, 2], replicate, runs=1, seed=0,
-                backend=SilentBackend(),
-            )
-
     def test_hook_driven_sweep_skips_backstop_revalidation(self):
         """When the backend invoked on_result for every task, the key-set
         check runs exactly once per replicate — no duplicate backstop pass.
