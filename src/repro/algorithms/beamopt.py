@@ -26,10 +26,9 @@ import numpy as np
 from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.policy import OfflinePolicy
-from repro.core.routing import RoutingResult, route_requests
+from repro.core.policy import PlannedPolicy
+from repro.core.routing import route_requests
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
 from repro.util.validation import check_positive_int
 
 __all__ = ["BeamOpt"]
@@ -41,7 +40,7 @@ _MOVE_SOURCES = 3
 
 
 @register_policy("beamopt")
-class BeamOpt(OfflinePolicy):
+class BeamOpt(PlannedPolicy):
     """Offline beam-search allocation planner (§IV-B sampling heuristic).
 
     Args:
@@ -61,8 +60,6 @@ class BeamOpt(OfflinePolicy):
             max_servers = check_positive_int("max_servers", max_servers)
         self._k = max_servers
         self._start_node = start_node
-        self._trace: "Trace | None" = None
-        self._plan: "list[Configuration] | None" = None
         self._planned_cost: "float | None" = None
 
     @property
@@ -72,42 +69,8 @@ class BeamOpt(OfflinePolicy):
     @property
     def planned_cost(self) -> float:
         """The planner's cost estimate (equals the simulated total; tested)."""
-        if self._planned_cost is None:
-            raise RuntimeError("BeamOpt has not been solved yet")
+        self._solved_plan()
         return self._planned_cost
-
-    @property
-    def plan(self) -> list[Configuration]:
-        """Chosen configuration per round (after solving)."""
-        if self._plan is None:
-            raise RuntimeError("BeamOpt has not been solved yet")
-        return list(self._plan)
-
-    # -- offline interface -----------------------------------------------------
-
-    def prepare(self, trace: Trace) -> None:
-        self._trace = trace
-        self._plan = None
-        self._planned_cost = None
-
-    def reset(
-        self,
-        substrate: Substrate,
-        costs: CostModel,
-        rng: np.random.Generator,
-    ) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("BeamOpt.prepare(trace) must be called before reset")
-        start = substrate.center if self._start_node is None else int(self._start_node)
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
-        self._solve(substrate, costs, start)
-        return Configuration.single(start)
-
-    def decide(
-        self, t: int, requests: np.ndarray, routing: RoutingResult
-    ) -> Configuration:
-        return self._plan[t]
 
     # -- the beam search -----------------------------------------------------
 

@@ -68,16 +68,8 @@ class OffBR(OnBR, OfflinePolicy):
     def name(self) -> str:
         return "OFFBR-dyn" if self._dynamic else "OFFBR"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._trace: "Trace | None" = None
-
-    def prepare(self, trace: Trace) -> None:
-        self._trace = trace
-
     def reset(self, substrate, costs, rng) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("OFFBR.prepare(trace) must be called before reset")
+        self._require_prepared()
         return super().reset(substrate, costs, rng)
 
     def _decision_batch(self) -> RequestBatch:
@@ -102,16 +94,8 @@ class OffTH(OnTH, OfflinePolicy):
     def name(self) -> str:
         return "OFFTH"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._trace: "Trace | None" = None
-
-    def prepare(self, trace: Trace) -> None:
-        self._trace = trace
-
     def reset(self, substrate, costs, rng) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("OFFTH.prepare(trace) must be called before reset")
+        self._require_prepared()
         return super().reset(substrate, costs, rng)
 
     def _small_decision_batch(self) -> RequestBatch:

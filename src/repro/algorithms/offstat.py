@@ -23,7 +23,7 @@ from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
-from repro.core.policy import OfflinePolicy
+from repro.core.policy import OfflinePolicy, resolve_start
 from repro.core.routing import RoutingResult
 from repro.core.transitions import price_transition
 from repro.topology.substrate import Substrate
@@ -63,7 +63,6 @@ class OffStat(OfflinePolicy):
         self._start_node = start_node
         self._charge_build = bool(charge_build)
 
-        self._trace: "Trace | None" = None
         self._target: "Configuration | None" = None
         self._cost_curve: "np.ndarray | None" = None
         self._placements: "list[tuple[int, ...]] | None" = None
@@ -108,7 +107,7 @@ class OffStat(OfflinePolicy):
     # -- offline interface -----------------------------------------------------
 
     def prepare(self, trace: Trace) -> None:
-        self._trace = trace
+        super().prepare(trace)
         self._target = None
         self._cost_curve = None
         self._placements = None
@@ -119,11 +118,8 @@ class OffStat(OfflinePolicy):
         costs: CostModel,
         rng: np.random.Generator,
     ) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("OFFSTAT.prepare(trace) must be called before reset")
-        start = substrate.center if self._start_node is None else int(self._start_node)
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
+        self._require_prepared()
+        start = resolve_start(substrate, self._start_node)
         self._solve(substrate, costs, start)
         if self._charge_build:
             return Configuration.single(start)

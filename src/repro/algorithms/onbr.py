@@ -32,7 +32,7 @@ from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
 from repro.api.registry import register_policy
-from repro.core.policy import AllocationPolicy
+from repro.core.policy import AllocationPolicy, resolve_start
 from repro.core.routing import RoutingResult
 from repro.core.servercache import InactiveServerCache
 from repro.topology.substrate import Substrate
@@ -97,10 +97,7 @@ class OnBR(AllocationPolicy):
     ) -> Configuration:
         self._substrate = substrate
         self._costs = costs
-        start = substrate.center if self._start_node is None else int(self._start_node)
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
-        self._config = Configuration.single(start)
+        self._config = Configuration.single(resolve_start(substrate, self._start_node))
         self._cache = InactiveServerCache(self._cache_size, self._cache_expiry)
         self._batch = self.new_window(substrate, costs)
         self._epoch_cost = 0.0

@@ -34,9 +34,9 @@ import numpy as np
 from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.policy import OfflinePolicy
-from repro.core.routing import RoutingResult
+from repro.core.policy import PlannedPolicy
 from repro.topology.substrate import Substrate
+from repro.util.validation import check_positive_int
 from repro.workload.base import Trace
 
 __all__ = ["Opt", "per_round_access_costs"]
@@ -128,7 +128,7 @@ def _mask_to_nodes(mask: int) -> tuple[int, ...]:
 
 
 @register_policy("opt")
-class Opt(OfflinePolicy):
+class Opt(PlannedPolicy):
     """Optimal offline allocation via dynamic programming (OPT, §IV-A).
 
     Args:
@@ -154,16 +154,13 @@ class Opt(OfflinePolicy):
         allow_inactive: bool = True,
         require_active: bool = True,
     ) -> None:
-        if max_servers is not None and max_servers < 1:
-            raise ValueError(f"max_servers must be >= 1, got {max_servers}")
+        if max_servers is not None:
+            max_servers = check_positive_int("max_servers", max_servers)
         self._k = max_servers
         self._start_node = start_node
         self._max_states = max_states
         self._allow_inactive = bool(allow_inactive)
         self._require_active = bool(require_active)
-
-        self._trace: "Trace | None" = None
-        self._plan: "list[Configuration] | None" = None
         self._optimal_cost: "float | None" = None
 
     @property
@@ -173,45 +170,8 @@ class Opt(OfflinePolicy):
     @property
     def optimal_cost(self) -> float:
         """The DP's total cost (available after the plan is computed)."""
-        if self._optimal_cost is None:
-            raise RuntimeError("OPT has not been solved yet (run reset/simulate first)")
+        self._solved_plan()
         return self._optimal_cost
-
-    @property
-    def plan(self) -> list[Configuration]:
-        """The optimal configuration per round (after solving)."""
-        if self._plan is None:
-            raise RuntimeError("OPT has not been solved yet (run reset/simulate first)")
-        return list(self._plan)
-
-    # -- offline interface -----------------------------------------------------
-
-    def prepare(self, trace: Trace) -> None:
-        self._trace = trace
-        self._plan = None
-        self._optimal_cost = None
-
-    def reset(
-        self,
-        substrate: Substrate,
-        costs: CostModel,
-        rng: np.random.Generator,
-    ) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("OPT.prepare(trace) must be called before reset")
-        start = substrate.center if self._start_node is None else int(self._start_node)
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
-        self._solve(substrate, costs, start)
-        return Configuration.single(start)
-
-    def decide(
-        self,
-        t: int,
-        requests: np.ndarray,
-        routing: RoutingResult,
-    ) -> Configuration:
-        return self._plan[t]
 
     # -- the dynamic program -----------------------------------------------------
 
@@ -311,8 +271,6 @@ class Opt(OfflinePolicy):
         the ledger. Streaming input is materialised first — the DP needs the
         full sequence, the cost ``requires_full_trace`` declares.
         """
-        from repro.workload.base import as_trace
-
         costs = costs if costs is not None else CostModel.paper_default()
         policy = cls(
             max_servers=max_servers,
@@ -321,7 +279,5 @@ class Opt(OfflinePolicy):
             allow_inactive=allow_inactive,
             require_active=require_active,
         )
-        policy.prepare(as_trace(trace))
-        start = substrate.center if start_node is None else int(start_node)
-        policy._solve(substrate, costs, start)
+        policy._solve_trace(substrate, trace, costs)
         return policy.optimal_cost, policy.plan

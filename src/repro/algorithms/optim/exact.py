@@ -41,12 +41,12 @@ from repro.algorithms.optim.placement import unit_loads
 from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.policy import OfflinePolicy
-from repro.core.routing import RoutingResult, route_requests
+from repro.core.policy import PlannedPolicy, resolve_start
+from repro.core.routing import route_requests
 from repro.core.transitions import price_transition
 from repro.topology.substrate import Substrate
-from repro.util.validation import check_positive
-from repro.workload.base import Trace, as_trace
+from repro.util.validation import check_positive, check_positive_int
+from repro.workload.base import Trace
 
 __all__ = ["MilpOpt", "plan_cost"]
 
@@ -73,8 +73,7 @@ def plan_cost(
         raise ValueError(
             f"plan length {len(plan)} does not match horizon {len(trace)}"
         )
-    start = substrate.center if start_node is None else int(start_node)
-    previous = Configuration.single(start)
+    previous = Configuration.single(resolve_start(substrate, start_node))
     total = 0.0
     for t in range(len(trace)):
         access = route_requests(
@@ -91,7 +90,7 @@ def plan_cost(
 
 
 @register_policy("milp-opt", aliases=("ilp-opt",))
-class MilpOpt(OfflinePolicy):
+class MilpOpt(PlannedPolicy):
     """Offline optimum via one time-expanded MILP (tiny instances).
 
     Args:
@@ -116,8 +115,8 @@ class MilpOpt(OfflinePolicy):
         node_capacity: "float | None" = None,
         max_variables: int = _DEFAULT_MAX_VARIABLES,
     ) -> None:
-        if max_servers is not None and max_servers < 1:
-            raise ValueError(f"max_servers must be >= 1, got {max_servers}")
+        if max_servers is not None:
+            max_servers = check_positive_int("max_servers", max_servers)
         self._k = max_servers
         self._start_node = start_node
         self._require_active = bool(require_active)
@@ -131,9 +130,6 @@ class MilpOpt(OfflinePolicy):
             else check_positive("node_capacity", node_capacity)
         )
         self._max_variables = int(max_variables)
-
-        self._trace: "Trace | None" = None
-        self._plan: "list[Configuration] | None" = None
         self._objective: "float | None" = None
 
     @property
@@ -143,48 +139,8 @@ class MilpOpt(OfflinePolicy):
     @property
     def solver_objective(self) -> float:
         """The MILP objective value (available after solving)."""
-        if self._objective is None:
-            raise RuntimeError("MilpOpt has not been solved yet")
+        self._solved_plan()
         return self._objective
-
-    @property
-    def plan(self) -> "list[Configuration]":
-        """The optimal configuration per round (after solving)."""
-        if self._plan is None:
-            raise RuntimeError("MilpOpt has not been solved yet")
-        return list(self._plan)
-
-    # -- offline interface -------------------------------------------------------
-
-    def prepare(self, trace: Trace) -> None:
-        self._trace = as_trace(trace)
-        self._plan = None
-        self._objective = None
-
-    def reset(
-        self,
-        substrate: Substrate,
-        costs: CostModel,
-        rng: np.random.Generator,
-    ) -> Configuration:
-        if self._trace is None:
-            raise RuntimeError("MilpOpt.prepare(trace) must be called before reset")
-        start = (
-            substrate.center if self._start_node is None
-            else int(self._start_node)
-        )
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
-        self._solve(substrate, costs, start)
-        return Configuration.single(start)
-
-    def decide(
-        self,
-        t: int,
-        requests: np.ndarray,
-        routing: RoutingResult,
-    ) -> Configuration:
-        return self._plan[t]
 
     # -- the time-expanded program ----------------------------------------------
 
@@ -378,9 +334,7 @@ class MilpOpt(OfflinePolicy):
             time_limit=time_limit,
             node_capacity=node_capacity,
         )
-        policy.prepare(trace)
-        start = substrate.center if start_node is None else int(start_node)
-        policy._solve(substrate, costs, start)
+        start = policy._solve_trace(substrate, trace, costs)
         capacitated = (
             substrate.capacities is not None or node_capacity is not None
         )

@@ -34,7 +34,7 @@ from repro.algorithms.optim.placement import build_placement
 from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.policy import AllocationPolicy
+from repro.core.policy import AllocationPolicy, resolve_start
 from repro.core.routing import RoutingResult
 from repro.core.servercache import InactiveServerCache
 from repro.topology.substrate import Substrate
@@ -90,8 +90,8 @@ class IlpPlacement(AllocationPolicy):
         )
         self._backend = backend
         resolve_backend(backend)  # graceful ImportError / ValueError now
-        if max_servers is not None and max_servers < 1:
-            raise ValueError(f"max_servers must be >= 1, got {max_servers}")
+        if max_servers is not None:
+            max_servers = check_positive_int("max_servers", max_servers)
         self._max_servers = max_servers
         self._start_node = start_node
         self._cache_size = check_positive_int("cache_size", cache_size)
@@ -126,12 +126,7 @@ class IlpPlacement(AllocationPolicy):
                 "IlpPlacement prices switching with the constant-β model; "
                 "migration matrices are not supported"
             )
-        start = (
-            substrate.center if self._start_node is None
-            else int(self._start_node)
-        )
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
+        start = resolve_start(substrate, self._start_node)
         self._substrate = substrate
         self._costs = costs
         self._capacities = self._resolve_capacities(substrate)

@@ -13,10 +13,11 @@ the **work function algorithm** (WFA): maintain
 ``w_t(γ) + d(current, γ)``.
 
 Like ONCONF, WFA's state space is every placement of ``1..k`` active
-servers, so it is exponential in ``k`` and practical only on small
-substrates; it exists here as the theory-grade online comparator for ONBR
-and ONTH (the ablation benchmark pits all three against OPT). The inner
-recurrence is one vectorised ``|Γ|²`` broadcast per round.
+servers — the two share :class:`~repro.algorithms.onconf.ConfigurationSpace`
+and its per-round task costs — so it is exponential in ``k`` and practical
+only on small substrates; it exists here as the theory-grade online
+comparator for ONBR and ONTH (the ablation benchmark pits all three against
+OPT). The inner recurrence is one vectorised ``|Γ|²`` broadcast per round.
 
 Note the difference to :class:`~repro.algorithms.opt.Opt`: WFA *is* an
 online algorithm — ``w_t`` only looks backwards — while OPT additionally
@@ -25,14 +26,13 @@ backtracks the globally optimal path at hindsight.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
+from repro.algorithms.onconf import ConfigurationSpace
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.api.registry import register_policy
-from repro.core.policy import AllocationPolicy
+from repro.core.policy import AllocationPolicy, resolve_start
 from repro.core.routing import RoutingResult
 from repro.core.transitions import price_transition
 from repro.topology.substrate import Substrate
@@ -59,11 +59,8 @@ class WorkFunctionPolicy(AllocationPolicy):
         self._k = check_positive_int("max_servers", max_servers)
         self._start_node = start_node
 
-        self._substrate: "Substrate | None" = None
-        self._costs: "CostModel | None" = None
-        self._configs: list[np.ndarray] = []
+        self._space: "ConfigurationSpace | None" = None
         self._distance: "np.ndarray | None" = None
-        self._run_costs: "np.ndarray | None" = None
         self._work: "np.ndarray | None" = None
         self._current = 0
 
@@ -74,12 +71,12 @@ class WorkFunctionPolicy(AllocationPolicy):
     @property
     def configuration(self) -> Configuration:
         """The policy's current configuration."""
-        return Configuration(tuple(int(v) for v in self._configs[self._current]))
+        return self._space.configuration(self._current)
 
     @property
     def n_configurations(self) -> int:
         """Size of the enumerated configuration space."""
-        return len(self._configs)
+        return 0 if self._space is None else len(self._space)
 
     @property
     def work_function(self) -> np.ndarray:
@@ -94,55 +91,26 @@ class WorkFunctionPolicy(AllocationPolicy):
         costs: CostModel,
         rng: np.random.Generator,
     ) -> Configuration:
-        self._substrate = substrate
-        self._costs = costs
-        k = min(self._k, substrate.n)
-
-        total = sum(
-            _n_choose(substrate.n, size) for size in range(1, k + 1)
+        space = ConfigurationSpace(
+            substrate, costs, self._k, _MAX_CONFIGURATIONS, self.name
         )
-        if total > _MAX_CONFIGURATIONS:
-            raise ValueError(
-                f"WFA would enumerate {total} configurations "
-                f"(n={substrate.n}, k={k}); the budget is {_MAX_CONFIGURATIONS}. "
-                "Use ONBR/ONTH for larger instances."
-            )
-
-        self._configs = [
-            np.asarray(combo, dtype=np.int64)
-            for size in range(1, k + 1)
-            for combo in combinations(range(substrate.n), size)
-        ]
-        self._run_costs = np.asarray(
-            [costs.running_cost_counts(cfg.size) for cfg in self._configs]
-        )
-        self._distance = self._pairwise_distances()
-
-        start = substrate.center if self._start_node is None else int(self._start_node)
-        if not 0 <= start < substrate.n:
-            raise ValueError(f"start node {start} outside the substrate")
-        self._current = self._index_of((start,))
+        self._space = space
+        self._current = space.index_of((resolve_start(substrate, self._start_node),))
+        self._distance = self._pairwise_distances(space, costs)
         self._work = self._distance[self._current].copy()
         return self.configuration
 
-    def _pairwise_distances(self) -> np.ndarray:
-        size = len(self._configs)
-        wrapped = [
-            Configuration(tuple(int(v) for v in cfg)) for cfg in self._configs
-        ]
-        matrix = np.zeros((size, size), dtype=np.float64)
+    @staticmethod
+    def _pairwise_distances(
+        space: ConfigurationSpace, costs: CostModel
+    ) -> np.ndarray:
+        wrapped = [space.configuration(i) for i in range(len(space))]
+        matrix = np.zeros((len(space), len(space)), dtype=np.float64)
         for i, a in enumerate(wrapped):
             for j, b in enumerate(wrapped):
                 if i != j:
-                    matrix[i, j] = price_transition(a, b, self._costs).cost
+                    matrix[i, j] = price_transition(a, b, costs).cost
         return matrix
-
-    def _index_of(self, active: tuple[int, ...]) -> int:
-        target = np.asarray(sorted(active), dtype=np.int64)
-        for i, cfg in enumerate(self._configs):
-            if cfg.size == target.size and np.array_equal(cfg, target):
-                return i
-        raise ValueError(f"configuration {active} not in the enumerated space")
 
     def decide(
         self,
@@ -150,7 +118,8 @@ class WorkFunctionPolicy(AllocationPolicy):
         requests: np.ndarray,
         routing: RoutingResult,
     ) -> Configuration:
-        task = self._task_costs(requests)
+        task = np.zeros(len(self._space))
+        self._space.accumulate(task, requests)
         # w_t(γ) = min_γ' [ w_{t-1}(γ') + task(γ') + d(γ', γ) ]
         served = self._work + task
         self._work = (served[:, None] + self._distance).min(axis=0)
@@ -162,38 +131,3 @@ class WorkFunctionPolicy(AllocationPolicy):
         rounded = np.round(scores, 9)
         self._current = int(np.lexsort((self._work, rounded))[0])
         return self.configuration
-
-    def _task_costs(self, requests: np.ndarray) -> np.ndarray:
-        """Round cost of every configuration: access + running."""
-        task = self._run_costs.copy()
-        if requests.size == 0:
-            return task
-        distances = self._substrate.distances[:, requests]
-        strengths = self._substrate.strengths
-        costs = self._costs
-        invariant = (
-            costs.load.assignment_invariant_for_uniform_strength
-            and bool(np.all(strengths == strengths[0]))
-        )
-        hop = costs.wireless_hop * requests.size
-        if invariant:
-            uniform_load = float(
-                costs.load(strengths[:1], np.asarray([requests.size])).sum()
-            )
-        for i, cfg in enumerate(self._configs):
-            sub = distances[cfg]
-            latency = float(sub.min(axis=0).sum())
-            if invariant:
-                load = uniform_load
-            else:
-                assignment = np.argmin(sub, axis=0)
-                counts = np.bincount(assignment, minlength=cfg.size)
-                load = float(costs.load(strengths[cfg], counts).sum())
-            task[i] += latency + hop + load
-        return task
-
-
-def _n_choose(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)

@@ -8,11 +8,16 @@ Every strategy — online (§III) or offline (§IV) — is an
 3. the policy returns the next configuration and the simulator prices the
    transition (running + migration + creation costs).
 
-Offline strategies additionally implement :class:`OfflinePolicy` and receive
-the entire trace before the run starts — the paper's "demand known ahead of
-time" standpoint. They still run through the same simulator so that their
-ledgers are produced by exactly the same accounting code as the online
-algorithms.
+Offline strategies are :class:`OfflinePolicy` subclasses and receive the
+entire trace (``prepare``) before the run starts — the paper's "demand known
+ahead of time" standpoint. They still run through the same simulator so that
+their ledgers are produced by exactly the same accounting code as the online
+algorithms. Offline *planners* (OPT, BEAM-OPT, MILP-OPT) compute one
+configuration per round ahead of time and replay it: they are
+:class:`PlannedPolicy` subclasses, which implement ``_solve`` and nothing
+else — preparing, resetting, replaying and the ``plan`` accessor are shared.
+
+Every policy places its single initial server with :func:`resolve_start`.
 
 Request windows come from :meth:`AllocationPolicy.new_window`, which the
 simulator serves from a shared distance gather when it can.
@@ -29,9 +34,21 @@ from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
 from repro.core.routing import RoutingResult
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import RoundIterable, Trace, as_trace
 
-__all__ = ["AllocationPolicy", "OfflinePolicy"]
+__all__ = ["AllocationPolicy", "OfflinePolicy", "PlannedPolicy", "resolve_start"]
+
+
+def resolve_start(substrate: Substrate, node: "int | None") -> int:
+    """The node of a policy's initial server: ``node``, or the network center.
+
+    Raises:
+        ValueError: if ``node`` is not a node of ``substrate``.
+    """
+    start = substrate.center if node is None else int(node)
+    if not 0 <= start < substrate.n:
+        raise ValueError(f"start node {start} outside the substrate")
+    return start
 
 
 class AllocationPolicy(ABC):
@@ -107,18 +124,96 @@ class AllocationPolicy(ABC):
 
 
 class OfflinePolicy(AllocationPolicy):
-    """A policy that sees the full request sequence before the run."""
+    """A policy that sees the full request sequence before the run.
+
+    Subclasses read the trace from ``self._trace`` and call
+    :meth:`_require_prepared` first thing in ``reset``. An offline planner
+    that fixes one configuration per round ahead of time derives from
+    :class:`PlannedPolicy` instead and implements ``_solve`` and nothing
+    else.
+    """
 
     requires_full_trace: bool = True
 
-    @abstractmethod
+    #: The trace handed to :meth:`prepare`; ``None`` until then.
+    _trace: "Trace | None" = None
+
     def prepare(self, trace: Trace) -> None:
         """Receive the complete trace ahead of time (called before reset).
 
         Declaring ``requires_full_trace`` means ``trace`` is always a fully
         materialised :class:`~repro.workload.base.Trace`: the simulator (and
-        ``Opt.solve``) run streaming input through
+        the planners' ``solve``) run streaming input through
         :func:`~repro.workload.base.as_trace` first, which is exactly the
         O(trace)-memory cost an offline policy's lookahead implies.
         Implementations may therefore index and re-iterate ``trace`` freely.
         """
+        self._trace = trace
+
+    def _require_prepared(self) -> None:
+        if self._trace is None:
+            raise RuntimeError(f"{self.name}.prepare(trace) must be called before reset")
+
+
+class PlannedPolicy(OfflinePolicy):
+    """An offline planner: solve the whole trace in ``reset``, then replay it.
+
+    A planner implements :meth:`_solve` and nothing else: it reads
+    ``self._trace`` and sets ``self._plan`` to one configuration per round.
+    Its constructor stores the initial server location as
+    ``self._start_node`` (``None`` = network center); the system starts with
+    a single active server there.
+    """
+
+    _start_node: "int | None" = None
+    _plan: "list[Configuration] | None" = None
+
+    def prepare(self, trace: Trace) -> None:
+        super().prepare(trace)
+        self._plan = None
+
+    def reset(
+        self,
+        substrate: Substrate,
+        costs: CostModel,
+        rng: np.random.Generator,
+    ) -> Configuration:
+        return Configuration.single(self._solve_prepared(substrate, costs))
+
+    def decide(
+        self,
+        t: int,
+        requests: np.ndarray,
+        routing: RoutingResult,
+    ) -> Configuration:
+        return self._plan[t]
+
+    @property
+    def plan(self) -> list[Configuration]:
+        """The planned configuration per round (after solving)."""
+        return list(self._solved_plan())
+
+    def _solved_plan(self) -> list[Configuration]:
+        if self._plan is None:
+            raise RuntimeError(
+                f"{self.name} has not been solved yet (run reset/simulate first)"
+            )
+        return self._plan
+
+    @abstractmethod
+    def _solve(self, substrate: Substrate, costs: CostModel, start: int) -> None:
+        """Plan ``self._trace`` from a single server at ``start``."""
+
+    def _solve_prepared(self, substrate: Substrate, costs: CostModel) -> int:
+        """Solve the prepared trace from the resolved start node; returns it."""
+        self._require_prepared()
+        start = resolve_start(substrate, self._start_node)
+        self._solve(substrate, costs, start)
+        return start
+
+    def _solve_trace(
+        self, substrate: Substrate, trace: RoundIterable, costs: CostModel
+    ) -> int:
+        """``prepare`` + solve without simulating: backs the ``solve`` helpers."""
+        self.prepare(as_trace(trace))
+        return self._solve_prepared(substrate, costs)
