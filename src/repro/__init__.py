@@ -120,9 +120,11 @@ from repro.workload import (
     PhasedScenario,
     RequestGenerator,
     RoundIterable,
+    Scenario,
     TimeZoneScenario,
     Trace,
     as_trace,
+    check_round,
     default_period_for,
     generate_trace,
     stream_rounds,
@@ -212,7 +214,9 @@ __all__ = [
     "Trace",
     "RequestGenerator",
     "RoundIterable",
+    "Scenario",
     "as_trace",
+    "check_round",
     "generate_trace",
     "stream_rounds",
     "CommuterScenario",

@@ -45,7 +45,7 @@ from repro.core.results import LEDGER_COLUMNS, RunResult
 from repro.core.routing import RoutingResult, RoutingStrategy, route_requests
 from repro.core.transitions import _NO_CHANGE, price_transition
 from repro.topology.substrate import Substrate
-from repro.workload.base import RoundIterable, Trace, as_trace
+from repro.workload.base import RoundIterable, Trace, as_trace, check_round
 from repro.util.rng import ensure_rng
 
 __all__ = ["simulate"]
@@ -104,7 +104,7 @@ def simulate(
         trace = as_trace(trace)
 
     if not isinstance(trace, Trace):
-        # Streamed rounds are bounds-checked one by one in the loop.
+        # Streamed rounds are checked one by one in the loop.
         gather = None
     elif gather is None:
         gather = DistanceGather(substrate, costs, trace)  # checks every node
@@ -149,17 +149,14 @@ def simulate(
 
         t = -1
         for t, requests in enumerate(trace.rounds if gather is not None else trace):
-            size = requests.size
-            if gather is None and size:
-                if int(requests.max()) >= substrate.n:
+            if gather is None:
+                requests = check_round(t, requests)
+                if requests.size and int(requests.max()) >= substrate.n:
                     raise ValueError(
                         f"round {t} references node {int(requests.max())} but "
                         f"substrate has {substrate.n} nodes"
                     )
-                if int(requests.min()) < 0:
-                    raise ValueError(
-                        f"round {t} references negative node {int(requests.min())}"
-                    )
+            size = requests.size
             if t == capacity:
                 capacity = max(2 * capacity, 1024)
                 for column in columns.values():

@@ -19,10 +19,11 @@ generators through the ``overlay`` combinator:
   follows a phase-offset sinusoid, and a shared per-day amplitude factor
   correlates the regions (a heavy day is heavy everywhere).
 
-Every scenario implements ``stream`` (O(round) memory) and derives
-``generate`` from it, so the two are bit-identical by construction and the
-scenarios run equally under :class:`~repro.traces.streaming.StreamingTrace`
-and materialised traces.
+Each is a :class:`~repro.workload.base.Scenario` that implements only
+``stream`` (O(round) memory); the base class derives ``generate`` and
+``metadata``, so streamed and materialised traces are bit-identical by
+construction and the scenarios run equally under
+:class:`~repro.traces.streaming.StreamingTrace`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import Scenario
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 
 @register_scenario("gamma")
 @dataclass
-class GammaArrivalScenario:
+class GammaArrivalScenario(Scenario):
     """Gamma-modulated Poisson arrivals (burstiness via a CV knob).
 
     Every ``burst_length`` rounds a new intensity is drawn from a Gamma
@@ -65,6 +66,8 @@ class GammaArrivalScenario:
             (skewed spatial preference); uniform placement when ``None``.
     """
 
+    kind = "gamma"
+
     substrate: Substrate
     rate: float = 10.0
     cv: float = 2.0
@@ -83,7 +86,7 @@ class GammaArrivalScenario:
         )
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield gamma-modulated rounds lazily (same draws as generate)."""
+        """Yield gamma-modulated rounds lazily."""
         aps = self.substrate.access_points
         shape = 1.0 / (self.cv * self.cv)
         scale = self.rate * self.cv * self.cv
@@ -97,25 +100,10 @@ class GammaArrivalScenario:
             count = int(rng.poisson(intensity))
             yield rng.choice(aps, size=count, p=weights).astype(np.int64)
 
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round gamma-arrival trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "gamma",
-                "rate": self.rate,
-                "cv": self.cv,
-                "burst_length": self.burst_length,
-                "concentration": self.concentration,
-                "substrate": self.substrate.name,
-            },
-        )
-
 
 @register_scenario("flashcrowd")
 @dataclass
-class FlashCrowdScenario:
+class FlashCrowdScenario(Scenario):
     """Flash-crowd cascades on top of Poisson background traffic.
 
     Each round a new crowd starts with probability ``event_rate`` at a
@@ -137,6 +125,8 @@ class FlashCrowdScenario:
         spread: access points (nearest to the epicenter) sharing the crowd.
         cascade: probability a crowd spawns a half-peak secondary crowd.
     """
+
+    kind = "flashcrowd"
 
     substrate: Substrate
     background_rate: float = 5.0
@@ -171,7 +161,7 @@ class FlashCrowdScenario:
         return aps[order[: min(self.spread, aps.size)]]
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield flash-crowd rounds lazily (same draws as generate)."""
+        """Yield flash-crowd rounds lazily."""
         aps = self.substrate.access_points
         # Active crowds: [sites, peak, age]; age counts rounds since start.
         crowds: "list[list]" = []
@@ -200,28 +190,10 @@ class FlashCrowdScenario:
             crowds = surviving + spawned
             yield np.concatenate(requests).astype(np.int64, copy=False)
 
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round flash-crowd trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "flashcrowd",
-                "background_rate": self.background_rate,
-                "event_rate": self.event_rate,
-                "peak": self.peak,
-                "ramp": self.ramp,
-                "decay": self.decay,
-                "spread": self.spread,
-                "cascade": self.cascade,
-                "substrate": self.substrate.name,
-            },
-        )
-
 
 @register_scenario("diurnal")
 @dataclass
-class DiurnalWavesScenario:
+class DiurnalWavesScenario(Scenario):
     """Correlated multi-region diurnal demand waves.
 
     ``n_regions`` region centers are drawn uniformly from the access
@@ -242,6 +214,8 @@ class DiurnalWavesScenario:
         day_cv: coefficient of variation of the shared per-day factor;
             0 disables day-to-day variation.
     """
+
+    kind = "diurnal"
 
     substrate: Substrate
     n_regions: int = 3
@@ -273,7 +247,7 @@ class DiurnalWavesScenario:
         return [aps[nearest == r] for r in range(n_regions)]
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield diurnal rounds lazily (same draws as generate)."""
+        """Yield diurnal rounds lazily."""
         regions = self._partition(rng)
         day_shape = None
         if self.day_cv > 0:
@@ -296,19 +270,3 @@ class DiurnalWavesScenario:
                 yield np.concatenate(requests).astype(np.int64, copy=False)
             else:
                 yield np.empty(0, dtype=np.int64)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round diurnal-waves trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "diurnal",
-                "n_regions": self.n_regions,
-                "day_length": self.day_length,
-                "rate": self.rate,
-                "amplitude": self.amplitude,
-                "day_cv": self.day_cv,
-                "substrate": self.substrate.name,
-            },
-        )

@@ -18,8 +18,8 @@ Three pieces:
   order), ``table`` (explicit mapping), or ``none`` (keys already are node
   indices);
 * **scenario** — :class:`TraceReplayScenario`, streaming the file lazily
-  (O(round) memory) with the usual ``stream``/``generate`` pair, cycling,
-  padding or erroring when the log is shorter than the horizon.
+  (O(round) memory) through its ``stream``, cycling, padding or erroring
+  when the log is shorter than the horizon.
 
 File-backed scenarios carry a content fingerprint (sha256 + size, memoized
 per ``(path, mtime, size)``) that the result cache folds into its keys, so
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import Scenario, Trace
 
 __all__ = [
     "TraceReplayScenario",
@@ -375,7 +375,7 @@ def rounds_from_records(
 
 @register_scenario("replay")
 @dataclass
-class TraceReplayScenario:
+class TraceReplayScenario(Scenario):
     """Replay an external request log as an allocation scenario.
 
     Args:
@@ -398,6 +398,8 @@ class TraceReplayScenario:
             rounds), or ``error``.
         limit: use at most this many rounds of the log per pass.
     """
+
+    kind = "replay"
 
     substrate: Substrate
     path: str = ""
@@ -493,19 +495,15 @@ class TraceReplayScenario:
                 return
             # extend == "cycle": re-read the file from the start.
 
-    def generate(self, horizon: int, rng: "np.random.Generator | None" = None) -> Trace:
-        """Materialise ``horizon`` replayed rounds as a :class:`Trace`."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "replay",
-                "mapping": self.mapping,
-                "extend": self.extend,
-                "substrate": self.substrate.name,
-                **file_digest(self.path),
-            },
-        )
+    def metadata(self) -> dict:
+        """The mapping, the extend mode and the log file's digest."""
+        return {
+            "scenario": self.kind,
+            "mapping": self.mapping,
+            "extend": self.extend,
+            "substrate": self.substrate.name,
+            **file_digest(self.path),
+        }
 
 
 def _replay_fingerprint(params) -> "dict | None":

@@ -6,23 +6,22 @@ memory, which caps the horizon × substrate size an experiment can afford.
 simulator consumes (``__len__`` + ``__iter__`` + ``scenario_name``) but
 produces each round lazily from a stored ``(generator, seed)`` pair:
 
-* every ``iter()`` replays the generator from a *fresh* RNG seeded with the
-  stored seed, so the object is re-iterable and deterministic — all policies
-  of a replicate see identical rounds;
-* scenarios that implement the optional ``stream(horizon, rng)`` method
-  (all built-ins do) generate one round at a time; scenarios without it fall
-  back to materialising inside the iteration, keeping correctness at the
-  cost of the memory guarantee;
+* every ``iter()`` replays the scenario's ``stream`` from a *fresh* RNG
+  seeded with the stored seed, so the object is re-iterable and
+  deterministic — all policies of a replicate see identical rounds — and
+  holds one round at a time;
+* every yielded round passes :func:`~repro.workload.base.check_round`;
 * online policies consume the stream directly; offline policies declare
   ``requires_full_trace`` and the simulator materialises for them (see
   :class:`~repro.core.policy.OfflinePolicy`).
 
 :class:`StreamingScenario` lifts any registered scenario into the spec
-layer (registered as ``"streaming"``): its ``generate`` draws one seed from
-the shared replicate stream and returns a :class:`StreamingTrace` (or its
-materialisation with ``materialize=True``). Because both variants consume
-exactly one draw, a streaming run's ledgers are bit-identical to its
-materialised twin — across serial, process-pool and queue backends.
+layer (registered as ``"streaming"``): its ``generate`` and ``stream`` draw
+one seed from the shared replicate stream; ``generate`` returns a
+:class:`StreamingTrace` (or its materialisation with ``materialize=True``).
+Because every variant consumes exactly one draw, a streaming run's ledgers
+are bit-identical to its materialised twin — across serial, process-pool
+and queue backends.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.api.registry import register_scenario, resolve_scenario
-from repro.workload.base import RequestGenerator, Trace, stream_rounds
+from repro.workload.base import Scenario, Trace, as_trace, check_round
 
 __all__ = ["StreamingTrace", "StreamingScenario"]
 
@@ -41,9 +40,7 @@ class StreamingTrace:
     """A lazily generated, re-iterable request sequence.
 
     Args:
-        generator: the scenario producing the rounds; its optional
-            ``stream`` method is used when present (O(round) memory),
-            ``generate`` otherwise (materialising fallback).
+        generator: the scenario whose ``stream`` produces the rounds.
         horizon: number of rounds.
         seed: integer seed replayed on every iteration; ``None`` draws one
             from OS entropy *once* so all iterations still agree. A
@@ -55,7 +52,7 @@ class StreamingTrace:
 
     def __init__(
         self,
-        generator: RequestGenerator,
+        generator: Scenario,
         horizon: int,
         seed: "int | None" = None,
         scenario_name: "str | None" = None,
@@ -95,15 +92,8 @@ class StreamingTrace:
     def __iter__(self) -> Iterator[np.ndarray]:
         rng = np.random.default_rng(self.seed)
         count = 0
-        for arr in stream_rounds(self.generator, self.horizon, rng):
-            arr = np.asarray(arr, dtype=np.int64)
-            if arr.ndim != 1:
-                raise ValueError(
-                    f"round {count} must be a 1-D array, got shape {arr.shape}"
-                )
-            if arr.size and arr.min() < 0:
-                raise ValueError(f"round {count} contains negative node indices")
-            yield arr
+        for arr in self.generator.stream(self.horizon, rng):
+            yield check_round(count, arr)
             count += 1
         if count != self.horizon:
             raise RuntimeError(
@@ -123,11 +113,7 @@ class StreamingTrace:
         simulator calls this exactly when a policy declares
         ``requires_full_trace``.
         """
-        return Trace(
-            tuple(self),
-            scenario_name=self.scenario_name,
-            metadata=dict(self.metadata),
-        )
+        return as_trace(self)
 
     def __repr__(self) -> str:
         return (
@@ -136,14 +122,14 @@ class StreamingTrace:
         )
 
 
-class StreamingScenario:
+class StreamingScenario(Scenario):
     """A scenario wrapper whose traces stream instead of materialising.
 
-    ``generate`` consumes exactly one integer draw from the replicate's
-    shared RNG stream — the :class:`StreamingTrace` seed — whether or not
-    ``materialize`` is set. That makes a streaming run and its materialised
-    twin (``materialize=True``) bit-identical end to end: same trace seed,
-    same downstream policy draws, same ledgers.
+    ``generate`` and ``stream`` consume exactly one integer draw from the
+    replicate's shared RNG stream — the :class:`StreamingTrace` seed —
+    whether or not ``materialize`` is set. That makes a streaming run and
+    its materialised twin (``materialize=True``) bit-identical end to end:
+    same trace seed, same downstream policy draws, same ledgers.
 
     Note the deliberate protocol widening: with ``materialize=False`` (the
     default), ``generate`` returns a :class:`StreamingTrace`, not a
@@ -152,24 +138,55 @@ class StreamingScenario:
     protocol only, so the lazy object drops in transparently.
     """
 
-    def __init__(self, inner: RequestGenerator, materialize: bool = False) -> None:
+    kind = "streaming"
+
+    def __init__(self, inner: Scenario, materialize: bool = False) -> None:
         self.inner = inner
         self.materialize = bool(materialize)
-        inner_name = getattr(inner, "scenario_name", type(inner).__name__)
-        self.scenario_name = f"streaming({inner_name})"
+        self.scenario_name = f"streaming({inner.scenario_name})"
+
+    def _trace(self, horizon: int, rng: np.random.Generator) -> StreamingTrace:
+        seed = int(rng.integers(0, np.iinfo(np.int64).max))
+        return StreamingTrace(
+            self.inner, horizon, seed, scenario_name=self.scenario_name,
+            metadata={**self.metadata(), "seed": seed, "horizon": horizon},
+        )
+
+    def stream(self, horizon: int, rng: np.random.Generator):
+        """The rounds of :meth:`generate`'s trace (the seed is drawn now)."""
+        return iter(self._trace(horizon, rng))
 
     def generate(self, horizon: int, rng: np.random.Generator):
         """A :class:`StreamingTrace` (or its materialisation) for ``horizon``."""
-        seed = int(rng.integers(0, np.iinfo(np.int64).max))
-        trace = StreamingTrace(
-            self.inner, horizon, seed, scenario_name=self.scenario_name
-        )
-        return trace.materialize() if self.materialize else trace
+        trace = self._trace(horizon, rng)
+        return as_trace(trace) if self.materialize else trace
+
+    def metadata(self) -> dict:
+        """The kind plus the wrapped scenario's metadata."""
+        return {"scenario": self.kind, "inner": self.inner.metadata()}
 
     def __repr__(self) -> str:
         return (
             f"StreamingScenario({self.inner!r}, materialize={self.materialize})"
         )
+
+
+def _inner_spec(scenario: str = "commuter", params=None,
+                materialize: bool = False, **inline) -> "tuple[str, dict]":
+    """The wrapped scenario's kind and keyword arguments, from the
+    ``streaming`` parameters: ``params`` or the inline keywords, never both,
+    then dotted ``params.X`` keywords overriding single entries."""
+    overrides = {
+        key[len("params."):]: inline.pop(key)
+        for key in list(inline)
+        if key.startswith("params.")
+    }
+    if params and inline:
+        raise ValueError(
+            "pass the wrapped scenario's parameters either via params= or "
+            "inline, not both"
+        )
+    return scenario, {**(params or inline), **overrides}
 
 
 @register_scenario("streaming")
@@ -189,19 +206,8 @@ def streaming(substrate, scenario: str = "commuter", params=None,
     substitutes, so the wrapped scenario's knobs stay sweepable through
     the wrapper.
     """
-    overrides = {
-        key[len("params."):]: inner_params.pop(key)
-        for key in list(inner_params)
-        if key.startswith("params.")
-    }
-    if params and inner_params:
-        raise ValueError(
-            "pass the wrapped scenario's parameters either via params= or "
-            "inline, not both"
-        )
-    inner_kwargs = dict(params or inner_params or {})
-    inner_kwargs.update(overrides)
-    inner = resolve_scenario(scenario)(substrate, **inner_kwargs)
+    kind, inner_kwargs = _inner_spec(scenario, params, **inner_params)
+    inner = resolve_scenario(kind)(substrate, **inner_kwargs)
     return StreamingScenario(inner, materialize=materialize)
 
 
@@ -209,18 +215,11 @@ def _streaming_fingerprint(params) -> "dict | list | None":
     """Delegate content identity to the wrapped scenario (replay files)."""
     from repro.api.cache import scenario_content_fingerprint
 
-    inner_kind = params.get("scenario", "commuter")
-    base = dict(params.get("params") or {})
-    inline = {
-        k: v for k, v in params.items()
-        if k not in ("scenario", "params", "materialize")
-        and not k.startswith("params.")
-    }
-    inner_params = base or inline
-    inner_params.update(
-        {k[len("params."):]: v for k, v in params.items() if k.startswith("params.")}
-    )
-    return scenario_content_fingerprint(inner_kind, inner_params)
+    try:
+        kind, inner_kwargs = _inner_spec(**params)
+    except ValueError:
+        return None  # the malformed spec fails loudly at build time instead
+    return scenario_content_fingerprint(kind, inner_kwargs)
 
 
 streaming.content_fingerprint = _streaming_fingerprint

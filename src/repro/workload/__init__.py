@@ -9,8 +9,10 @@ Both are implemented here as deterministic trace generators, plus the
 from repro.workload.base import (
     RequestGenerator,
     RoundIterable,
+    Scenario,
     Trace,
     as_trace,
+    check_round,
     generate_trace,
     stream_rounds,
 )
@@ -23,7 +25,9 @@ __all__ = [
     "Trace",
     "RequestGenerator",
     "RoundIterable",
+    "Scenario",
     "as_trace",
+    "check_round",
     "generate_trace",
     "stream_rounds",
     "CommuterScenario",

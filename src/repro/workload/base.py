@@ -5,20 +5,26 @@ access-point node. Since all servers host the same service in this model,
 a request is fully described by its access point, so a round is simply an
 ``int64`` array of node indices (duplicates = multiple requests at that
 point) and a :class:`Trace` is the whole request sequence.
+:func:`check_round` is the one definition of a valid round; ``Trace``,
+:class:`~repro.traces.StreamingTrace` and the simulator's streamed loop all
+call it.
 
 Materialised traces are what both worlds consume: online algorithms read
 them round by round, offline algorithms (OPT, OFFSTAT, OFFBR/OFFTH) get the
 whole object — the paper's "demand known ahead of time" standpoint (§IV).
 
-:class:`RequestGenerator` is the protocol every scenario implements;
-generators are deterministic given their RNG, so a (seed, scenario) pair
-pins the exact trace.
+A scenario subclasses :class:`Scenario` and implements only
+``stream(horizon, rng)``, yielding one round at a time; the base class
+derives ``generate`` (the materialised :class:`Trace`) and ``metadata``
+from it. Scenarios are deterministic given their RNG, so a (seed,
+scenario) pair pins the exact trace, streamed or materialised.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -26,12 +32,45 @@ import numpy as np
 
 __all__ = [
     "Trace",
+    "Scenario",
     "RequestGenerator",
     "RoundIterable",
     "as_trace",
+    "check_round",
     "generate_trace",
     "stream_rounds",
 ]
+
+
+def check_round(t: int, requests) -> np.ndarray:
+    """Round ``t``'s requests as a 1-D ``int64`` node-index array.
+
+    The one definition of a valid round: a 1-D array (or list) of
+    whole-number, non-negative node indices. Integral floats such as
+    ``1.0`` are accepted; booleans, fractions and non-finite values raise
+    instead of being truncated into node indices. The substrate's upper
+    bound is checked where its size is known (the simulator and
+    :class:`~repro.core.batch.DistanceGather`).
+
+    Raises:
+        ValueError: naming round ``t`` when its requests are not valid.
+    """
+    arr = np.asarray(requests)
+    if arr.ndim != 1:
+        raise ValueError(f"round {t} must be a 1-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f"
+        and np.isfinite(arr).all()
+        and (arr == np.floor(arr)).all()
+    ):
+        raise ValueError(
+            f"round {t} must hold whole-number node indices, got "
+            f"{arr.dtype} values {arr[:8].tolist()}"
+        )
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"round {t} references negative node {int(arr.min())}")
+    return arr
 
 
 def _npz_path(path: "str | Path") -> Path:
@@ -65,12 +104,7 @@ class Trace:
     def __post_init__(self) -> None:
         frozen_rounds = []
         for t, arr in enumerate(self.rounds):
-            arr = np.asarray(arr, dtype=np.int64)
-            if arr.ndim != 1:
-                raise ValueError(f"round {t} must be a 1-D array, got shape {arr.shape}")
-            if arr.size and arr.min() < 0:
-                raise ValueError(f"round {t} contains negative node indices")
-            arr = arr.copy()
+            arr = check_round(t, arr).copy()
             arr.flags.writeable = False
             frozen_rounds.append(arr)
         object.__setattr__(self, "rounds", tuple(frozen_rounds))
@@ -210,23 +244,52 @@ class Trace:
         return cls(rounds, header["scenario_name"], header["metadata"])
 
 
-@runtime_checkable
-class RequestGenerator(Protocol):
-    """Protocol for demand scenarios: deterministic trace factories.
+class Scenario(ABC):
+    """A demand scenario: subclasses implement :meth:`stream`, nothing else.
 
-    Scenarios may additionally implement an *optional* ``stream(horizon,
-    rng)`` method yielding one round array at a time with the exact RNG
-    consumption order of ``generate`` — :func:`stream_rounds` prefers it and
-    :class:`~repro.traces.StreamingTrace` builds on it to run million-round
-    horizons in O(round) memory. Scenarios without ``stream`` still work
-    everywhere; the streaming layer falls back to materialising.
+    ``stream(horizon, rng)`` yields ``horizon`` rounds, drawing every random
+    number from ``rng``; :meth:`generate` materialises exactly those rounds
+    and :meth:`metadata` records the provenance, so a streamed run and its
+    materialised twin are bit-identical by construction.
+
+    Attributes:
+        kind: the scenario's registry name, recorded as
+            ``metadata()["scenario"]``.
+        scenario_name: per-instance label for traces and reports.
     """
 
-    #: Scenario label used in trace metadata and reports.
-    scenario_name: str
+    kind: str = ""
+    scenario_name: str = ""
+
+    @abstractmethod
+    def stream(self, horizon: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """Yield ``horizon`` rounds lazily, using ``rng`` for all randomness."""
+
+    def metadata(self) -> dict:
+        """``{"scenario": kind, **constructor fields, "substrate": name}``.
+
+        The default reads the dataclass fields set at construction; the
+        substrate is recorded by name. Scenarios built on other scenarios
+        or on files override it.
+        """
+        params = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.init and f.name != "substrate"
+        }
+        return {"scenario": self.kind, **params, "substrate": self.substrate.name}
 
     def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round trace using ``rng`` for all randomness."""
+        """The ``horizon``-round :class:`Trace` of :meth:`stream`."""
+        return Trace(
+            tuple(self.stream(horizon, rng)),
+            scenario_name=self.scenario_name,
+            metadata=self.metadata(),
+        )
+
+
+#: Another name for :class:`Scenario`, kept for existing imports.
+RequestGenerator = Scenario
 
 
 @runtime_checkable
@@ -246,7 +309,7 @@ class RoundIterable(Protocol):
 
 
 def generate_trace(
-    generator: RequestGenerator,
+    generator: Scenario,
     horizon: int,
     seed: "int | np.random.Generator | None" = None,
 ) -> Trace:
@@ -265,22 +328,14 @@ def generate_trace(
 
 
 def stream_rounds(
-    generator: RequestGenerator, horizon: int, rng: np.random.Generator
+    generator: Scenario, horizon: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """Yield ``generator``'s rounds one at a time.
+    """Yield ``generator``'s rounds one at a time, in O(round) memory.
 
-    Uses the scenario's lazy ``stream`` method when it has one (O(round)
-    memory); otherwise falls back to materialising the whole trace through
-    ``generate`` and iterating it. Either way the yielded rounds are
-    bit-identical to ``generate(horizon, rng)`` with the same RNG state —
-    stream-capable scenarios implement ``generate`` *in terms of* their
-    stream, so the draws happen in the same order.
+    The same rounds ``generator.generate(horizon, rng)`` materialises from
+    the same RNG state.
     """
-    stream = getattr(generator, "stream", None)
-    if stream is not None:
-        yield from stream(horizon, rng)
-    else:
-        yield from generator.generate(horizon, rng)
+    yield from generator.stream(horizon, rng)
 
 
 def as_trace(rounds: "RoundIterable | Trace") -> Trace:
@@ -293,9 +348,6 @@ def as_trace(rounds: "RoundIterable | Trace") -> Trace:
     """
     if isinstance(rounds, Trace):
         return rounds
-    materialize = getattr(rounds, "materialize", None)
-    if materialize is not None:
-        return materialize()
     return Trace(
         tuple(rounds),
         scenario_name=getattr(rounds, "scenario_name", ""),

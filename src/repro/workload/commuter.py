@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import Scenario
 from repro.util.validation import check_positive_int
 
 __all__ = ["CommuterScenario", "default_period_for"]
@@ -56,7 +56,7 @@ def default_period_for(n: int) -> int:
 
 @register_scenario("commuter", aliases=("commuter-dynamic",))
 @dataclass
-class CommuterScenario:
+class CommuterScenario(Scenario):
     """Commuter demand generator (static or dynamic load).
 
     Args:
@@ -69,6 +69,8 @@ class CommuterScenario:
             the fan-out), ``False`` for static load (volume pinned to
             ``2^(T/2)``).
     """
+
+    kind = "commuter"
 
     substrate: Substrate
     period: "int | None" = None
@@ -137,7 +139,7 @@ class CommuterScenario:
         return aps[order]
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield commuter rounds lazily (same draws as :meth:`generate`)."""
+        """Yield commuter rounds lazily."""
         ordering = self._center_ordering(rng)
         volume = self.peak_demand
         cap = self.peak_access_points
@@ -152,22 +154,6 @@ class CommuterScenario:
                 counts = np.full(points.size, volume // points.size, dtype=np.int64)
                 counts[: volume % points.size] += 1
                 yield np.repeat(points, counts)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round commuter trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "commuter",
-                "dynamic_load": self.dynamic_load,
-                "period": self.period,
-                "sojourn": self.sojourn,
-                "peak_access_points": self.peak_access_points,
-                "peak_demand": self.peak_demand,
-                "substrate": self.substrate.name,
-            },
-        )
 
 
 @register_scenario("commuter-static")

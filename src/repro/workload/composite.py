@@ -10,9 +10,10 @@ richer demand out of the primitive generators without touching them:
   (e.g. a flash-crowd regime between two quiet regimes), for studying how
   quickly the online algorithms re-converge after a regime change.
 
-Both are themselves :class:`~repro.workload.base.RequestGenerator`
-implementations, so they compose recursively and run through
-``generate_trace`` like any primitive scenario.
+Both are :class:`~repro.workload.base.Scenario` subclasses that compose
+their parts' ``stream`` methods once; ``generate`` comes from the base
+class, so they nest recursively and run through ``generate_trace`` like any
+primitive scenario. Each overrides only ``metadata``.
 """
 
 from __future__ import annotations
@@ -23,78 +24,67 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.api.registry import register_scenario
-from repro.workload.base import RequestGenerator, Trace, stream_rounds
+from repro.workload.base import Scenario
 
 __all__ = ["OverlayScenario", "PhasedScenario", "overlay"]
 
 
 @dataclass
-class OverlayScenario:
+class OverlayScenario(Scenario):
     """Union of several scenarios' demand, round by round.
 
     Args:
-        parts: the generators to overlay (at least one). Each receives its
-            own independent child RNG derived from the generate() stream, so
-            an overlay is reproducible and its parts are decoupled.
+        parts: the scenarios to overlay (at least one). Each receives its
+            own independent child RNG spawned from the overlay's, so an
+            overlay is reproducible and its parts are decoupled.
     """
 
-    parts: Sequence[RequestGenerator]
+    kind = "overlay"
+
+    parts: Sequence[Scenario]
     scenario_name: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("OverlayScenario needs at least one part")
-        names = "+".join(getattr(p, "scenario_name", type(p).__name__)
-                         for p in self.parts)
+        names = "+".join(p.scenario_name for p in self.parts)
         self.scenario_name = f"overlay({names})"
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield overlaid rounds lazily.
+        """Yield overlaid rounds lazily, one round per part in memory.
 
-        Each part streams against its own spawned child generator (the same
-        children :meth:`generate` spawns), so the yielded rounds are
-        bit-identical to the materialised ones while holding only one round
-        per part in memory.
+        Each part streams against its own spawned child generator, so the
+        parts are decoupled: adding one leaves the others' rounds unchanged.
         """
         children = rng.spawn(len(self.parts))
         streams = [
-            stream_rounds(part, horizon, child)
+            part.stream(horizon, child)
             for part, child in zip(self.parts, children)
         ]
         for per_part in zip(*streams):
             yield np.concatenate(per_part)
 
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Generate all parts and concatenate their rounds element-wise."""
-        children = rng.spawn(len(self.parts))
-        traces = [
-            part.generate(horizon, child)
-            for part, child in zip(self.parts, children)
-        ]
-        rounds = []
-        for t in range(horizon):
-            rounds.append(np.concatenate([trace[t] for trace in traces]))
-        return Trace(
-            tuple(rounds),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "overlay",
-                "parts": [trace.metadata for trace in traces],
-            },
-        )
+    def metadata(self) -> dict:
+        """The kind plus every part's own metadata."""
+        return {
+            "scenario": self.kind,
+            "parts": [part.metadata() for part in self.parts],
+        }
 
 
 @dataclass
-class PhasedScenario:
+class PhasedScenario(Scenario):
     """Sequential regimes: one generator per time segment.
 
     Args:
-        phases: (duration_rounds, generator) pairs; the final phase absorbs
+        phases: (duration_rounds, scenario) pairs; the final phase absorbs
             any remaining horizon, and generation stops early if the horizon
             ends sooner.
     """
 
-    phases: Sequence[tuple[int, RequestGenerator]]
+    kind = "phased"
+
+    phases: Sequence[tuple[int, Scenario]]
     scenario_name: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -103,14 +93,11 @@ class PhasedScenario:
         for duration, _part in self.phases:
             if duration < 1:
                 raise ValueError(f"phase durations must be >= 1, got {duration}")
-        names = ",".join(
-            f"{d}x{getattr(p, 'scenario_name', type(p).__name__)}"
-            for d, p in self.phases
-        )
+        names = ",".join(f"{d}x{p.scenario_name}" for d, p in self.phases)
         self.scenario_name = f"phased({names})"
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield phased rounds lazily (same child spawning as generate)."""
+        """Yield phased rounds lazily, each phase from its own child RNG."""
         children = rng.spawn(len(self.phases))
         remaining = horizon
         for i, ((duration, part), child) in enumerate(zip(self.phases, children)):
@@ -118,30 +105,12 @@ class PhasedScenario:
                 break
             is_last = i == len(self.phases) - 1
             span = remaining if is_last else min(duration, remaining)
-            yield from stream_rounds(part, span, child)
+            yield from part.stream(span, child)
             remaining -= span
 
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Generate each phase with its own child RNG and stitch them."""
-        children = rng.spawn(len(self.phases))
-        rounds: list[np.ndarray] = []
-        remaining = horizon
-        for i, ((duration, part), child) in enumerate(zip(self.phases, children)):
-            if remaining <= 0:
-                break
-            is_last = i == len(self.phases) - 1
-            span = remaining if is_last else min(duration, remaining)
-            trace = part.generate(span, child)
-            rounds.extend(trace.rounds)
-            remaining -= span
-        return Trace(
-            tuple(rounds),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "phased",
-                "phases": [d for d, _p in self.phases],
-            },
-        )
+    def metadata(self) -> dict:
+        """The kind plus the phase durations."""
+        return {"scenario": self.kind, "phases": [d for d, _p in self.phases]}
 
 
 def _part_spec(part) -> "tuple[str, dict]":

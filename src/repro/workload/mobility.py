@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import Scenario
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
 __all__ = ["MobilityScenario"]
@@ -33,7 +33,7 @@ __all__ = ["MobilityScenario"]
 
 @register_scenario("mobility")
 @dataclass
-class MobilityScenario:
+class MobilityScenario(Scenario):
     """On/off mobility demand generator (§II-D extension).
 
     Args:
@@ -46,6 +46,8 @@ class MobilityScenario:
             attractor access point rather than a uniform one.
         attractor_period: rounds between attractor relocations.
     """
+
+    kind = "mobility"
 
     substrate: Substrate
     n_users: int = 20
@@ -71,7 +73,7 @@ class MobilityScenario:
         )
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield mobility rounds lazily (same draws as :meth:`generate`)."""
+        """Yield mobility rounds lazily."""
         aps = self.substrate.access_points
         move_probability = 1.0 / self.mean_sojourn
         positions = rng.choice(aps, size=self.n_users)
@@ -89,18 +91,3 @@ class MobilityScenario:
                 positions = positions.copy()
                 positions[movers] = destinations
             yield positions.copy()
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round mobility trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "mobility",
-                "n_users": self.n_users,
-                "mean_sojourn": self.mean_sojourn,
-                "correlation": self.correlation,
-                "attractor_period": self.attractor_period,
-                "substrate": self.substrate.name,
-            },
-        )

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Trace
+from repro.workload.base import Scenario
 from repro.util.validation import check_positive_int, check_probability
 
 __all__ = ["TimeZoneScenario"]
@@ -28,7 +28,7 @@ __all__ = ["TimeZoneScenario"]
 
 @register_scenario("timezones", aliases=("time-zones",))
 @dataclass
-class TimeZoneScenario:
+class TimeZoneScenario(Scenario):
     """Time-zone demand generator.
 
     Args:
@@ -41,6 +41,8 @@ class TimeZoneScenario:
             this open for most figures (Figure 17 fixes 3/round); 10 is our
             documented default.
     """
+
+    kind = "timezones"
 
     substrate: Substrate
     period: int = 10
@@ -76,7 +78,7 @@ class TimeZoneScenario:
         return (t // self.sojourn) % self.period
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield time-zone rounds lazily (same draws as :meth:`generate`)."""
+        """Yield time-zone rounds lazily."""
         aps = self.substrate.access_points
         # One hotspot per period, drawn once and reused every day.
         hotspots = rng.choice(aps, size=self.period, replace=aps.size < self.period)
@@ -88,18 +90,3 @@ class TimeZoneScenario:
             pinned = np.full(n_hot, hotspot, dtype=np.int64)
             background = rng.choice(aps, size=n_background)
             yield np.concatenate([pinned, background])
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> Trace:
-        """Produce a ``horizon``-round time-zone trace."""
-        return Trace(
-            tuple(self.stream(horizon, rng)),
-            scenario_name=self.scenario_name,
-            metadata={
-                "scenario": "timezones",
-                "period": self.period,
-                "sojourn": self.sojourn,
-                "hotspot_share": self.hotspot_share,
-                "requests_per_round": self.requests_per_round,
-                "substrate": self.substrate.name,
-            },
-        )

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.workload.base import Trace, generate_trace
+from repro.algorithms import OnTH
+from repro.core.results import LEDGER_COLUMNS
+from repro.core.simulator import simulate
+from repro.topology.generators import line
+from repro.traces.streaming import StreamingTrace
+from repro.workload.base import Scenario, Trace, check_round, generate_trace
 from repro.workload.commuter import CommuterScenario
 
 
@@ -31,6 +36,67 @@ class TestConstruction:
         assert len(trace) == 0
         assert trace.total_requests == 0
         assert trace.max_node == -1
+
+
+def assert_same_ledger(a, b):
+    for column in LEDGER_COLUMNS:
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+
+
+class TestRoundCheck:
+    """``check_round`` is the one rule for a valid round, wherever it arrives."""
+
+    @pytest.mark.parametrize("bad", [[1.7], [0.0, 2.5], [True, False],
+                                     [np.nan], [np.inf]])
+    def test_non_integral_rounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="round 3 must hold whole-number"):
+            check_round(3, np.array(bad))
+
+    def test_trace_rejects_fraction_instead_of_truncating(self):
+        with pytest.raises(ValueError, match="round 1 must hold whole-number"):
+            Trace((np.array([0]), np.array([1.7])))
+
+    def test_trace_rejects_booleans(self):
+        with pytest.raises(ValueError, match="round 0 .* bool"):
+            Trace(([True, False],))
+
+    def test_integral_floats_and_lists_accepted(self):
+        trace = Trace((np.array([1.0, 3.0]), [2, 0], []))
+        assert [r.tolist() for r in trace] == [[1, 3], [2, 0], []]
+        assert all(r.dtype == np.int64 for r in trace)
+
+    def test_simulate_rejects_streamed_fraction(self):
+        with pytest.raises(ValueError, match="round 0 must hold whole-number"):
+            simulate(line(5), OnTH(), iter([np.array([1.7, 3.2])]))
+
+    def test_simulate_rejects_streamed_booleans(self):
+        with pytest.raises(ValueError, match="round 1 .* bool"):
+            simulate(line(5), OnTH(), iter([np.array([0]), np.array([True])]))
+
+    def test_simulate_rejects_streamed_2d_round(self):
+        with pytest.raises(ValueError, match="round 0 must be a 1-D array"):
+            simulate(line(5), OnTH(), iter([np.array([[0, 1]])]))
+
+    def test_simulate_accepts_streamed_lists_and_integral_floats(self):
+        rounds = [[0, 1], [4], [], [2, 2, 3]]
+        reference = simulate(line(5), OnTH(), Trace(tuple(rounds)))
+        as_lists = simulate(line(5), OnTH(), iter(rounds))
+        as_floats = simulate(
+            line(5), OnTH(), iter(np.array(r, dtype=float) for r in rounds)
+        )
+        assert_same_ledger(as_lists, reference)
+        assert_same_ledger(as_floats, reference)
+
+    def test_streaming_trace_rejects_fraction(self):
+        class Fractional(Scenario):
+            scenario_name = "fractional"
+
+            def stream(self, horizon, rng):
+                for _ in range(horizon):
+                    yield np.array([0.5])
+
+        with pytest.raises(ValueError, match="round 0 must hold whole-number"):
+            list(StreamingTrace(Fractional(), 2, seed=0))
 
 
 class TestQueries:
