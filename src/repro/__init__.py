@@ -81,7 +81,6 @@ from repro.core import (
     PowerLoad,
     QuadraticLoad,
     RequestBatch,
-    RoundRecord,
     RoutingResult,
     RoutingStrategy,
     RunResult,
@@ -188,7 +187,6 @@ __all__ = [
     "CallableLoad",
     "InactiveServerCache",
     "RequestBatch",
-    "RoundRecord",
     "RunResult",
     "RoutingResult",
     "RoutingStrategy",

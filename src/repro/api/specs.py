@@ -40,6 +40,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
@@ -1108,10 +1109,14 @@ def parse_value(text: str) -> Any:
 def parse_component(text: str) -> "tuple[str, dict[str, Any]]":
     """Parse a CLI component argument ``kind[:key=value,key=value,...]``.
 
+    A value in brackets is a list of values: the commas inside ``[...]``
+    separate its items, not parameters.
+
     Examples::
 
         parse_component("erdos_renyi:n=200,p=0.02")
         parse_component("commuter:sojourn=10,dynamic_load=false")
+        parse_component("overlay:parts=[commuter,flashcrowd]")
         parse_component("onth")
     """
     kind, _, tail = text.partition(":")
@@ -1120,12 +1125,18 @@ def parse_component(text: str) -> "tuple[str, dict[str, Any]]":
         raise ValueError(f"component argument {text!r} has an empty kind")
     params: dict[str, Any] = {}
     if tail.strip():
-        for item in tail.split(","):
+        # Split on the commas that are not inside a [...] list.
+        for item in re.split(r",(?![^\[]*\])", tail):
             key, eq, raw = item.partition("=")
             key = key.strip()
             if not eq or not key:
                 raise ValueError(
                     f"malformed parameter {item!r} in {text!r}; expected key=value"
                 )
-            params[key] = parse_value(raw)
+            raw = raw.strip()
+            params[key] = (
+                [parse_value(part) for part in raw[1:-1].split(",") if part.strip()]
+                if raw.startswith("[") and raw.endswith("]")
+                else parse_value(raw)
+            )
     return kind, params

@@ -25,7 +25,7 @@ from repro.core.load import (
 )
 from repro.core.multiservice import ServiceSpec, simulate_services
 from repro.core.policy import AllocationPolicy, OfflinePolicy
-from repro.core.results import CostBreakdown, RoundRecord, RunLedger, RunResult
+from repro.core.results import CostBreakdown, RunResult
 from repro.core.routing import (
     RoutingResult,
     RoutingStrategy,
@@ -49,8 +49,6 @@ __all__ = [
     "AllocationPolicy",
     "OfflinePolicy",
     "CostBreakdown",
-    "RoundRecord",
-    "RunLedger",
     "RunResult",
     "RoutingResult",
     "RoutingStrategy",

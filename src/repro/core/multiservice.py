@@ -10,7 +10,10 @@ this module implements the general case as a documented extension.
 Semantics:
 
 * each service has its own trace, policy, configuration and ledger — the
-  game of §II-E runs per service, in lockstep rounds;
+  game of §II-E runs per service, in lockstep rounds. Each service is
+  played by :func:`~repro.core.simulator.simulate`'s per-service stepper,
+  so its checks, decisions, transition pricing and ledger are
+  ``simulate``'s own; this module only routes;
 * services couple through **shared node load**: the load latency of node
   ``v`` in round ``t`` is ``f(ω(v), η(v, t))`` with ``η`` counting requests
   of *all* services served at ``v``. Each service is charged its share of
@@ -43,12 +46,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.policy import AllocationPolicy, OfflinePolicy
-from repro.core.results import RoundRecord, RunLedger, RunResult
+from repro.core.policy import AllocationPolicy
+from repro.core.results import RunResult
 from repro.core.routing import RoutingResult
-from repro.core.transitions import price_transition
+from repro.core.simulator import _Player
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace
 from repro.util.rng import ensure_rng
@@ -125,7 +127,8 @@ def simulate_services(
         Mapping service name → its :class:`RunResult` ledger.
 
     Raises:
-        ValueError: invalid service set, a service with requests but no
+        ValueError: invalid service set, a cost model or configuration that
+            ``simulate`` would reject, a service with requests but no
             active server, or — on capacitated substrates — a round whose
             demand cannot be packed within the active servers' capacities.
     """
@@ -142,25 +145,16 @@ def simulate_services(
     horizon = horizons.pop()
     default_costs = default_costs if default_costs is not None else CostModel.paper_default()
 
-    rng = ensure_rng(seed)
-    streams = rng.spawn(len(services))
-    costs_of = {
-        spec.name: (spec.costs if spec.costs is not None else default_costs)
-        for spec in services
-    }
-
-    configs: dict[str, Configuration] = {}
-    ledgers = {spec.name: RunLedger() for spec in services}
+    streams = ensure_rng(seed).spawn(len(services))
+    players = []
     for spec, stream in zip(services, streams):
-        trace = spec.trace
-        if trace.max_node >= substrate.n:
+        if spec.trace.max_node >= substrate.n:
             raise ValueError(
-                f"service {spec.name!r} references node {trace.max_node} "
+                f"service {spec.name!r} references node {spec.trace.max_node} "
                 f"outside the {substrate.n}-node substrate"
             )
-        if isinstance(spec.policy, OfflinePolicy):
-            spec.policy.prepare(trace)
-        configs[spec.name] = spec.policy.reset(substrate, costs_of[spec.name], stream)
+        costs = spec.costs if spec.costs is not None else default_costs
+        players.append(_Player(substrate, spec.policy, spec.trace, costs, stream))
 
     strengths = substrate.strengths
     for t in range(horizon):
@@ -168,24 +162,21 @@ def simulate_services(
         # per-node demand each service induces. On capacitated substrates
         # the per-round budget is shared across services (placement order:
         # services as declared, requests in trace order).
-        assignments: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
+        assignments: list[tuple[np.ndarray, np.ndarray, float]] = []
         node_counts = np.zeros(substrate.n, dtype=np.int64)
         remaining = (
             substrate.capacities.copy() if substrate.capacitated else None
         )
-        for spec in services:
-            config = configs[spec.name]
+        for spec, player in zip(services, players):
             requests = spec.trace[t]
             if requests.size == 0:
-                assignments[spec.name] = (
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0.0
-                )
+                assignments.append((np.zeros(0, dtype=np.int64), requests, 0.0))
                 continue
-            if config.n_active == 0:
+            if player.config.n_active == 0:
                 raise ValueError(
                     f"service {spec.name!r} has no active server in round {t}"
                 )
-            servers = np.asarray(config.active, dtype=np.int64)
+            servers = player.config.active_array
             distances = substrate.distances[np.ix_(servers, requests)]
             if remaining is None:
                 choice = np.argmin(distances, axis=0)
@@ -195,8 +186,8 @@ def simulate_services(
                 served_at, latency = _place_capacitated(
                     spec.name, t, servers, requests, distances, remaining
                 )
-            latency += costs_of[spec.name].wireless_hop * requests.size
-            assignments[spec.name] = (served_at, requests, latency)
+            latency += player.costs.wireless_hop * requests.size
+            assignments.append((served_at, requests, latency))
             node_counts += np.bincount(served_at, minlength=substrate.n)
 
         # Phase 2: shared node load, attributed proportionally to each
@@ -212,11 +203,9 @@ def simulate_services(
                 strengths[busy], node_counts[busy]
             )
 
-        # Phase 3: decisions and accounting per service.
-        for spec in services:
-            name = spec.name
-            costs = costs_of[name]
-            served_at, requests, latency = assignments[name]
+        # Phase 3: each service's player decides and records the round.
+        for player, (served_at, requests, latency) in zip(players, assignments):
+            active = player.config.active_array
             if served_at.size:
                 mine = np.bincount(served_at, minlength=substrate.n)
                 with np.errstate(invalid="ignore"):
@@ -226,42 +215,15 @@ def simulate_services(
                         where=node_counts > 0,
                     )
                 load = float((node_load * share).sum())
-                counts_for_policy = mine[np.asarray(configs[name].active)]
+                counts = mine[active]
             else:
                 load = 0.0
-                counts_for_policy = np.zeros(configs[name].n_active, dtype=np.int64)
-
-            routing = RoutingResult(
+                counts = np.zeros(active.size, dtype=np.int64)
+            player.step(t, requests, RoutingResult(
                 latency_cost=latency,
                 load_cost=load,
-                counts=counts_for_policy,
-                assignment=np.searchsorted(
-                    np.asarray(configs[name].active), served_at
-                ) if served_at.size else np.zeros(0, dtype=np.int64),
-            )
-            new_config = spec.policy.decide(t, requests, routing)
-            outcome = price_transition(configs[name], new_config, costs)
-            configs[name] = new_config
+                counts=counts,
+                assignment=np.searchsorted(active, served_at),
+            ))
 
-            ledgers[name].append(
-                RoundRecord(
-                    t=t,
-                    latency_cost=latency,
-                    load_cost=load,
-                    running_cost=costs.running_cost(new_config),
-                    migration_cost=outcome.migration_cost,
-                    creation_cost=outcome.creation_cost,
-                    migrations=outcome.migrations,
-                    creations=outcome.creations,
-                    n_active=new_config.n_active,
-                    n_inactive=new_config.n_inactive,
-                    n_requests=int(requests.size),
-                )
-            )
-
-    return {
-        spec.name: ledgers[spec.name].finish(
-            spec.policy.name, spec.trace.scenario_name
-        )
-        for spec in services
-    }
+    return {spec.name: player.finish() for spec, player in zip(services, players)}

@@ -1,21 +1,19 @@
 """Per-round cost ledger and aggregated run results.
 
-Every simulated round has one row of the full cost breakdown of
-§II-B/§II-C (latency, load, running, migration, creation) plus the server
-census (:class:`RoundRecord`); a completed run is summarised in an
-immutable :class:`RunResult` exposing the series as numpy arrays — Figures
-1 and 2 plot exactly these series, and every other figure aggregates their
-totals.
+Every simulated round records the full cost breakdown of §II-B/§II-C
+(latency, load, running, migration, creation) plus the server census in
+one :data:`LEDGER_COLUMNS` column each; a completed run is the immutable
+:class:`RunResult` exposing the series as numpy arrays — Figures 1 and 2
+plot exactly these series, and every other figure aggregates their totals.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RoundRecord", "RunResult", "RunLedger", "CostBreakdown", "LEDGER_COLUMNS"]
+__all__ = ["RunResult", "CostBreakdown", "LEDGER_COLUMNS"]
 
 #: The per-round columns of a :class:`RunResult`, in field order: the
 #: ``*_cost`` columns are float64, the others int64.
@@ -24,53 +22,6 @@ LEDGER_COLUMNS = (
     "creation_cost", "migrations", "creations", "n_active", "n_inactive",
     "n_requests",
 )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Cost breakdown of a single round of the online game (§II-E).
-
-    Attributes:
-        t: round index.
-        latency_cost: summed request delays (incl. wireless hop).
-        load_cost: summed server load latencies.
-        running_cost: ``Ra·#active + Ri·#inactive`` after reconfiguration.
-        migration_cost: β-costs paid this round.
-        creation_cost: c-costs paid this round.
-        migrations: number of server moves this round.
-        creations: number of server creations this round.
-        n_active: active servers after reconfiguration.
-        n_inactive: inactive servers after reconfiguration.
-        n_requests: size of the round's request multiset.
-    """
-
-    t: int
-    latency_cost: float
-    load_cost: float
-    running_cost: float
-    migration_cost: float
-    creation_cost: float
-    migrations: int
-    creations: int
-    n_active: int
-    n_inactive: int
-    n_requests: int
-
-    @property
-    def access_cost(self) -> float:
-        """Costacc of the round: latency plus load."""
-        return self.latency_cost + self.load_cost
-
-    @property
-    def total_cost(self) -> float:
-        """Everything paid this round."""
-        return (
-            self.latency_cost
-            + self.load_cost
-            + self.running_cost
-            + self.migration_cost
-            + self.creation_cost
-        )
 
 
 @dataclass(frozen=True)
@@ -103,33 +54,6 @@ class CostBreakdown:
             self.migration * factor,
             self.creation * factor,
         )
-
-
-class RunLedger:
-    """Mutable record-by-record accumulator, column-oriented."""
-
-    def __init__(self) -> None:
-        # Typed columns (8 bytes/round each) instead of lists of boxed
-        # Python numbers: a million-round ledger stays ~80 MB.
-        self._columns: dict[str, array] = {
-            name: array("d" if name.endswith("cost") else "q")
-            for name in LEDGER_COLUMNS
-        }
-
-    def append(self, record: RoundRecord) -> None:
-        """Record one round."""
-        for name in LEDGER_COLUMNS:
-            self._columns[name].append(getattr(record, name))
-
-    def finish(self, policy_name: str, scenario_name: str = "") -> "RunResult":
-        """Freeze the ledger into an immutable :class:`RunResult`."""
-        arrays = {}
-        for name in LEDGER_COLUMNS:
-            dtype = np.float64 if name.endswith("cost") else np.int64
-            arr = np.asarray(self._columns[name], dtype=dtype)
-            arr.flags.writeable = False
-            arrays[name] = arr
-        return RunResult(policy_name=policy_name, scenario_name=scenario_name, **arrays)
 
 
 @dataclass(frozen=True)
@@ -249,21 +173,3 @@ class RunResult:
             writer = csv.writer(handle)
             writer.writerow(self.CSV_COLUMNS)
             writer.writerows(self.as_rows())
-
-    def record(self, t: int) -> RoundRecord:
-        """Reconstruct the :class:`RoundRecord` of round ``t``."""
-        if not 0 <= t < self.rounds:
-            raise IndexError(f"round {t} outside 0..{self.rounds - 1}")
-        return RoundRecord(
-            t=t,
-            latency_cost=float(self.latency_cost[t]),
-            load_cost=float(self.load_cost[t]),
-            running_cost=float(self.running_cost[t]),
-            migration_cost=float(self.migration_cost[t]),
-            creation_cost=float(self.creation_cost[t]),
-            migrations=int(self.migrations[t]),
-            creations=int(self.creations[t]),
-            n_active=int(self.n_active[t]),
-            n_inactive=int(self.n_inactive[t]),
-            n_requests=int(self.n_requests[t]),
-        )

@@ -29,6 +29,11 @@ stream) is routed round by round with
 :class:`~repro.core.evaluation.RequestBatch` windows, so memory stays
 O(round). Non-nearest routing always uses ``route_requests``. Both sources
 produce the same ledger bit for bit.
+
+Everything after routing (``decide``, the configuration checks, transition
+pricing and the column ledger) is one policy's :class:`_Player`.
+:func:`~repro.core.multiservice.simulate_services` drives one player per
+service with its own shared-load router, so it plays the same game.
 """
 
 from __future__ import annotations
@@ -110,44 +115,14 @@ def simulate(
         gather = DistanceGather(substrate, costs, trace)  # checks every node
     elif not gather.matches(substrate, costs):
         raise ValueError("gather was built for a different substrate/cost model")
-    if costs.migration_matrix is not None and costs.migration_matrix.shape[0] != substrate.n:
-        raise ValueError(
-            f"migration_matrix is {costs.migration_matrix.shape[0]}x"
-            f"{costs.migration_matrix.shape[1]} but substrate has {substrate.n} nodes"
-        )
 
-    if isinstance(policy, OfflinePolicy):
-        policy.prepare(trace)
-    # AllocationPolicy.new_window serves the run's windows from the gather.
-    policy._run_gather = gather
     try:
-        config = policy.reset(substrate, costs, rng)
-        _check_config(config, substrate, max_servers, t=-1)
-
+        player = _Player(substrate, policy, trace, costs, rng, max_servers, gather)
         route = (
             _SpanRouter(substrate, costs, gather).route
             if gather is not None and routing is RoutingStrategy.NEAREST
             else None
         )
-        # One column ledger, sized up front when the length is known and
-        # doubled otherwise. Columns are resized in place (the loop keeps
-        # no views into them), so the locals below stay valid.
-        capacity = operator.length_hint(trace)
-        columns = {
-            name: np.zeros(
-                capacity, dtype=np.float64 if name.endswith("cost") else np.int64
-            )
-            for name in LEDGER_COLUMNS
-        }
-        (latency_col, load_col, running_col, migration_col, creation_col,
-         migrations_col, creations_col, n_active_col, n_inactive_col,
-         n_requests_col) = columns.values()
-        # Per-configuration-object caches for the ledger columns.
-        costed_config: "Configuration | None" = None
-        run_cost = 0.0
-        n_active = n_inactive = 0
-
-        t = -1
         for t, requests in enumerate(trace.rounds if gather is not None else trace):
             if gather is None:
                 requests = check_round(t, requests)
@@ -156,57 +131,121 @@ def simulate(
                         f"round {t} references node {int(requests.max())} but "
                         f"substrate has {substrate.n} nodes"
                     )
-            size = requests.size
-            if t == capacity:
-                capacity = max(2 * capacity, 1024)
-                for column in columns.values():
-                    column.resize(capacity, refcheck=False)
-
-            if route is None or not size:
+            if route is None or not requests.size:
                 routed = route_requests(
-                    substrate, config.active_array, requests, costs, routing,
+                    substrate, player.config.active_array, requests, costs, routing,
                 )
             else:
-                routed = route(t, config)
+                routed = route(t, player.config)
+            player.step(t, requests, routed)
+    finally:
+        policy._run_gather = None
+    return player.finish()
 
-            new_config = policy.decide(t, requests, routed)
-            if new_config is config:
-                # Same object ⇒ already validated, and the transition pricer
-                # would short-circuit on equality anyway.
-                outcome = _NO_CHANGE
-            else:
-                _check_config(new_config, substrate, max_servers, t)
-                outcome = price_transition(config, new_config, costs)
-                config = new_config
 
-            if config is not costed_config:
-                costed_config = config
-                run_cost = costs.running_cost(config)
-                n_active = config.n_active
-                n_inactive = config.n_inactive
+class _Player:
+    """One policy's half of the §II-E round: everything after routing.
 
-            latency_col[t] = routed.latency_cost
-            load_col[t] = routed.load_cost
-            running_col[t] = run_cost
-            n_active_col[t] = n_active
-            n_inactive_col[t] = n_inactive
-            n_requests_col[t] = size
+    Construction checks the cost model against the substrate, hands an
+    offline policy its trace, serves the policy's windows from ``gather``
+    (the caller clears ``policy._run_gather`` when the run ends) and checks
+    the initial configuration. :meth:`step` plays one routed round:
+    ``decide``, the configuration check, :func:`price_transition` and the
+    column ledger. :func:`simulate` drives one player;
+    :func:`~repro.core.multiservice.simulate_services` drives one per
+    service in lockstep, so both play the same game.
+    """
+
+    def __init__(
+        self,
+        substrate: Substrate,
+        policy: AllocationPolicy,
+        trace: RoundIterable,
+        costs: CostModel,
+        rng: np.random.Generator,
+        max_servers: "int | None" = None,
+        gather: "DistanceGather | None" = None,
+    ) -> None:
+        if (
+            costs.migration_matrix is not None
+            and costs.migration_matrix.shape[0] != substrate.n
+        ):
+            raise ValueError(
+                f"migration_matrix is {costs.migration_matrix.shape[0]}x"
+                f"{costs.migration_matrix.shape[1]} but substrate has {substrate.n} nodes"
+            )
+        if isinstance(policy, OfflinePolicy):
+            policy.prepare(trace)
+        # AllocationPolicy.new_window serves the run's windows from the gather.
+        policy._run_gather = gather
+        self.config = policy.reset(substrate, costs, rng)
+        _check_config(self.config, substrate, max_servers, t=-1)
+        self._substrate = substrate
+        self._policy = policy
+        self.costs = costs
+        self._max_servers = max_servers
+        self._scenario_name = getattr(trace, "scenario_name", "")
+        self._cost_config(self.config)
+        # One column ledger, sized up front when the length is known and
+        # doubled otherwise. Columns are resized in place (nothing keeps
+        # views into them), so the tuple stays valid.
+        self._capacity = operator.length_hint(trace)
+        self._columns = tuple(
+            np.zeros(
+                self._capacity, dtype=np.float64 if name.endswith("cost") else np.int64
+            )
+            for name in LEDGER_COLUMNS
+        )
+        self._rounds = 0
+
+    def _cost_config(self, config: Configuration) -> None:
+        """Cache the ledger columns that depend only on the configuration."""
+        self._run_cost = self.costs.running_cost(config)
+        self._n_active = config.n_active
+        self._n_inactive = config.n_inactive
+
+    def step(self, t: int, requests: np.ndarray, routed: RoutingResult) -> None:
+        """Play round ``t``: the policy decides on ``routed``; record the round."""
+        if t == self._capacity:
+            self._capacity = max(2 * self._capacity, 1024)
+            for column in self._columns:
+                column.resize(self._capacity, refcheck=False)
+        (latency_col, load_col, running_col, migration_col, creation_col,
+         migrations_col, creations_col, n_active_col, n_inactive_col,
+         n_requests_col) = self._columns
+
+        config = self._policy.decide(t, requests, routed)
+        if config is not self.config:
+            # A new object is checked and priced; the same object is neither
+            # (the transition pricer would short-circuit on equality anyway).
+            _check_config(config, self._substrate, self._max_servers, t)
+            outcome = price_transition(self.config, config, self.costs)
+            self.config = config
+            self._cost_config(config)
             if outcome is not _NO_CHANGE:  # the columns start at zero
                 migration_col[t] = outcome.migration_cost
                 creation_col[t] = outcome.creation_cost
                 migrations_col[t] = outcome.migrations
                 creations_col[t] = outcome.creations
-    finally:
-        policy._run_gather = None
 
-    for column in columns.values():
-        column.resize(t + 1, refcheck=False)  # trim the unused capacity
-        column.flags.writeable = False
-    return RunResult(
-        policy_name=policy.name,
-        scenario_name=getattr(trace, "scenario_name", ""),
-        **columns,
-    )
+        latency_col[t] = routed.latency_cost
+        load_col[t] = routed.load_cost
+        running_col[t] = self._run_cost
+        n_active_col[t] = self._n_active
+        n_inactive_col[t] = self._n_inactive
+        n_requests_col[t] = requests.size
+        self._rounds = t + 1
+
+    def finish(self) -> RunResult:
+        """The immutable ledger of the rounds played so far."""
+        for column in self._columns:
+            column.resize(self._rounds, refcheck=False)  # trim the unused capacity
+            column.flags.writeable = False
+        return RunResult(
+            policy_name=self._policy.name,
+            scenario_name=self._scenario_name,
+            **dict(zip(LEDGER_COLUMNS, self._columns)),
+        )
 
 
 class _SpanRouter:

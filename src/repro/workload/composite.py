@@ -149,6 +149,10 @@ def overlay(substrate, parts=()):
     """
     from repro.api.registry import resolve_scenario
 
+    if isinstance(parts, str):
+        raise ValueError(
+            f"overlay parts must be a list, e.g. parts=[{parts}]; got the string {parts!r}"
+        )
     specs = [_part_spec(part) for part in parts]
     if not specs:
         raise ValueError("overlay needs at least one part scenario")

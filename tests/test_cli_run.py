@@ -210,6 +210,31 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestOverlayScenarioFlag:
+    def test_bracketed_parts_list_runs(self, capsys):
+        rc = main([
+            "run", "--policy", "onth",
+            "--scenario", "overlay:parts=[commuter,flashcrowd]",
+            "--topology", "erdos_renyi:n=20", "--horizon", "10", "--runs", "1",
+            "--json",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"]["experiment"]["scenario"]["params"] == {
+            "parts": ["commuter", "flashcrowd"]
+        }
+
+    def test_bare_string_parts_name_the_list_form(self, capsys):
+        rc = main([
+            "run", "--policy", "onth", "--scenario", "overlay:parts=commuter",
+            "--topology", "erdos_renyi:n=20", "--horizon", "10", "--runs", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "parts=[commuter]" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestFigurePathFlags:
     def test_json_flag(self, capsys):
         assert main(["fig13", "--runs", "1", "--json"]) == 0

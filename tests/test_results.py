@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.results import CostBreakdown, RoundRecord, RunLedger
+from repro.algorithms import OnTH
+from repro.core.results import LEDGER_COLUMNS, CostBreakdown, RunResult
+from repro.core.simulator import simulate
+from repro.workload.base import Trace
 
 
-def make_record(t, **overrides):
+def make_result(rounds, policy_name="TEST", scenario_name="", **columns):
+    """A ``rounds``-round ledger: ``columns`` override per-round series."""
     defaults = dict(
-        t=t,
         latency_cost=2.0,
         load_cost=1.0,
         running_cost=2.5,
@@ -20,21 +23,17 @@ def make_record(t, **overrides):
         n_inactive=0,
         n_requests=3,
     )
-    defaults.update(overrides)
-    return RoundRecord(**defaults)
-
-
-class TestRoundRecord:
-    def test_access_cost(self):
-        rec = make_record(0, latency_cost=3.0, load_cost=2.0)
-        assert rec.access_cost == 5.0
-
-    def test_total_cost(self):
-        rec = make_record(
-            0, latency_cost=1, load_cost=2, running_cost=3,
-            migration_cost=4, creation_cost=5,
-        )
-        assert rec.total_cost == 15.0
+    return RunResult(
+        policy_name=policy_name,
+        scenario_name=scenario_name,
+        **{
+            name: np.asarray(
+                columns.get(name, [defaults[name]] * rounds),
+                dtype=np.float64 if name.endswith("cost") else np.int64,
+            )
+            for name in LEDGER_COLUMNS
+        },
+    )
 
 
 class TestCostBreakdown:
@@ -55,18 +54,15 @@ class TestCostBreakdown:
 
 class TestRunLedger:
     def build(self, n=5):
-        ledger = RunLedger()
-        for t in range(n):
-            ledger.append(
-                make_record(
-                    t,
-                    latency_cost=float(t),
-                    migration_cost=40.0 if t == 2 else 0.0,
-                    migrations=1 if t == 2 else 0,
-                    n_active=1 + t % 2,
-                )
-            )
-        return ledger.finish("TEST", "scenario-x")
+        return make_result(
+            n,
+            "TEST",
+            "scenario-x",
+            latency_cost=[float(t) for t in range(n)],
+            migration_cost=[40.0 if t == 2 else 0.0 for t in range(n)],
+            migrations=[1 if t == 2 else 0 for t in range(n)],
+            n_active=[1 + t % 2 for t in range(n)],
+        )
 
     def test_metadata(self):
         result = self.build()
@@ -100,24 +96,15 @@ class TestRunLedger:
         assert result.peak_active_servers == 2
         assert result.mean_active_servers == pytest.approx(np.mean([1, 2, 1, 2, 1]))
 
-    def test_arrays_read_only(self):
-        result = self.build()
-        with pytest.raises(ValueError):
-            result.latency_cost[0] = 9.0
-
-    def test_record_round_trip(self):
-        result = self.build()
-        rec = result.record(2)
-        assert rec.t == 2
-        assert rec.migration_cost == 40.0
-        assert rec.migrations == 1
-
-    def test_record_out_of_range(self):
-        with pytest.raises(IndexError):
-            self.build().record(99)
+    def test_arrays_read_only(self, line5):
+        trace = Trace(tuple(np.array([t % 5]) for t in range(4)))
+        result = simulate(line5, OnTH(), trace)
+        for name in LEDGER_COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(result, name)[0] = 9
 
     def test_empty_ledger(self):
-        result = RunLedger().finish("EMPTY")
+        result = make_result(0, "EMPTY")
         assert result.rounds == 0
         assert result.total_cost == 0.0
         assert result.peak_active_servers == 0
@@ -126,10 +113,13 @@ class TestRunLedger:
 
 class TestCsvExport:
     def build(self):
-        ledger = RunLedger()
-        for t in range(3):
-            ledger.append(make_record(t, latency_cost=float(t), migrations=t % 2))
-        return ledger.finish("CSVTEST", "scn")
+        return make_result(
+            3,
+            "CSVTEST",
+            "scn",
+            latency_cost=[0.0, 1.0, 2.0],
+            migrations=[0, 1, 0],
+        )
 
     def test_rows_match_columns(self):
         result = self.build()
