@@ -44,7 +44,8 @@ setup(
         "scipy>=1.8",
     ],
     extras_require={
-        "test": ["pytest>=7", "pytest-cov>=4", "hypothesis>=6"],
+        # pytest-benchmark runs benchmarks/bench_fig*.py, the paper's claims
+        "test": ["pytest>=7", "pytest-cov>=4", "hypothesis>=6", "pytest-benchmark>=4"],
         # the optional pulp/CBC solver backend for the ILP/LP policy family
         # (backend="pulp" / backend="auto"); scipy's HiGHS backend works
         # without it

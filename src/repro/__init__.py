@@ -86,7 +86,6 @@ from repro.core import (
     RunResult,
     ServiceSpec,
     bandwidth_migration_matrix,
-    nearest_latency_cost,
     price_transition,
     route_requests,
     simulate,
@@ -194,7 +193,6 @@ __all__ = [
     "simulate_services",
     "ServiceSpec",
     "route_requests",
-    "nearest_latency_cost",
     "price_transition",
     "bandwidth_migration_matrix",
     # topology

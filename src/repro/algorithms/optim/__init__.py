@@ -15,6 +15,11 @@ program instead.  This package brings that family into the reproduction:
   single time-expanded MILP, the independent second optimum the
   differential test harness compares against brute force and the OPT DP.
 
+Both plan against the substrate's own per-node ``capacities``, the vector
+the simulator enforces with
+:func:`~repro.core.routing.route_capacitated`; neither takes a capacity
+knob of its own.
+
 Solving runs on :func:`scipy.optimize.milp` (HiGHS) out of the box; the
 optional ``[opt]`` extra (``pip install
 'repro-flexible-server-allocation[opt]'``) adds a `PuLP

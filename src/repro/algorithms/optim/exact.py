@@ -21,15 +21,18 @@ Variables per round ``t`` and node ``n``:
   and ``c·Σ arr`` with ``m = 0`` otherwise — the exact rule of
   :func:`~repro.core.transitions.price_transition`.
 
-The optimum equals the true simulated optimum when request routing is
-assignment-invariant — the paper's default of linear load with uniform node
-strengths, where nearest routing is also cost-minimal routing.  The
-returned cost is therefore the *replayed* plan priced with the simulator's
-own scalar primitives (:func:`plan_cost`) so that, on tiny instances, it is
-bit-for-bit identical to brute-force enumeration.  With binding per-node
-``capacities`` the solver objective is returned instead (nearest replay
-ignores capacity); it lower-bounds every capacity-feasible strategy and is
-itself lower-bounded by the uncapacitated optimum — both tested.
+The returned cost is always the *replayed* plan, priced with the
+simulator's own scalar primitives (:func:`plan_cost`), so on tiny instances
+it is bit-for-bit identical to brute-force enumeration. The plan is the
+true simulated optimum when routing is assignment-invariant — the paper's
+default of linear load with uniform node strengths, where nearest routing
+is also cost-minimal routing. On a substrate with per-node ``capacities``
+the program adds ``Σ served ≤ cap[n]`` per round and node, and the replay
+routes with :func:`~repro.core.routing.route_capacitated`, the game's own
+capacity rule; capacities are whole numbers, so the two admit the same
+rounds. The program splits demand optimally while the game spills
+greedily, so the plan is the capacitated optimum where the two routings
+cost the same — on every tiny instance the differential harness draws.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.api.registry import register_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.policy import PlannedPolicy, resolve_start
-from repro.core.routing import route_requests
+from repro.core.routing import route_capacitated, route_requests
 from repro.core.transitions import price_transition
 from repro.topology.substrate import Substrate
 from repro.util.validation import check_positive, check_positive_int
@@ -67,7 +70,9 @@ def plan_cost(
     Identical accounting (and float summation order) to the brute-force
     differential enumeration: round ``t``'s requests are served by the
     configuration left after round ``t-1``, then the transition and the new
-    configuration's running cost are paid.
+    configuration's running cost are paid. A capacitated substrate routes
+    each round as :func:`~repro.core.simulator.simulate` does, so an
+    unpackable round raises the same :class:`ValueError`.
     """
     if len(plan) != len(trace):
         raise ValueError(
@@ -76,12 +81,15 @@ def plan_cost(
     previous = Configuration.single(resolve_start(substrate, start_node))
     total = 0.0
     for t in range(len(trace)):
-        access = route_requests(
-            substrate,
-            np.asarray(previous.active, dtype=np.int64),
-            trace[t],
-            costs,
-        ).access_cost
+        servers = np.asarray(previous.active, dtype=np.int64)
+        if substrate.capacitated:
+            routed = route_capacitated(
+                substrate, servers, trace[t], costs,
+                substrate.capacities.copy(), t,
+            )
+        else:
+            routed = route_requests(substrate, servers, trace[t], costs)
+        access = routed.access_cost
         outcome = price_transition(previous, plan[t], costs)
         transition = outcome.migration_cost + outcome.creation_cost
         total += access + transition + costs.running_cost(plan[t])
@@ -100,8 +108,6 @@ class MilpOpt(PlannedPolicy):
         backend: ``"scipy"`` / ``"pulp"`` / ``"auto"`` (see the backends
             module; pulp needs the ``[opt]`` extra).
         time_limit: per-solve wall-clock limit in seconds.
-        node_capacity: uniform per-round per-node capacity when the
-            substrate carries no capacity vector.
         max_variables: refuse programs larger than this many variables.
     """
 
@@ -112,7 +118,6 @@ class MilpOpt(PlannedPolicy):
         require_active: bool = True,
         backend: str = "scipy",
         time_limit: "float | None" = None,
-        node_capacity: "float | None" = None,
         max_variables: int = _DEFAULT_MAX_VARIABLES,
     ) -> None:
         if max_servers is not None:
@@ -124,10 +129,6 @@ class MilpOpt(PlannedPolicy):
         self._time_limit = (
             None if time_limit is None
             else check_positive("time_limit", time_limit)
-        )
-        self._node_capacity = (
-            None if node_capacity is None
-            else check_positive("node_capacity", node_capacity)
         )
         self._max_variables = int(max_variables)
         self._objective: "float | None" = None
@@ -144,13 +145,6 @@ class MilpOpt(PlannedPolicy):
 
     # -- the time-expanded program ----------------------------------------------
 
-    def _capacities(self, substrate: Substrate) -> "np.ndarray | None":
-        if substrate.capacities is not None:
-            return substrate.capacities
-        if self._node_capacity is not None:
-            return np.full(substrate.n, self._node_capacity, dtype=np.float64)
-        return None
-
     def _solve(self, substrate: Substrate, costs: CostModel, start: int) -> None:
         if costs.migration_matrix is not None:
             raise NotImplementedError(
@@ -163,7 +157,7 @@ class MilpOpt(PlannedPolicy):
         if horizon == 0:
             self._plan, self._objective = [], 0.0
             return
-        capacities = self._capacities(substrate)
+        capacities = substrate.capacities
         rounds = [np.asarray(trace[t], dtype=np.int64) for t in range(horizon)]
 
         program = Program()
@@ -315,15 +309,13 @@ class MilpOpt(PlannedPolicy):
         require_active: bool = True,
         backend: str = "scipy",
         time_limit: "float | None" = None,
-        node_capacity: "float | None" = None,
     ) -> "tuple[float, list[Configuration]]":
         """Solve an instance and return ``(cost, plan)``.
 
-        Uncapacitated, the cost is the plan *replayed* through the
-        simulator's pricing (:func:`plan_cost`) — bit-for-bit comparable to
-        brute-force enumeration.  With capacities (on the substrate or via
-        ``node_capacity``) the MILP objective is returned instead: the
-        capacity-feasible optimum that nearest-routing replay cannot price.
+        The cost is the plan *replayed* through the simulator's pricing
+        (:func:`plan_cost`), capacitated or not — bit-for-bit comparable to
+        brute-force enumeration. The solver's own objective stays available
+        as :attr:`solver_objective`.
         """
         costs = costs if costs is not None else CostModel.paper_default()
         policy = cls(
@@ -332,14 +324,8 @@ class MilpOpt(PlannedPolicy):
             require_active=require_active,
             backend=backend,
             time_limit=time_limit,
-            node_capacity=node_capacity,
         )
         start = policy._solve_trace(substrate, trace, costs)
-        capacitated = (
-            substrate.capacities is not None or node_capacity is not None
-        )
-        if capacitated:
-            return policy.solver_objective, policy.plan
         cost = plan_cost(
             substrate, policy._trace, costs, policy.plan, start_node=start
         )

@@ -15,8 +15,10 @@ epoch of ``R`` rounds:
   cost for nodes not currently occupied;
 * constraints: every point fully served (``Σₙ y[p,n] = 1``), service only at
   open nodes (``y[p,n] ≤ x[n]``), per-node capacity
-  (``Σₚ rate_p·y[p,n] ≤ cap[n]``, per round), fleet bounds
-  (``1 ≤ Σ x ≤ max_servers``).
+  (``Σₚ rate_p·y[p,n] ≤ cap[n]``, per round, ``cap`` the substrate's
+  ``capacities``), fleet bounds (``1 ≤ Σ x ≤ max_servers``). The
+  capacity row bounds the window's *mean* rate; the simulator enforces
+  ``cap`` on every actual round.
 
 Two deliberate linearisations keep the model an (I)LP — both are *planning*
 approximations; the adopted configuration is always re-priced exactly by the

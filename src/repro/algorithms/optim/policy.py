@@ -61,9 +61,11 @@ class IlpPlacement(AllocationPolicy):
         start_node: initial server location (default: the network center).
         cache_size: inactive-server FIFO capacity (§III; default 3).
         cache_expiry: epochs before a cached server expires (default 20).
-        node_capacity: uniform per-round per-node capacity used when the
-            substrate itself carries no capacity vector (lets spec-driven
-            sweeps exercise capacitated placement on any topology).
+
+    On a substrate with per-node ``capacities`` each solve keeps the
+    windowed per-round demand rate within them. The simulator enforces the
+    capacities on every actual round, so a burst above the window's rate
+    can make a run raise.
     """
 
     def __init__(
@@ -77,7 +79,6 @@ class IlpPlacement(AllocationPolicy):
         start_node: "int | None" = None,
         cache_size: int = 3,
         cache_expiry: int = 20,
-        node_capacity: "float | None" = None,
     ) -> None:
         self._epoch = check_positive_int("epoch", epoch)
         self._window = (
@@ -96,10 +97,6 @@ class IlpPlacement(AllocationPolicy):
         self._start_node = start_node
         self._cache_size = check_positive_int("cache_size", cache_size)
         self._cache_expiry = check_positive_int("cache_expiry", cache_expiry)
-        self._node_capacity = (
-            None if node_capacity is None
-            else check_positive("node_capacity", node_capacity)
-        )
 
         self._substrate: "Substrate | None" = None
         self._costs: "CostModel | None" = None
@@ -107,7 +104,6 @@ class IlpPlacement(AllocationPolicy):
         self._cache: "InactiveServerCache | None" = None
         self._history: "deque[np.ndarray] | None" = None
         self._rounds_in_epoch = 0
-        self._capacities: "np.ndarray | None" = None
 
     @property
     def name(self) -> str:
@@ -129,7 +125,6 @@ class IlpPlacement(AllocationPolicy):
         start = resolve_start(substrate, self._start_node)
         self._substrate = substrate
         self._costs = costs
-        self._capacities = self._resolve_capacities(substrate)
         self._cache = InactiveServerCache(self._cache_size, self._cache_expiry)
         self._history = deque(maxlen=self._window or self._epoch)
         self._rounds_in_epoch = 0
@@ -154,13 +149,6 @@ class IlpPlacement(AllocationPolicy):
 
     # -- the epoch solve ---------------------------------------------------------
 
-    def _resolve_capacities(self, substrate: Substrate) -> "np.ndarray | None":
-        if substrate.capacities is not None:
-            return substrate.capacities
-        if self._node_capacity is not None:
-            return np.full(substrate.n, self._node_capacity, dtype=np.float64)
-        return None
-
     def _end_epoch(self) -> None:
         cache = self._cache
         cache.tick_epoch()  # expired servers simply leave use
@@ -181,7 +169,7 @@ class IlpPlacement(AllocationPolicy):
             window_rounds=len(self._history),
             epoch_rounds=self._epoch,
             occupied=occupied,
-            capacities=self._capacities,
+            capacities=self._substrate.capacities,
             max_servers=self._max_servers,
         )
         solution = model.program.solve(

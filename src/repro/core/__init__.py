@@ -29,7 +29,6 @@ from repro.core.results import CostBreakdown, RunResult
 from repro.core.routing import (
     RoutingResult,
     RoutingStrategy,
-    nearest_latency_cost,
     route_requests,
 )
 from repro.core.servercache import InactiveServerCache
@@ -53,7 +52,6 @@ __all__ = [
     "RoutingResult",
     "RoutingStrategy",
     "route_requests",
-    "nearest_latency_cost",
     "InactiveServerCache",
     "simulate",
     "ServiceSpec",

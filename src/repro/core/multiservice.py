@@ -13,7 +13,8 @@ Semantics:
   game of §II-E runs per service, in lockstep rounds. Each service is
   played by :func:`~repro.core.simulator.simulate`'s per-service stepper,
   so its checks, decisions, transition pricing and ledger are
-  ``simulate``'s own; this module only routes;
+  ``simulate``'s own; this module only shares the round's node load and
+  capacity budget between the services;
 * services couple through **shared node load**: the load latency of node
   ``v`` in round ``t`` is ``f(ω(v), η(v, t))`` with ``η`` counting requests
   of *all* services served at ``v``. Each service is charged its share of
@@ -23,17 +24,15 @@ Semantics:
 * a node may host at most one server *per service* (different services
   may co-locate; they are distinct virtual machines);
 * when the substrate carries a per-node **capacity vector**
-  (``Substrate(..., capacities=...)``), routing becomes capacity-aware:
-  each node serves at most ``capacities[v]`` requests per round *summed
-  over all services*. Requests are placed deterministically — services in
-  declaration order, requests in trace order, each at its nearest active
-  server with spare capacity (ties to the lower node index), spilling over
-  to the next-nearest when the preferred node is full. A round whose
-  demand cannot be packed at all raises :class:`ValueError`: capacity is a
-  hard packing constraint (the Stolyar-style model the optimizer-backed
-  policies plan against), unlike the soft contention of the load function.
-  Uncapacitated substrates keep the original vectorised nearest routing,
-  bit-for-bit.
+  (``Substrate(..., capacities=...)``), each node serves at most
+  ``capacities[v]`` requests per round *summed over all services*. Every
+  service is routed by :func:`~repro.core.routing.route_capacitated`, the
+  capacity rule :func:`~repro.core.simulator.simulate` applies too, against
+  one per-round budget shared in declaration order: a request goes to its
+  nearest active server with spare capacity and spills to the next-nearest
+  when that one is full. A round whose demand cannot be packed raises
+  :class:`ValueError`. Uncapacitated substrates route every service with
+  :func:`~repro.core.routing.route_requests`.
 
 The per-service ledgers are ordinary :class:`~repro.core.results.RunResult`
 objects, so all analysis tooling applies unchanged.
@@ -41,7 +40,7 @@ objects, so all analysis tooling applies unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +48,7 @@ import numpy as np
 from repro.core.costs import CostModel
 from repro.core.policy import AllocationPolicy
 from repro.core.results import RunResult
-from repro.core.routing import RoutingResult
+from repro.core.routing import RoutingResult, route_capacitated, route_requests
 from repro.core.simulator import _Player
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace
@@ -68,43 +67,6 @@ class ServiceSpec:
     costs: "CostModel | None" = None
 
 
-def _place_capacitated(
-    name: str,
-    t: int,
-    servers: np.ndarray,
-    requests: np.ndarray,
-    distances: np.ndarray,
-    remaining: np.ndarray,
-) -> "tuple[np.ndarray, float]":
-    """Greedy deterministic capacity-aware placement of one service's round.
-
-    Each request (in trace order) goes to its nearest active server with
-    spare capacity — ties to the lower node index via the stable preference
-    sort — consuming one unit of the *shared* ``remaining`` budget.  Raises
-    when a request finds every active server full: capacity is a hard
-    packing constraint.
-    """
-    preference = np.argsort(distances, axis=0, kind="stable")
-    served_at = np.empty(requests.size, dtype=np.int64)
-    latency = 0.0
-    for j in range(requests.size):
-        for rank in preference[:, j]:
-            node = int(servers[rank])
-            if remaining[node] >= 1.0:
-                served_at[j] = node
-                latency += float(distances[rank, j])
-                remaining[node] -= 1.0
-                break
-        else:
-            raise ValueError(
-                f"service {name!r}: request at node {int(requests[j])} in "
-                f"round {t} cannot be served — every active server is at "
-                "capacity (the per-node capacity vector is a hard packing "
-                "constraint)"
-            )
-    return served_at, latency
-
-
 def simulate_services(
     substrate: Substrate,
     services: "list[ServiceSpec]",
@@ -116,8 +78,8 @@ def simulate_services(
     Args:
         substrate: the shared substrate network; when it carries
             ``capacities``, routing enforces them as a per-round per-node
-            packing constraint shared across services (see the module
-            docstring for the exact placement order).
+            packing constraint shared across services in declaration
+            order (see :func:`~repro.core.routing.route_capacitated`).
         services: the hosted services; traces must have equal length
             (lockstep rounds) and unique names.
         default_costs: cost model for services without their own.
@@ -162,32 +124,26 @@ def simulate_services(
         # per-node demand each service induces. On capacitated substrates
         # the per-round budget is shared across services (placement order:
         # services as declared, requests in trace order).
-        assignments: list[tuple[np.ndarray, np.ndarray, float]] = []
+        assignments: list[tuple[RoutingResult, np.ndarray, np.ndarray]] = []
         node_counts = np.zeros(substrate.n, dtype=np.int64)
         remaining = (
             substrate.capacities.copy() if substrate.capacitated else None
         )
         for spec, player in zip(services, players):
             requests = spec.trace[t]
-            if requests.size == 0:
-                assignments.append((np.zeros(0, dtype=np.int64), requests, 0.0))
-                continue
-            if player.config.n_active == 0:
+            if requests.size and player.config.n_active == 0:
                 raise ValueError(
                     f"service {spec.name!r} has no active server in round {t}"
                 )
             servers = player.config.active_array
-            distances = substrate.distances[np.ix_(servers, requests)]
             if remaining is None:
-                choice = np.argmin(distances, axis=0)
-                latency = float(distances[choice, np.arange(requests.size)].sum())
-                served_at = servers[choice]
+                routed = route_requests(substrate, servers, requests, player.costs)
             else:
-                served_at, latency = _place_capacitated(
-                    spec.name, t, servers, requests, distances, remaining
+                routed = route_capacitated(
+                    substrate, servers, requests, player.costs, remaining, t
                 )
-            latency += player.costs.wireless_hop * requests.size
-            assignments.append((served_at, requests, latency))
+            served_at = servers[routed.assignment]
+            assignments.append((routed, requests, served_at))
             node_counts += np.bincount(served_at, minlength=substrate.n)
 
         # Phase 2: shared node load, attributed proportionally to each
@@ -204,8 +160,8 @@ def simulate_services(
             )
 
         # Phase 3: each service's player decides and records the round.
-        for player, (served_at, requests, latency) in zip(players, assignments):
-            active = player.config.active_array
+        for player, (routed, requests, served_at) in zip(players, assignments):
+            load = 0.0
             if served_at.size:
                 mine = np.bincount(served_at, minlength=substrate.n)
                 with np.errstate(invalid="ignore"):
@@ -215,15 +171,6 @@ def simulate_services(
                         where=node_counts > 0,
                     )
                 load = float((node_load * share).sum())
-                counts = mine[active]
-            else:
-                load = 0.0
-                counts = np.zeros(active.size, dtype=np.int64)
-            player.step(t, requests, RoutingResult(
-                latency_cost=latency,
-                load_cost=load,
-                counts=counts,
-                assignment=np.searchsorted(active, served_at),
-            ))
+            player.step(t, requests, replace(routed, load_cost=load))
 
     return {spec.name: player.finish() for spec, player in zip(services, players)}

@@ -19,6 +19,13 @@ Two strategies are provided:
   the server with the smallest *marginal* access cost (latency plus load
   increase). This matters for convex load functions (quadratic model of
   Figures 1–2), where piling requests on one server is super-linear.
+
+A substrate with per-node ``capacities`` is routed by
+:func:`route_capacitated` instead: nearest with spill, one whole capacity
+unit per request. :func:`~repro.core.simulator.simulate`,
+:func:`~repro.core.multiservice.simulate_services` and
+:func:`~repro.algorithms.optim.exact.plan_cost` all use it there, so
+capacity has one admission rule.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from repro.core.costs import CostModel
 from repro.topology.substrate import Substrate
 
-__all__ = ["RoutingStrategy", "RoutingResult", "route_requests", "nearest_latency_cost"]
+__all__ = ["RoutingStrategy", "RoutingResult", "route_capacitated", "route_requests"]
 
 
 class RoutingStrategy(Enum):
@@ -161,20 +168,52 @@ def _route_load_aware(
     return RoutingResult(float(latency), float(load), counts, assignment)
 
 
-def nearest_latency_cost(
+def route_capacitated(
     substrate: Substrate,
-    servers: "np.ndarray | tuple[int, ...]",
+    servers: np.ndarray,
     requests: np.ndarray,
-) -> float:
-    """Latency part of the access cost under nearest routing (no load, no hop).
+    costs: CostModel,
+    remaining: np.ndarray,
+    t: int,
+) -> RoutingResult:
+    """Route round ``t`` under per-node capacities: nearest with spill.
 
-    The vectorised primitive used by candidate evaluation: a single
-    ``min``-reduction over a distance slice.
+    The one capacity rule of the game. Each request, in round order, goes
+    to its nearest active server with a whole unit of ``remaining``
+    capacity (ties to the lower node index, via the stable preference
+    sort) and consumes that unit; a full server spills the request to the
+    next-nearest. ``remaining`` is the caller's per-node budget, consumed
+    in place, so several services can share one round's budget.
+
+    Raises:
+        ValueError: when a request finds every active server full — the
+            capacity vector is a hard packing constraint — or when requests
+            exist but no server is active.
     """
+    servers = np.asarray(servers, dtype=np.int64)
     requests = np.asarray(requests, dtype=np.int64)
     if requests.size == 0:
-        return 0.0
-    servers = np.asarray(servers, dtype=np.int64)
+        return route_requests(substrate, servers, requests, costs)
     if servers.size == 0:
         raise ValueError("cannot route requests: no active servers")
-    return float(substrate.distances[np.ix_(servers, requests)].min(axis=0).sum())
+    distances = substrate.distances[np.ix_(servers, requests)]
+    preference = np.argsort(distances, axis=0, kind="stable")
+    assignment = np.empty(requests.size, dtype=np.int64)
+    latency = 0.0
+    for j in range(requests.size):
+        for rank in preference[:, j]:
+            node = int(servers[rank])
+            if remaining[node] >= 1.0:
+                assignment[j] = rank
+                latency += float(distances[rank, j])
+                remaining[node] -= 1.0
+                break
+        else:
+            raise ValueError(
+                f"round {t}: the request at node {int(requests[j])} cannot be "
+                "served, every active server is at capacity"
+            )
+    latency += costs.wireless_hop * requests.size
+    counts = np.bincount(assignment, minlength=servers.size)
+    load = costs.load(substrate.strengths[servers], counts).sum()
+    return RoutingResult(latency, float(load), counts, assignment)

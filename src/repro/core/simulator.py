@@ -28,7 +28,9 @@ stream) is routed round by round with
 :func:`~repro.core.routing.route_requests` and plain
 :class:`~repro.core.evaluation.RequestBatch` windows, so memory stays
 O(round). Non-nearest routing always uses ``route_requests``. Both sources
-produce the same ledger bit for bit.
+produce the same ledger bit for bit. A capacitated substrate is routed
+round by round with :func:`~repro.core.routing.route_capacitated`, the
+capacity rule ``simulate_services`` applies too.
 
 Everything after routing (``decide``, the configuration checks, transition
 pricing and the column ledger) is one policy's :class:`_Player`.
@@ -47,7 +49,12 @@ from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.policy import AllocationPolicy, OfflinePolicy
 from repro.core.results import LEDGER_COLUMNS, RunResult
-from repro.core.routing import RoutingResult, RoutingStrategy, route_requests
+from repro.core.routing import (
+    RoutingResult,
+    RoutingStrategy,
+    route_capacitated,
+    route_requests,
+)
 from repro.core.transitions import _NO_CHANGE, price_transition
 from repro.topology.substrate import Substrate
 from repro.workload.base import RoundIterable, Trace, as_trace, check_round
@@ -85,7 +92,9 @@ def simulate(
             ``requires_full_trace`` (offline lookahead); online policies run
             in O(round) memory.
         costs: cost model; defaults to the paper's β=40, c=400 model.
-        routing: request-to-server assignment strategy.
+        routing: request-to-server assignment strategy. A capacitated
+            substrate admits only nearest routing, with spill to the
+            next-nearest server when one is full.
         seed: randomness for the policy (e.g. ONCONF's random switch).
         max_servers: optional hard cap ``k`` on simultaneous in-use servers;
             a policy exceeding it is a bug and raises.
@@ -100,8 +109,15 @@ def simulate(
     Raises:
         ValueError: if the trace references nodes outside the substrate, a
             round with requests finds no active server, ``max_servers`` is
-            violated, or ``gather`` was built for another substrate/costs.
+            violated, ``gather`` was built for another substrate/costs, a
+            capacitated round cannot be packed, or non-nearest routing is
+            asked of a capacitated substrate.
     """
+    if substrate.capacitated and routing is not RoutingStrategy.NEAREST:
+        raise ValueError(
+            f"{routing} is undefined on a capacitated substrate, which "
+            "routes nearest with spill"
+        )
     costs = costs if costs is not None else CostModel.paper_default()
     rng = ensure_rng(seed)
 
@@ -123,6 +139,7 @@ def simulate(
             if gather is not None and routing is RoutingStrategy.NEAREST
             else None
         )
+        capacities = substrate.capacities
         for t, requests in enumerate(trace.rounds if gather is not None else trace):
             if gather is None:
                 requests = check_round(t, requests)
@@ -131,7 +148,12 @@ def simulate(
                         f"round {t} references node {int(requests.max())} but "
                         f"substrate has {substrate.n} nodes"
                     )
-            if route is None or not requests.size:
+            if capacities is not None:
+                routed = route_capacitated(
+                    substrate, player.config.active_array, requests, costs,
+                    capacities.copy(), t,
+                )
+            elif route is None or not requests.size:
                 routed = route_requests(
                     substrate, player.config.active_array, requests, costs, routing,
                 )

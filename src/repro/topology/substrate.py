@@ -79,11 +79,12 @@ class Substrate:
         access_points: node indices that terminals may attach to
             (``A ⊆ V``, §II-B). Defaults to all nodes.
         name: human-readable label used in reports.
-        capacities: optional per-round per-node request capacity (the
-            packing constraint of the capacitated multi-service model and
-            the optimizer-backed policies); scalar broadcasts to all nodes,
-            ``None`` (the default) means uncapacitated — the paper's
-            setting, where only the *load function* penalises contention.
+        capacities: optional per-round per-node request capacity, a whole
+            number of requests (the packing constraint every router of the
+            game and the optimizer-backed policies enforce); scalar
+            broadcasts to all nodes, ``None`` (the default) means
+            uncapacitated — the paper's setting, where only the *load
+            function* penalises contention.
     """
 
     def __init__(
@@ -144,8 +145,12 @@ class Substrate:
             raise ValueError(
                 f"capacities must be scalar or shape ({self._n},), got {arr.shape}"
             )
-        if not np.all(arr > 0):
-            raise ValueError("all node capacities must be > 0")
+        bad = arr[~((arr > 0) & (arr == np.floor(arr)) & np.isfinite(arr))]
+        if bad.size:
+            raise ValueError(
+                "node capacities count whole requests and must be whole "
+                f"numbers > 0, got {bad[0]:g}"
+            )
         return arr
 
     def _build_access_points(self, access_points) -> np.ndarray:

@@ -34,7 +34,7 @@ from repro.api.specs import (
 )
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
-from repro.core.routing import route_requests
+from repro.core.routing import route_capacitated, route_requests
 from repro.core.simulator import simulate
 from repro.core.transitions import price_transition
 from repro.topology.generators import line
@@ -58,7 +58,9 @@ def brute_force_optimal(substrate, trace, costs) -> float:
     — starting from one active server at the network center (OPT's γ0).
     Every state keeps at least one active server (OPT's ``require_active``
     default). Deliberately priced with the simulator's scalar primitives,
-    sharing no code with OPT's vectorised transition/access tables.
+    sharing no code with OPT's vectorised transition/access tables. On a
+    capacitated substrate a round is routed by the game's capacity rule,
+    and a configuration that cannot pack it is no strategy (infinite cost).
     """
     n = substrate.n
     configs = []
@@ -69,16 +71,20 @@ def brute_force_optimal(substrate, trace, costs) -> float:
             configs.append(Configuration(active, inactive))
     start = configs.index(Configuration.single(substrate.center))
 
-    access = [
-        [
-            route_requests(
-                substrate,
-                np.asarray(config.active, dtype=np.int64),
-                trace[t],
-                costs,
+    def access_cost(config, t):
+        servers = np.asarray(config.active, dtype=np.int64)
+        if not substrate.capacitated:
+            return route_requests(substrate, servers, trace[t], costs).access_cost
+        try:
+            return route_capacitated(
+                substrate, servers, trace[t], costs,
+                substrate.capacities.copy(), t,
             ).access_cost
-            for config in configs
-        ]
+        except ValueError:
+            return float("inf")
+
+    access = [
+        [access_cost(config, t) for config in configs]
         for t in range(len(trace))
     ]
     transition = [

@@ -105,8 +105,6 @@ class TestIlpPlacementKnobs:
             IlpPlacement(time_limit=0.0)
         with pytest.raises(ValueError):
             IlpPlacement(max_servers=0)
-        with pytest.raises(ValueError):
-            IlpPlacement(node_capacity=-1.0)
         with pytest.raises(ValueError, match="unknown solver backend"):
             IlpPlacement(backend="cplex")
 
@@ -163,18 +161,6 @@ class TestIlpPlacementKnobs:
         b = _drive(IlpPlacement(epoch=3, relax=True, start_node=1),
                    substrate, rounds)
         assert a == b
-
-    def test_node_capacity_spreads_the_fleet(self):
-        substrate = line(3, seed=3, **_LINE_PARAMS)
-        rounds = [[0, 1, 2]] * 2
-        loose = _drive(IlpPlacement(epoch=2, start_node=1), substrate, rounds)
-        tight = _drive(
-            IlpPlacement(epoch=2, start_node=1, node_capacity=1.0),
-            substrate, rounds,
-        )
-        # one request per node per round forces one server per demand point
-        assert tight[-1].n_active == 3
-        assert tight[-1].n_active >= loose[-1].n_active
 
     def test_substrate_capacities_picked_up_automatically(self):
         substrate = line(3, seed=3, capacity=1.0, **_LINE_PARAMS)
@@ -277,8 +263,6 @@ class TestMilpOptGuards:
             MilpOpt(max_servers=0)
         with pytest.raises(ValueError):
             MilpOpt(time_limit=-1.0)
-        with pytest.raises(ValueError):
-            MilpOpt(node_capacity=0.0)
 
     def test_empty_horizon_solves_trivially(self):
         substrate = line(2, seed=0, **_LINE_PARAMS)

@@ -8,10 +8,12 @@ matrices vs bitmask tables) and none with the brute-force enumeration of
 pricing primitives in the exact summation order of the enumeration, so the
 comparison is ``==`` on floats, not an approx.
 
-With binding per-node capacities the chain of bounds is tested instead:
+With binding per-node capacities the MILP replays its plan through the
+game's capacity rule, so it equals a capacity-aware brute force too, and
+the chain of bounds holds:
 
-    uncapacitated OPT  ≤  capacitated MILP  ≤  every capacity-feasible
-                                               heuristic (per shared trace)
+    uncapacitated OPT  ≤  capacitated MILP  ≤  every heuristic run the
+                                               capacitated game can play
 
 Examples are derandomised: hypothesis draws the same instances on every
 run, so the bit-for-bit assertions cannot flake on a fresh near-tie.
@@ -23,13 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.opt import Opt
-from repro.algorithms.optim import MilpOpt, plan_cost
+from repro.algorithms.optim import MilpOpt
 from repro.algorithms.static import StaticPolicy
 from repro.api.registry import resolve_policy
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.policy import AllocationPolicy
-from repro.core.routing import route_requests
 from repro.core.simulator import simulate
 from repro.topology.generators import line
 from repro.workload.base import Trace
@@ -134,30 +135,12 @@ def capacitated_trace(rng, n_nodes, rounds) -> Trace:
     return Trace((first, *rest))
 
 
-def _nearest_feasible(substrate, trace, plan, start, capacities) -> bool:
-    """Whether the plan's nearest-routing assignment fits the capacities."""
-    previous = Configuration.single(start)
-    for t in range(len(trace)):
-        requests = np.asarray(trace[t], dtype=np.int64)
-        if requests.size:
-            servers = np.asarray(previous.active, dtype=np.int64)
-            routing = route_requests(
-                substrate, servers, requests, CostModel.paper_default()
-            )
-            for server, count in zip(servers, routing.counts):
-                if count > capacities[server]:
-                    return False
-        previous = plan[t]
-    return True
-
-
 class _RecordingPolicy(AllocationPolicy):
-    """Wrap an online policy and record the configuration sequence it plays."""
+    """Wrap an online policy and record the configuration it starts from."""
 
     def __init__(self, inner: AllocationPolicy) -> None:
         self._inner = inner
         self.start: "Configuration | None" = None
-        self.plan: "list[Configuration]" = []
 
     @property
     def name(self) -> str:
@@ -165,16 +148,39 @@ class _RecordingPolicy(AllocationPolicy):
 
     def reset(self, substrate, costs, rng):
         self.start = self._inner.reset(substrate, costs, rng)
-        self.plan = []
         return self.start
 
     def decide(self, t, requests, routing):
-        config = self._inner.decide(t, requests, routing)
-        self.plan.append(config)
-        return config
+        return self._inner.decide(t, requests, routing)
 
 
 class TestCapacitatedBounds:
+    @settings(max_examples=10, **EXACT)
+    @given(
+        seed=st.integers(0, 10_000),
+        rounds=st.integers(2, 3),
+        expensive=st.booleans(),
+    )
+    def test_capacitated_milp_equals_brute_force(self, seed, rounds, expensive):
+        """The replayed MILP plan is the capacitated optimum of the game.
+
+        To rel 1e-9, not bit for bit: the solver's plan may tie with
+        another plan whose replay sums in a different order. ``simulate``
+        plays the same plan for the same cost.
+        """
+        substrate = line(3, seed=seed, capacity=1.0, **_LINE_PARAMS)
+        rng = np.random.default_rng(seed)
+        trace = capacitated_trace(rng, 3, rounds)
+        costs = (
+            CostModel.migration_expensive() if expensive
+            else CostModel.paper_default()
+        )
+        expected = brute_force_optimal(substrate, trace, costs)
+        milp_cost, _ = MilpOpt.solve(substrate, trace, costs)
+        assert milp_cost == pytest.approx(expected, rel=1e-9)
+        played = simulate(substrate, MilpOpt(), trace, costs, seed=0)
+        assert played.total_cost == pytest.approx(milp_cost, rel=1e-9)
+
     @settings(max_examples=10, **EXACT)
     @given(
         seed=st.integers(0, 10_000),
@@ -185,17 +191,15 @@ class TestCapacitatedBounds:
         self, seed, rounds, expensive
     ):
         """Adding a packing constraint can only raise the optimum."""
-        substrate = line(3, seed=seed, **_LINE_PARAMS)
+        substrate = line(3, seed=seed, capacity=1.0, **_LINE_PARAMS)
         rng = np.random.default_rng(seed)
         trace = capacitated_trace(rng, 3, rounds)
         costs = (
             CostModel.migration_expensive() if expensive
             else CostModel.paper_default()
         )
-        uncap_cost, _ = Opt.solve(substrate, trace, costs)
-        cap_cost, plan = MilpOpt.solve(
-            substrate, trace, costs, node_capacity=1.0
-        )
+        uncap_cost, _ = Opt.solve(substrate.with_capacities(None), trace, costs)
+        cap_cost, plan = MilpOpt.solve(substrate, trace, costs)
         assert cap_cost >= uncap_cost - 1e-6
         # the capacitated plan really spreads servers: with unit capacities
         # a k-request round needs >= k active servers the round before
@@ -205,29 +209,27 @@ class TestCapacitatedBounds:
     @settings(max_examples=8, **EXACT)
     @given(seed=st.integers(0, 10_000), rounds=st.integers(2, 5))
     def test_feasible_heuristics_dominate_capacitated_milp(self, seed, rounds):
-        """Every capacity-feasible heuristic replicate costs >= the MILP.
+        """Every heuristic run of the capacitated game costs >= the MILP.
 
         The MILP (``require_active=False`` — the weakest feasible set, so
         the bound holds for any heuristic plan) minimises over exactly the
-        plans a policy could play; a heuristic whose nearest-routing
-        assignment fits the unit capacities is one such plan, so its
-        replayed cost can never beat the optimum.
+        plans a policy could play. ``simulate`` prices each heuristic under
+        the same capacities; a run that meets an unpackable round raises
+        and is no strategy, so it is skipped.
         """
-        substrate = line(3, seed=seed, **_LINE_PARAMS)
+        substrate = line(3, seed=seed, capacity=1.0, **_LINE_PARAMS)
         rng = np.random.default_rng(seed)
         trace = capacitated_trace(rng, 3, rounds)
         costs = CostModel.paper_default()
-        capacities = np.ones(substrate.n)
         milp_cost, _ = MilpOpt.solve(
-            substrate, trace, costs,
-            node_capacity=1.0, require_active=False,
+            substrate, trace, costs, require_active=False,
         )
         start = substrate.center
         checked = 0
         # the no-arg online heuristics, plus an all-active static fleet —
-        # the latter is always capacity-feasible on distinct-point rounds
-        # (every request is served at its own node), so the invariant below
-        # is guaranteed to be exercised at least once per example.
+        # the latter always packs distinct-point rounds (every request is
+        # served at its own node), so the invariant below is guaranteed to
+        # be exercised at least once per example.
         policies = [resolve_policy(kind)() for kind in _ONLINE_POLICY_KINDS]
         policies.append(
             StaticPolicy(Configuration(tuple(range(substrate.n))))
@@ -235,16 +237,13 @@ class TestCapacitatedBounds:
         for policy in policies:
             kind = policy.name
             recorder = _RecordingPolicy(policy)
-            simulate(substrate, recorder, trace, costs, seed=0)
+            try:
+                result = simulate(substrate, recorder, trace, costs, seed=0)
+            except ValueError as error:
+                assert "at capacity" in str(error), kind
+                continue  # an unpackable round: not a play of the game
             if recorder.start != Configuration.single(start):
                 continue  # different γ0: not comparable to this MILP
-            if not _nearest_feasible(
-                substrate, trace, recorder.plan, start, capacities
-            ):
-                continue  # capacity-infeasible replicate: bound is vacuous
-            heuristic_cost = plan_cost(
-                substrate, trace, costs, recorder.plan, start_node=start
-            )
-            assert heuristic_cost >= milp_cost - 1e-6, kind
+            assert result.total_cost >= milp_cost - 1e-6, kind
             checked += 1
         assert checked >= 1  # the invariant is exercised, not vacuous

@@ -9,7 +9,6 @@ from repro.core.costs import CostModel
 from repro.core.load import QuadraticLoad
 from repro.core.routing import (
     RoutingStrategy,
-    nearest_latency_cost,
     route_requests,
 )
 from repro.topology.generators import erdos_renyi, line
@@ -99,21 +98,6 @@ class TestLoadAwareRouting:
             path5, [1, 4], requests, costs, RoutingStrategy.LOAD_AWARE
         )
         assert out.counts.sum() == 4
-
-
-class TestNearestLatencyCost:
-    def test_matches_route_requests(self, path5, costs):
-        requests = np.array([0, 1, 3, 4, 4])
-        full = route_requests(path5, [0, 3], requests, costs)
-        fast = nearest_latency_cost(path5, [0, 3], requests)
-        assert fast == pytest.approx(full.latency_cost)
-
-    def test_empty_requests(self, path5):
-        assert nearest_latency_cost(path5, [1], np.zeros(0, dtype=np.int64)) == 0.0
-
-    def test_no_servers_raises(self, path5):
-        with pytest.raises(ValueError, match="no active servers"):
-            nearest_latency_cost(path5, [], np.array([0]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -209,9 +209,9 @@ class TestCapacities:
 
     def test_scalar_broadcasts(self):
         links = [Link(i, i + 1, 1.0, 1.544) for i in range(3)]
-        sub = Substrate(4, links, capacities=2.5)
+        sub = Substrate(4, links, capacities=3.0)
         assert sub.capacitated
-        np.testing.assert_array_equal(sub.capacities, np.full(4, 2.5))
+        np.testing.assert_array_equal(sub.capacities, np.full(4, 3.0))
 
     def test_vector_shape_checked(self):
         links = [Link(0, 1, 1.0, 1.544)]
