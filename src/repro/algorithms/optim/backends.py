@@ -6,7 +6,12 @@ programs.  Two interchangeable backends solve them:
 * ``"scipy"`` — :func:`scipy.optimize.milp` (the HiGHS solver scipy already
   ships); always available, the default.  The MIP gap is pinned to zero so
   tiny instances are solved to *proven* optimality — the differential tests
-  against brute-force enumeration rely on that.
+  against brute-force enumeration rely on that.  MIP solves also switch off
+  HiGHS's *feasibility jump* primal heuristic: recent HiGHS builds run it
+  before the root LP at a roughly fixed ~10 ms per solve, several times
+  the whole solve of the placement programs, whose root LP is already
+  integral.  The zero gap still proves optimality, so the answers do not
+  change.  The constraint matrix goes to HiGHS as one prebuilt CSC array.
 * ``"pulp"`` — the `PuLP <https://coin-or.github.io/pulp/>`_ modeller with
   its bundled CBC solver, behind the optional ``[opt]`` extra
   (``pip install 'repro-flexible-server-allocation[opt]'``).  Selecting it
@@ -26,6 +31,7 @@ lower-bounds the MILP optimum — a tested invariant).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +48,12 @@ __all__ = [
 
 #: Recognised values for the ``backend`` solver knob.
 BACKENDS = ("scipy", "pulp", "auto")
+
+#: Start of the warnings scipy's ``milp`` (its option check) and HiGHS
+#: builds older than the option raise for the heuristic switch.
+_FEASIBILITY_JUMP_WARNING = (
+    r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'"
+)
 
 #: The graceful message pointing at the optional extra.
 _PULP_HINT = (
@@ -137,10 +149,23 @@ class Program:
         lo: float = -np.inf,
         hi: float = np.inf,
     ) -> None:
-        """Add the row ``lo ≤ Σ coef·x[idx] ≤ hi``."""
+        """Add the row ``lo ≤ Σ coef·x[idx] ≤ hi``.
+
+        Raises :class:`ValueError` when ``terms`` is empty, names a
+        variable twice, or names one not yet added.
+        """
         if not terms:
             raise ValueError("a constraint needs at least one term")
         idx, coef = zip(*terms)
+        # The CSC build in _constraint_matrix places every term as its own
+        # entry, so a row must name existing variables, each at most once.
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"a constraint names a variable twice: {idx}")
+        if min(idx) < 0 or max(idx) >= len(self._obj):
+            raise ValueError(
+                f"a constraint names a variable outside 0..{len(self._obj) - 1}"
+                f": {idx}"
+            )
         self._rows.append(
             (np.asarray(idx, dtype=np.int64),
              np.asarray(coef, dtype=np.float64),
@@ -175,26 +200,40 @@ class Program:
             return self._solve_pulp(relax, time_limit)  # pragma: no cover
         return self._solve_scipy(relax, time_limit)
 
-    def _constraint_matrix(self) -> "tuple[sparse.csr_matrix, np.ndarray, np.ndarray]":
-        rows_idx, cols, vals = [], [], []
-        lows = np.empty(len(self._rows))
-        highs = np.empty(len(self._rows))
-        for r, (idx, coef, lo, hi) in enumerate(self._rows):
-            rows_idx.extend([r] * idx.size)
-            cols.extend(idx.tolist())
-            vals.extend(coef.tolist())
-            lows[r] = lo
-            highs[r] = hi
-        matrix = sparse.csr_matrix(
-            (vals, (rows_idx, cols)),
-            shape=(len(self._rows), self.n_variables),
+    def _constraint_matrix(
+        self,
+    ) -> "tuple[sparse.csc_array, np.ndarray, np.ndarray]":
+        """The rows as one CSC array plus their lower and upper bounds.
+
+        Built straight from the row arrays: entries are ordered by column
+        and, within a column, by row (a stable sort of the row-major
+        entries), which is the canonical form HiGHS receives — ``milp``'s
+        own ``csc_array(A)`` then converts nothing.
+        """
+        idx, coef, lows, highs = zip(*self._rows)
+        cols = np.concatenate(idx)
+        order = np.argsort(cols, kind="stable")
+        rows_of = np.repeat(
+            np.arange(len(idx), dtype=np.int32), [i.size for i in idx]
         )
-        return matrix, lows, highs
+        indptr = np.zeros(self.n_variables + 1, dtype=np.int32)
+        np.cumsum(
+            np.bincount(cols, minlength=self.n_variables), out=indptr[1:]
+        )
+        matrix = sparse.csc_array(
+            (np.concatenate(coef)[order], rows_of[order], indptr),
+            shape=(len(idx), self.n_variables),
+        )
+        return (
+            matrix,
+            np.array(lows, dtype=np.float64),
+            np.array(highs, dtype=np.float64),
+        )
 
     def _solve_scipy(self, relax: bool, time_limit: "float | None") -> Solution:
         # Imported here: scipy.optimize costs ~0.2 s to import, and most
         # runs never solve a program.
-        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
 
         integrality = np.zeros(self.n_variables, dtype=np.int64)
         if not relax:
@@ -207,18 +246,32 @@ class Program:
         # tests compare against brute-force enumeration bit-for-bit, so the
         # default 1e-4 gap (good enough but not optimal) is not acceptable.
         options: dict = {"mip_rel_gap": 0.0}
+        if integrality.any():
+            # Feasibility jump costs ~10 ms per solve whatever the program,
+            # and these programs' root LP is integral; mip_rel_gap=0 still
+            # proves optimality without it.
+            options["mip_heuristic_run_feasibility_jump"] = False
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        result = milp(
-            c=np.asarray(self._obj, dtype=np.float64),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(
-                np.asarray(self._lb, dtype=np.float64),
-                np.asarray(self._ub, dtype=np.float64),
-            ),
-            options=options,
-        )
+        with warnings.catch_warnings():
+            # scipy warns about any option it does not list, and HiGHS
+            # builds older than the option warn and ignore it.
+            warnings.filterwarnings(
+                "ignore", _FEASIBILITY_JUMP_WARNING, RuntimeWarning
+            )
+            warnings.filterwarnings(
+                "ignore", _FEASIBILITY_JUMP_WARNING, OptimizeWarning
+            )
+            result = milp(
+                c=np.asarray(self._obj, dtype=np.float64),
+                constraints=constraints,
+                integrality=integrality,
+                bounds=Bounds(
+                    np.asarray(self._lb, dtype=np.float64),
+                    np.asarray(self._ub, dtype=np.float64),
+                ),
+                options=options,
+            )
         if not result.success or result.x is None:
             raise InfeasibleProblemError(
                 f"placement program has no optimal solution: {result.message}"

@@ -268,9 +268,11 @@ def t_critical(level: float, dof: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     if level == 0.0:
         return 0.0
-    from scipy.stats import t
+    # scipy.special, not scipy.stats: the same quantile bit for bit
+    # (``t.ppf`` calls ``stdtrit``), without importing scipy.stats.
+    from scipy.special import stdtrit
 
-    return float(t.ppf(0.5 + level / 2.0, dof))
+    return float(stdtrit(dof, 0.5 + level / 2.0))
 
 
 def _t_interval(arr: np.ndarray, level: float) -> ConfidenceInterval:
@@ -308,24 +310,25 @@ def _bootstrap_interval(
     indices = rng.integers(0, ordered.size, size=(n_boot, ordered.size))
     boot_means = ordered[indices].mean(axis=1)
 
-    from scipy.stats import norm
+    # ndtri/ndtr are what norm.ppf/norm.cdf call, bit for bit.
+    from scipy.special import ndtr, ndtri
 
     # Bias correction: the normal quantile of the fraction of bootstrap
     # means below the observed mean.
     below = float(np.mean(boot_means < mean))
     below = min(max(below, 1.0 / (n_boot + 1)), 1.0 - 1.0 / (n_boot + 1))
-    z0 = float(norm.ppf(below))
+    z0 = float(ndtri(below))
     # Acceleration from the jackknife skewness of the mean.
     jackknife = (ordered.sum() - ordered) / (ordered.size - 1)
     centered = jackknife.mean() - jackknife
     denom = float((centered**2).sum()) ** 1.5
     accel = float((centered**3).sum()) / (6.0 * denom) if denom > 0 else 0.0
 
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     quantiles = []
     for z_alpha in (-z, z):
         adjusted = z0 + (z0 + z_alpha) / (1.0 - accel * (z0 + z_alpha))
-        quantiles.append(float(norm.cdf(adjusted)))
+        quantiles.append(float(ndtr(adjusted)))
     low, high = np.quantile(boot_means, sorted(quantiles))
     return ConfidenceInterval(float(low), float(high), level, "bootstrap")
 

@@ -1057,8 +1057,10 @@ def run_command(argv: "list[str]") -> int:
 
     started = time.perf_counter()
     # --compare against a metric-derived series name the pre-flight could
-    # not know is still a bad flag
-    with _user_errors(ComparisonSeriesError):
+    # not know is still a bad flag (ComparisonSeriesError is a ValueError),
+    # and so is a spec value only a running replicate rejects, such as a
+    # start node outside the substrate or a round no capacity can pack
+    with _user_errors(ValueError):
         result = run_sweep(
             spec, backend=backend, cache=cache, shard=args.shard,
             resume=args.resume,

@@ -285,7 +285,10 @@ class Substrate:
             if self._n == 1:
                 dist = np.zeros((1, 1), dtype=np.float64)
             else:
-                dist = dijkstra(self._adjacency, directed=False)
+                # The adjacency already holds both (u, v) and (v, u), so the
+                # directed search gives the undirected distances without
+                # scipy's undirected variant walking a transposed copy too.
+                dist = dijkstra(self._adjacency, directed=True)
             dist.flags.writeable = False
             self._distances = dist
         return self._distances

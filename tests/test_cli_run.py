@@ -209,6 +209,28 @@ class TestRunCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_start_node_outside_the_substrate_is_one_line(self, capsys):
+        # only the replicate's policy reset sees the substrate size
+        rc = main([
+            "run", "--policy", "onth:start_node=99", "--topology", "line:n=5",
+            "--horizon", "10", "--runs", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: start node 99 outside the substrate"
+
+    def test_unpackable_round_is_one_line(self, capsys):
+        # five unit capacities cannot serve a commuter round of more requests
+        rc = main([
+            "run", "--policy", "ilp",
+            "--topology", "line:n=5,unit_latency=false,capacity=1",
+            "--scenario", "commuter:period=4", "--horizon", "20", "--runs", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: round ") and "at capacity" in err
+
 
 class TestOverlayScenarioFlag:
     def test_bracketed_parts_list_runs(self, capsys):

@@ -52,6 +52,54 @@ class TestTCritical:
         with pytest.raises(ValueError, match="degrees of freedom"):
             t_critical(0.95, 0)
 
+    def test_equals_scipy_stats_on_a_grid(self):
+        """``stdtrit`` gives ``scipy.stats.t.ppf``'s quantile bit for bit."""
+        from scipy.stats import t
+
+        for level in (0.01, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999):
+            for dof in (1, 2, 3, 5, 9, 19, 29, 99, 299, 10_000):
+                expected = float(t.ppf(0.5 + level / 2.0, dof))
+                assert t_critical(level, dof).hex() == expected.hex()
+
+
+class TestBootstrapQuantiles:
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_quantiles_equal_scipy_stats(self, monkeypatch, level, seed):
+        """Every ``ndtri``/``ndtr`` value the BCa interval uses equals
+        ``scipy.stats.norm.ppf``/``norm.cdf`` at the same point, bit for
+        bit, so the interval is the one scipy.stats would give."""
+        import scipy.special
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import norm
+
+        calls = []
+
+        def recording(function, reference):
+            def wrapped(x):
+                calls.append((function, reference, x))
+                return function(x)
+            return wrapped
+
+        monkeypatch.setattr(scipy.special, "ndtri", recording(ndtri, norm.ppf))
+        monkeypatch.setattr(scipy.special, "ndtr", recording(ndtr, norm.cdf))
+        values = np.random.default_rng(seed).lognormal(size=12).tolist()
+        confidence_interval(values, level, "bootstrap", n_boot=300)
+        monkeypatch.undo()
+        assert len(calls) == 4
+        for function, reference, x in calls:
+            assert float(function(x)).hex() == float(reference(x)).hex()
+
+    def test_normal_quantiles_equal_scipy_stats_on_a_grid(self):
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(0)
+        probabilities = rng.random(2000)
+        abscissae = rng.normal(scale=4.0, size=2000)
+        assert ndtri(probabilities).tobytes() == norm.ppf(probabilities).tobytes()
+        assert ndtr(abscissae).tobytes() == norm.cdf(abscissae).tobytes()
+
 
 class TestConfidenceIntervalProperties:
     @settings(max_examples=60)

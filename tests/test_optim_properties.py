@@ -9,6 +9,10 @@ Three families:
   two separate processes: the policy consumes no RNG and the HiGHS solve is
   deterministic, so CRN-paired comparisons involving ILP/LP columns stay
   valid across machines and cache reloads.
+* **Fast scipy path** — with HiGHS's feasibility-jump heuristic off and
+  the prebuilt CSC matrix, ``Program.solve`` agrees with a plain
+  ``milp`` call, lets no warning escape, and hands HiGHS the very arrays
+  the sparse-format conversion chain would build.
 * **Backend plumbing** — ``auto`` resolution, the graceful ImportError
   naming the ``[opt]`` extra when pulp is absent, and scipy/pulp agreement
   when it is present (each side skip-aware, so the suite is green both with
@@ -19,6 +23,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +39,7 @@ from repro.algorithms.optim import (
     have_pulp,
     resolve_backend,
 )
-from repro.algorithms.optim.backends import Program
+from repro.algorithms.optim.backends import InfeasibleProblemError, Program
 from repro.core.costs import CostModel
 from repro.core.simulator import simulate
 from repro.topology.generators import line
@@ -45,7 +50,9 @@ SLOW = dict(deadline=None)
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _random_placement(seed: int, n: int, occupied_mask: int):
+def _random_placement(
+    seed: int, n: int, occupied_mask: int, max_servers: "int | None" = None
+):
     substrate = line(n, seed=seed, unit_latency=False,
                      latency_range=(5.0, 20.0))
     rng = np.random.default_rng(seed)
@@ -61,6 +68,7 @@ def _random_placement(seed: int, n: int, occupied_mask: int):
         epoch_rounds=6,
         occupied=occupied,
         capacities=None if seed % 2 else np.full(n, 3.0),
+        max_servers=max_servers,
     )
 
 
@@ -101,6 +109,111 @@ class TestRelaxationBound:
         lp = program.solve(relax=True)
         milp = program.solve(relax=False)
         assert lp.objective <= milp.objective + 1e-9
+
+
+def _reference_matrix(program: Program):
+    """The constraint matrix through the coo -> csr -> csc conversion chain."""
+    from scipy import sparse
+
+    rows, cols, vals = [], [], []
+    for r, (idx, coef, _lo, _hi) in enumerate(program._rows):
+        rows.extend([r] * idx.size)
+        cols.extend(idx.tolist())
+        vals.extend(coef.tolist())
+    return sparse.csc_array(sparse.csr_matrix(
+        (vals, (rows, cols)),
+        shape=(program.n_constraints, program.n_variables),
+    ))
+
+
+def _reference_solve(program: Program, relax: bool):
+    """``scipy.optimize.milp`` with nothing but the zero MIP gap."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    integrality = np.asarray(program._int, dtype=np.int64)
+    return milp(
+        c=np.asarray(program._obj),
+        constraints=[LinearConstraint(
+            _reference_matrix(program),
+            [row[2] for row in program._rows],
+            [row[3] for row in program._rows],
+        )],
+        integrality=np.zeros_like(integrality) if relax else integrality,
+        bounds=Bounds(np.asarray(program._lb), np.asarray(program._ub)),
+        options={"mip_rel_gap": 0.0},
+    )
+
+
+class TestScipyFastPath:
+    @settings(max_examples=40, **SLOW)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 8),
+        occupied_mask=st.integers(0, 255),
+        max_servers=st.sampled_from([None, 1, 2, 3]),
+        relax=st.booleans(),
+    )
+    def test_agrees_with_a_plain_milp_call(
+        self, seed, n, occupied_mask, max_servers, relax
+    ):
+        """Skipping feasibility jump changes neither the optimum nor the
+        active set, with and without capacities and a fleet bound."""
+        model = _random_placement(seed, n, occupied_mask, max_servers)
+        reference = _reference_solve(model.program, relax)
+        if not reference.success:
+            with pytest.raises(InfeasibleProblemError):
+                model.program.solve(relax=relax)
+            return
+        solution = model.program.solve(relax=relax)
+        assert solution.objective == pytest.approx(
+            reference.fun, rel=1e-9, abs=1e-9
+        )
+        assert model.active_from(solution.values, relax) == model.active_from(
+            reference.x, relax
+        )
+
+    def test_no_warning_escapes(self):
+        model = _random_placement(3, 5, 0b00101, max_servers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            milp = model.program.solve(relax=False)
+            lp = model.program.solve(relax=True)
+        assert lp.objective <= milp.objective + 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_csc_arrays_equal_the_conversion_chain(self, seed):
+        """The prebuilt CSC matrix is byte-identical to the one the
+        coo -> csr -> csc chain builds, unsorted terms and zeros included."""
+        rng = np.random.default_rng(seed)
+        program = Program()
+        n_vars = int(rng.integers(1, 30))
+        for _ in range(n_vars):
+            program.variable()
+        for _ in range(int(rng.integers(1, 25))):
+            chosen = rng.choice(n_vars, size=int(rng.integers(1, n_vars + 1)),
+                                replace=False)
+            coefficients = rng.normal(size=chosen.size)
+            coefficients[rng.random(chosen.size) < 0.1] = 0.0
+            program.constrain(
+                list(zip(chosen.tolist(), coefficients.tolist())), hi=1.0
+            )
+        matrix, _lows, _highs = program._constraint_matrix()
+        expected = _reference_matrix(program)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_row_names_each_existing_variable_once(self):
+        program = Program()
+        x = program.variable()
+        y = program.variable()
+        with pytest.raises(ValueError, match="twice"):
+            program.constrain([(x, 1.0), (y, 1.0), (x, 2.0)])
+        with pytest.raises(ValueError, match="outside"):
+            program.constrain([(x, 1.0), (y + 1, 1.0)])
+        with pytest.raises(ValueError, match="outside"):
+            program.constrain([(-1, 1.0)])
 
 
 def _hash_result(result) -> str:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+from repro.topology.generators import erdos_renyi, line
+from repro.topology.rocketfuel import att_like_topology
 from repro.topology.substrate import Link, Substrate
 
 
@@ -140,6 +143,24 @@ class TestDistances:
         sub = make_path(3)
         with pytest.raises(ValueError, match="node"):
             sub.distance(0, 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: erdos_renyi(60, p=0.05, seed=seed),
+            lambda seed: erdos_renyi(40, p=0.3, seed=seed),
+            lambda seed: line(25, seed=seed, unit_latency=False),
+            lambda seed: att_like_topology(seed=seed),
+        ],
+        ids=["er-sparse", "er-dense", "line", "rocketfuel-style"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_directed_search_equals_undirected_bit_for_bit(self, build, seed):
+        """The adjacency stores both directions of every link, so the
+        directed search ``distances`` runs equals scipy's undirected one."""
+        sub = build(seed)
+        expected = dijkstra(sub._adjacency, directed=False)
+        assert sub.distances.tobytes() == expected.tobytes()
 
     def test_matches_networkx(self):
         """Cross-check Dijkstra against networkx on a random weighted graph."""
