@@ -148,8 +148,8 @@ class OffStat(OfflinePolicy):
         rises = 0
 
         for size in range(1, limit + 1):
-            scores = batch.addition_costs(np.asarray(placed, dtype=np.int64))
-            scores = scores.copy()
+            scan = batch.epoch_scan(placed, placed, migrate=False, deactivate=False)
+            scores = scan.addition.copy()
             if placed:
                 scores[np.asarray(placed)] = np.inf
             placed.append(int(np.argmin(scores)))

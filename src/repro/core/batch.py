@@ -14,9 +14,10 @@ without changing a single ledger bit:
   whose ``add_round``/``clear`` just move window pointers over the gather.
   Policies get one from
   :meth:`~repro.core.policy.AllocationPolicy.new_window`; their epoch
-  logic runs unchanged. The window's one override of substance is
-  :meth:`GatherWindow.epoch_scan`: all five single-change families of an
-  epoch boundary in one fused pass.
+  logic runs unchanged. The window holds no scan of its own: the one
+  :meth:`~repro.core.evaluation.RequestBatch.epoch_scan` reads its
+  distance slices, memoises through :meth:`GatherWindow.memoised` and,
+  under dyadic loads, takes the window load without counting it.
 
 The gather also holds one memo that every window and the round loop share,
 keyed on **content**, not position. At build, each round is interned into
@@ -56,12 +57,10 @@ deliberately avoided.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.evaluation import EpochScan, RequestBatch
+from repro.core.evaluation import RequestBatch
 from repro.core.load import dyadic_linear_strength
 from repro.core.results import RunResult
 from repro.topology.substrate import Substrate
@@ -72,21 +71,6 @@ __all__ = [
     "GatherWindow",
     "simulate_batched",
 ]
-
-#: Cap on the stacked ``(rows, n, requests)`` candidate broadcast; above
-#: this the fused epoch scan falls back to one row at a time (identical
-#: values, lower peak memory).
-_STACK_ELEMS_MAX = 1 << 24
-
-
-@functools.lru_cache(maxsize=None)
-def _leave_one_out(k: int) -> np.ndarray:
-    """Read-only ``(k, k-1)`` index whose row ``i`` is ``np.delete(arange(k), i)``."""
-    slots = np.arange(k - 1, dtype=np.int64)
-    index = slots + (slots >= np.arange(k)[:, None])
-    index.flags.writeable = False
-    return index
-
 
 # ---------------------------------------------------------------------------
 # Distance gather
@@ -234,11 +218,10 @@ class GatherWindow(RequestBatch):
 
     ``add_round``/``clear`` move ``[t0, t1)`` pointers instead of copying
     request arrays; ``flat``/``round_ids``/``round_sizes`` and the distance
-    accessors are slices of the gather. All candidate-evaluation methods of
-    the base class therefore see byte-identical inputs in the same shapes
-    and reduction orders as a freshly built plain window — the outputs are
-    bit-identical, just cheaper to produce. :meth:`epoch_scan` replaces the
-    base class's family-by-family scan with one fused, memoised pass.
+    accessors are slices of the gather. The base class's epoch scan and
+    exact costs therefore see byte-identical inputs in the same shapes and
+    reduction orders as a freshly built plain window — the outputs are
+    bit-identical, just cheaper to produce, and memoised on the gather.
     """
 
     def __init__(self, gather: DistanceGather) -> None:
@@ -311,6 +294,11 @@ class GatherWindow(RequestBatch):
             self._inv_key = key
         return self._inv_load_value
 
+    def _dyadic_load(self) -> "float | None":
+        if self._gather.exact_strength is None:
+            return None
+        return self._invariant_load()
+
     # -- distance access --------------------------------------------------------
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
@@ -353,148 +341,6 @@ class GatherWindow(RequestBatch):
             ("exact", active.tobytes()),
             lambda: RequestBatch.exact_access_cost(self, active),
         )
-
-    # -- fused epoch scan -------------------------------------------------------
-
-    def epoch_scan(
-        self,
-        active: "np.ndarray | tuple[int, ...]",
-        occupied: "np.ndarray | tuple[int, ...]",
-        migrate: bool = True,
-        deactivate: bool = True,
-        add: bool = True,
-    ) -> EpochScan:
-        """The base-class scan, fused into one pass and memoised on the gather.
-
-        Sibling policies over the same trace (ONBR fixed vs dyn especially)
-        and recurring windows of periodic demand reach identical (content,
-        placement) states, so the whole scan is cached per (content, active,
-        occupied, families) and its arrays are read-only. Non-invariant
-        loads, empty windows and empty placements run the base-class
-        families.
-        """
-        active = np.asarray(active, dtype=np.int64)
-        occupied = np.asarray(occupied, dtype=np.int64)
-
-        def scan() -> EpochScan:
-            if active.size and self._c1 > self._c0 and self._load_is_invariant():
-                result = self._fused_scan(active, occupied, migrate, deactivate, add)
-            else:
-                result = RequestBatch.epoch_scan(
-                    self, active, occupied, migrate, deactivate, add
-                )
-            for arr in result[1:]:
-                if arr is not None:
-                    arr.flags.writeable = False
-            return result
-
-        return self.memoised(
-            ("scan", active.tobytes(), occupied.tobytes(), migrate, deactivate, add),
-            scan,
-        )
-
-    def _fused_scan(
-        self,
-        active: np.ndarray,
-        occupied: np.ndarray,
-        migrate: bool,
-        deactivate: bool,
-        add: bool,
-    ) -> EpochScan:
-        gather = self._gather
-        c0, c1 = self._c0, self._c1
-        m = c1 - c0
-        k = active.size
-        hop = self._costs.wireless_hop * m
-        load = self._invariant_load()
-        exact_load = gather.exact_strength is not None
-
-        # Per-request latency under each leave-one-out placement (rows
-        # 0..k-1, only when migrations or removals need them) and under
-        # `active` itself (row k). min is exact, and each row holds the very
-        # values the base class gathers through its argmin; as a contiguous
-        # row it sums in the same pairwise order.
-        block = gather.columns[active, c0:c1]
-        rows = np.empty((k + 1, m), dtype=np.float64)
-        block.min(axis=0, out=rows[k])
-        lo = 0 if migrate or deactivate else k
-        if lo == 0:
-            if k == 1:
-                rows[0] = np.inf
-            else:
-                blocks = block[_leave_one_out(k)]
-                blocks.min(axis=1, out=rows[:k])
-        sums = rows[lo:].sum(axis=1)
-        sums += hop
-
-        if exact_load:
-            # Dyadic loads: every assignment sums to the same load bits.
-            stay = float(sums[-1] + load)
-        else:
-            stay = float(sums[-1] + self._placement_loads(block[None], active[None])[0])
-
-        removal = None
-        if deactivate and k >= 2:
-            removal = sums[:k]
-            if exact_load:
-                removal += load
-            else:
-                removal += self._placement_loads(
-                    blocks, active[_leave_one_out(k)]
-                )
-
-        # One stacked candidate pass over the rows the enabled families
-        # need: the same operand layout and reduction order as the base
-        # class's per-family minimum(candidates, base).sum(axis=1).
-        first, stop = (0 if migrate else k), (k + 1 if add else k)
-        latency = self._candidate_latencies(rows[first:stop])
-        latency += hop
-        latency += load
-
-        targets = np.zeros(0, dtype=np.int64)
-        access = np.zeros(0, dtype=np.float64)
-        if migrate:
-            moves = latency[:k]
-            moves[:, occupied] = np.inf
-            targets = np.argmin(moves, axis=1)
-            access = moves[np.arange(k), targets]
-        addition = latency[-1] if add else None
-        return EpochScan(stay, targets, access, removal, addition)
-
-    def _candidate_latencies(self, stack: np.ndarray) -> np.ndarray:
-        """``minimum(candidates, stack[i]).sum(axis=1)`` for every row ``i``."""
-        candidates = self._candidate_matrix()
-        rows, m = stack.shape
-        n = candidates.shape[0]
-        if rows * n * m <= _STACK_ELEMS_MAX:
-            return np.minimum(candidates[None, :, :], stack[:, None, :]).sum(axis=2)
-        latency = np.empty((rows, n), dtype=np.float64)
-        for i in range(rows):
-            latency[i] = np.minimum(candidates, stack[i]).sum(axis=1)
-        return latency
-
-    def _placement_loads(self, blocks: np.ndarray, placements: np.ndarray) -> np.ndarray:
-        """Window load of each placement ``p`` serving nearest requests.
-
-        ``blocks[p]`` is the ``(j, m)`` distance block of placement
-        ``placements[p]``. One bincount over combined (placement, round,
-        server) keys yields the base class's integer counts, hence its
-        load floats.
-        """
-        count, j, _ = blocks.shape
-        n_rounds = self.n_rounds
-        assignment = blocks.argmin(axis=1)
-        keys = (
-            np.arange(count, dtype=np.int64)[:, None] * (n_rounds * j)
-            + self.round_ids[None, :] * j
-            + assignment
-        )
-        counts = np.bincount(
-            keys.ravel(), minlength=count * n_rounds * j
-        ).reshape(count, n_rounds, j)
-        strengths = self._substrate.strengths[placements]
-        loads = self._costs.load(strengths[:, None, :], counts)
-        return loads.reshape(count, -1).sum(axis=1)
 
 
 def simulate_batched(*args, **kwargs) -> RunResult:

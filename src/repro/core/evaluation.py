@@ -4,28 +4,31 @@ The best-response steps of ONBR/ONTH (§III-A) and the greedy placement of
 OFFSTAT (§V-B) all answer the same question: *given the requests of some
 window (an epoch, or the whole trace), how much access cost would a
 candidate server placement have incurred?* This module provides that
-primitive, engineered so that scanning all ``O(n)`` single-change candidates
-costs a handful of numpy broadcasts instead of ``O(n · |σ|)`` Python work:
+primitive, engineered so that scanning all ``O(k·n)`` single-change
+candidates costs a handful of numpy broadcasts instead of ``O(k·n·|σ|)``
+Python work:
 
 * the window's requests are flattened into one index array with per-round
   offsets (:class:`RequestBatch`);
-* per-request *base* latencies under the current placement are computed
-  once; adding a candidate server ``u`` then costs one
-  ``minimum(D[u], base)`` reduction, and the whole candidate family is a
-  single ``(n × R)`` broadcast;
+* per-request latencies under the current placement and under each of its
+  leave-one-out placements form one stack of rows; adding a candidate
+  server ``u`` to a row costs one ``minimum(D[u], row)`` reduction, and
+  every family is one stacked ``(rows × n × R)`` broadcast;
 * the load term is added exactly. For assignment-invariant load models
   (linear load, uniform strengths — the paper's default) it is a constant
-  across candidates; otherwise the family is ranked by latency and a
-  shortlist is re-scored exactly, including per-round loads.
+  across candidates; otherwise each candidate row carries a balanced-split
+  lower bound, refined with exact scores until the row's argmin is exact.
 
-:meth:`RequestBatch.epoch_scan` bundles the five single-change families of
-one epoch boundary into a single :class:`EpochScan`; the per-family methods
-it is built from are the reference the batched window's fused scan is
-tested against.
+:meth:`RequestBatch.epoch_scan` is that one pass: the five single-change
+families of an epoch boundary in a single :class:`EpochScan`, for a plain
+window (streamed input, OFFBR/OFFTH lookahead, OFFSTAT's whole trace) and
+for a :class:`~repro.core.batch.GatherWindow` alike. The gather window only
+changes where the distances come from and memoises the result.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +41,20 @@ __all__ = ["EpochScan", "RequestBatch"]
 #: How many latency-best candidates are re-scored exactly when the load
 #: model is not assignment-invariant.
 _SHORTLIST_SIZE = 8
+
+#: Cap on the stacked ``(rows, n, requests)`` candidate broadcast; above
+#: this the epoch scan scores one row at a time (identical values, lower
+#: peak memory).
+_STACK_ELEMS_MAX = 1 << 24
+
+
+@functools.lru_cache(maxsize=None)
+def _leave_one_out(k: int) -> np.ndarray:
+    """Read-only ``(k, k-1)`` index whose row ``i`` is ``np.delete(arange(k), i)``."""
+    slots = np.arange(k - 1, dtype=np.int64)
+    index = slots + (slots >= np.arange(k)[:, None])
+    index.flags.writeable = False
+    return index
 
 
 class EpochScan(NamedTuple):
@@ -52,8 +69,12 @@ class EpochScan(NamedTuple):
         removal: access cost without each active server, or ``None`` when
             removals were not scanned (or fewer than two servers are active).
         addition: access cost of ``active + {u}`` for every node ``u``
-            (see :meth:`RequestBatch.addition_costs`), or ``None`` when
+            (the unchanged cost for ``u`` in ``active``), or ``None`` when
             additions were not scanned.
+
+    Stay and removals are exact. Under a load that depends on the split,
+    each candidate row's argmin is exact and its other migration and
+    addition entries may be lower bounds of their exact cost.
     """
 
     stay: float
@@ -218,7 +239,17 @@ class RequestBatch:
             )
         return self._inv_load
 
-    # -- candidate families ---------------------------------------------------------
+
+    def _dyadic_load(self) -> "float | None":
+        """The window load when every assignment sums to the same bits.
+
+        ``None`` means the scan must count each placement's load. A plain
+        batch always counts; a gather window answers from its gather's
+        dyadic strength (:func:`~repro.core.load.dyadic_linear_strength`).
+        """
+        return None
+
+    # -- the epoch scan ---------------------------------------------------------
 
     def epoch_scan(
         self,
@@ -228,89 +259,172 @@ class RequestBatch:
         deactivate: bool = True,
         add: bool = True,
     ) -> EpochScan:
-        """Scan the enabled single-change families of ``active`` in one call.
+        """Scan the enabled single-change families of ``active`` in one pass.
 
         ``occupied`` lists every node hosting a server (active or cached);
-        no migration may target one. Built from the per-family methods
-        below, which makes this the reference implementation the batched
-        window's fused scan must reproduce bit for bit.
+        no migration may target one. The scan is memoised through
+        :meth:`memoised`, and its arrays are read-only.
         """
         active = np.asarray(active, dtype=np.int64)
-        k = active.size
-        stay = float(self.exact_access_cost(active)) if k else 0.0
+        occupied = np.asarray(occupied, dtype=np.int64)
+
+        def scan() -> EpochScan:
+            result = self._scan(active, occupied, migrate, deactivate, add)
+            for arr in result[1:]:
+                if arr is not None:
+                    arr.flags.writeable = False
+            return result
+
+        return self.memoised(
+            ("scan", active.tobytes(), occupied.tobytes(), migrate, deactivate, add),
+            scan,
+        )
+
+    def _scan(
+        self,
+        active: np.ndarray,
+        occupied: np.ndarray,
+        migrate: bool,
+        deactivate: bool,
+        add: bool,
+    ) -> EpochScan:
+        n, k, m = self._substrate.n, active.size, self.flat.size
+        migrate = migrate and k > 0
+        deactivate = deactivate and k >= 2
+        # Candidate rows: one per migrating server, then the addition row.
+        first, stop = (0 if migrate else k), (k + 1 if add else k)
+        stay, removal = 0.0, (np.zeros(k) if deactivate else None)
+        if m == 0:
+            # An empty window costs nothing under any placement.
+            latency = np.zeros((stop - first, n))
+        else:
+            hop = self._costs.wireless_hop * m
+            fixed = self._dyadic_load()
+            # Per-request latency under each leave-one-out placement (rows
+            # 0..k-1, when migrations or removals need them) and under
+            # `active` itself (row k). min is exact, and each row holds the
+            # very values exact_access_cost gathers through its argmin; as a
+            # contiguous row it sums in the same pairwise order.
+            block = self._distance_block(active)
+            rows = np.empty((k + 1, m))
+            if k:
+                block.min(axis=0, out=rows[k])
+            else:
+                rows[k] = np.inf
+            if k == 1:
+                rows[0] = np.inf
+            elif k and (migrate or deactivate):
+                blocks = block[_leave_one_out(k)]
+                blocks.min(axis=1, out=rows[:k])
+            if k:
+                sums = rows[(0 if deactivate else k) :].sum(axis=1)
+                sums += hop
+                if fixed is None:
+                    stay = float(
+                        sums[-1] + self._placement_loads(block[None], active[None])[0]
+                    )
+                else:
+                    # Dyadic loads: every assignment sums to the same load bits.
+                    stay = float(sums[-1] + fixed)
+                if deactivate:
+                    removal = sums[:k]
+                    if fixed is None:
+                        removal += self._placement_loads(
+                            blocks, active[_leave_one_out(k)]
+                        )
+                    else:
+                        removal += fixed
+            latency = self._candidate_latencies(rows[first:stop])
+            latency += hop
+            if self._load_is_invariant():
+                latency += self._invariant_load()
+            else:
+                self._refine_convex(latency, active, migrate, add)
+
         targets = np.zeros(0, dtype=np.int64)
         access = np.zeros(0, dtype=np.float64)
-        if migrate and k:
-            access_all = self.migration_costs_all(active)
-            access_all[:, np.asarray(occupied, dtype=np.int64)] = np.inf
-            targets = np.argmin(access_all, axis=1)
-            access = access_all[np.arange(k), targets]
-        removal = self.removal_costs(active) if deactivate and k >= 2 else None
-        addition = self.addition_costs(active) if add else None
+        if migrate:
+            moves = latency[:k]
+            moves[:, active] = np.inf
+            moves[:, occupied] = np.inf
+            targets = np.argmin(moves, axis=1)
+            access = moves[np.arange(k), targets]
+        addition = latency[-1] if add else None
         return EpochScan(stay, targets, access, removal, addition)
 
-    def base_latency(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
-        """Per-request nearest-server latency under ``active`` (no hop, no load)."""
-        active = np.asarray(active, dtype=np.int64)
-        if self.flat.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if active.size == 0:
-            return np.full(self.flat.size, np.inf)
-        return self._distance_block(active).min(axis=0)
+    def _candidate_latencies(self, stack: np.ndarray) -> np.ndarray:
+        """``minimum(candidates, stack[i]).sum(axis=1)`` for every row ``i``.
 
-    def addition_costs(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
-        """Access cost of the window for ``active + {u}``, for every node ``u``.
-
-        Entry ``u`` of the result is the exact window access cost of the
-        placement ``active ∪ {u}`` (for ``u`` already in ``active`` this
-        equals the unchanged cost). One ``(n × R)`` broadcast plus — for
-        non-invariant load models — an exact re-score of the latency-best
-        shortlist; other entries then carry the latency plus a lower bound
-        of the load, which preserves the argmin.
+        One stacked broadcast: the same operand layout and reduction order
+        as a row-at-a-time pass, which it falls back to above
+        :data:`_STACK_ELEMS_MAX` (identical values, lower peak memory).
         """
-        active = np.asarray(active, dtype=np.int64)
-        n = self._substrate.n
-        flat = self.flat
-        if flat.size == 0:
-            return np.zeros(n, dtype=np.float64)
+        candidates = self._candidate_matrix()
+        rows, m = stack.shape
+        n = candidates.shape[0]
+        if rows * n * m <= _STACK_ELEMS_MAX:
+            return np.minimum(candidates[None, :, :], stack[:, None, :]).sum(axis=2)
+        latency = np.empty((rows, n), dtype=np.float64)
+        for i in range(rows):
+            latency[i] = np.minimum(candidates, stack[i]).sum(axis=1)
+        return latency
 
-        base = self.base_latency(active)
-        latency = np.minimum(self._candidate_matrix(), base).sum(axis=1)
-        latency += self._costs.wireless_hop * flat.size
+    def _placement_loads(self, blocks: np.ndarray, placements: np.ndarray) -> np.ndarray:
+        """Window load of each placement ``p`` serving nearest requests.
 
-        if self._load_is_invariant():
-            return latency + self._invariant_load()
-        return self._with_exact_shortlist(latency, active)
-
-    def _with_exact_shortlist(
-        self, latency: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """Exactly re-score the cheapest candidates for convex loads.
-
-        For non-invariant loads the true access cost is latency + load with
-        load depending on the split. We add a *lower bound* of the load
-        (perfect balancing across all servers, by convexity the cheapest
-        possible split) to every entry, score a latency-best shortlist
-        exactly, then lazily keep scoring whichever entry is currently the
-        argmin until the argmin itself is exact. The argmin of the returned
-        array is therefore the true best candidate; non-argmin entries may
-        remain lower bounds.
+        ``blocks[p]`` is the ``(j, m)`` distance block of placement
+        ``placements[p]``. One bincount over combined (placement, round,
+        server) keys yields :meth:`exact_access_cost`'s integer counts,
+        hence its load floats.
         """
-        active_set = set(active.tolist())
+        count, j, _ = blocks.shape
+        n_rounds = self.n_rounds
+        assignment = blocks.argmin(axis=1)
+        keys = (
+            np.arange(count, dtype=np.int64)[:, None] * (n_rounds * j)
+            + self.round_ids[None, :] * j
+            + assignment
+        )
+        counts = np.bincount(
+            keys.ravel(), minlength=count * n_rounds * j
+        ).reshape(count, n_rounds, j)
+        strengths = self._substrate.strengths[placements]
+        loads = self._costs.load(strengths[:, None, :], counts)
+        return loads.reshape(count, -1).sum(axis=1)
 
-        def exact(u: int) -> float:
-            candidate = active if u in active_set else np.append(active, u)
-            return self.exact_access_cost(candidate)
+    def _refine_convex(
+        self, latency: np.ndarray, active: np.ndarray, migrate: bool, add: bool
+    ) -> None:
+        """Add the load to candidate rows whose load depends on the split.
 
-        bound = latency + self._balanced_load_bound(active.size + 1)
-        return self._lazy_exact_argmin(bound, exact)
+        Each row gets a balanced-split lower bound of the load, and is then
+        refined by :meth:`_lazy_exact_argmin` until its argmin is exact.
+        """
+        k = active.size
+        if migrate:
+            bound = self._balanced_load_bound(k)
+            for i, rest in enumerate(active[_leave_one_out(k)]):
+                latency[i] = self._lazy_exact_argmin(
+                    latency[i] + bound,
+                    lambda u, rest=rest: self.exact_access_cost(np.append(rest, u)),
+                )
+        if add:
+            active_set = set(active.tolist())
+
+            def exact(u: int) -> float:
+                candidate = active if u in active_set else np.append(active, u)
+                return self.exact_access_cost(candidate)
+
+            latency[-1] = self._lazy_exact_argmin(
+                latency[-1] + self._balanced_load_bound(k + 1), exact
+            )
 
     def _lazy_exact_argmin(self, bound: np.ndarray, exact) -> np.ndarray:
         """Refine ``bound`` entries with ``exact`` until the argmin is exact.
 
         Sound whenever ``bound[u] <= exact(u)`` for all u (true for the
         convex built-in load models); terminates because each iteration
-        fixes one more entry.
+        fixes one more entry. A latency-best shortlist is scored first.
         """
         result = bound.copy()
         order = np.argsort(result, kind="stable")
@@ -337,74 +451,3 @@ class RequestBatch:
         even = sizes / k
         loads = self._costs.load(np.full(sizes.shape, strength), even)
         return float(loads.sum() * k) if sizes.size else 0.0
-
-    def removal_costs(
-        self, active: "np.ndarray | tuple[int, ...]"
-    ) -> np.ndarray:
-        """Window access cost of ``active − {active[i]}`` for each server index ``i``.
-
-        Exact (there are only ``k`` candidates, so no shortlist is needed).
-        A singleton placement cannot be reduced; its entry is ``+inf``.
-        """
-        active = np.asarray(active, dtype=np.int64)
-        costs = np.full(active.size, np.inf)
-        if active.size <= 1:
-            return costs
-        for i in range(active.size):
-            remaining = np.delete(active, i)
-            costs[i] = self.exact_access_cost(remaining)
-        return costs
-
-    def migration_costs(
-        self, active: "np.ndarray | tuple[int, ...]", server_index: int
-    ) -> np.ndarray:
-        """Window access cost of moving server ``active[server_index]`` to each node.
-
-        Entry ``u`` is the window access cost of
-        ``active − {active[server_index]} + {u}``; entries for nodes already
-        in ``active`` are ``+inf`` (no co-location). Uses the same
-        broadcast-plus-shortlist scheme as :meth:`addition_costs`.
-        """
-        active = np.asarray(active, dtype=np.int64)
-        if not 0 <= server_index < active.size:
-            raise IndexError(f"server index {server_index} out of range")
-        rest = np.delete(active, server_index)
-        flat = self.flat
-        n = self._substrate.n
-        if flat.size == 0:
-            return np.zeros(n, dtype=np.float64)
-
-        if rest.size == 0:
-            base = np.full(flat.size, np.inf)
-        else:
-            base = self.base_latency(rest)
-        latency = np.minimum(self._candidate_matrix(), base).sum(axis=1)
-        latency += self._costs.wireless_hop * flat.size
-
-        if self._load_is_invariant():
-            result = latency + self._invariant_load()
-        else:
-            result = self._migration_shortlist(latency, rest)
-        result[active] = np.inf
-        return result
-
-    def migration_costs_all(
-        self, active: "np.ndarray | tuple[int, ...]"
-    ) -> np.ndarray:
-        """All migration families at once: row ``i`` is ``migration_costs(active, i)``.
-
-        The epoch scan asks for every server's family against the same
-        window.
-        """
-        active = np.asarray(active, dtype=np.int64)
-        result = np.empty((active.size, self._substrate.n), dtype=np.float64)
-        for i in range(active.size):
-            result[i] = self.migration_costs(active, i)
-        return result
-
-    def _migration_shortlist(self, latency: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        def exact(u: int) -> float:
-            return self.exact_access_cost(np.append(rest, u))
-
-        bound = latency + self._balanced_load_bound(rest.size + 1)
-        return self._lazy_exact_argmin(bound, exact)

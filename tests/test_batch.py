@@ -1,17 +1,19 @@
 """Tests for the batched simulation core (repro.core.batch).
 
-The contract under test is *bit-identity*: every cost method of a
-GatherWindow and every ledger column of ``simulate_batched`` must equal the
-scalar path's floats exactly — not approximately — because policy decisions
-argmin over these values and a single ULP can flip a near-tie (the
-timezones scenario, with its heavily duplicated request nodes, is the
-regression case that caught exactly that).
+The contract under test is *bit-identity*: the exact costs and the epoch
+scan of a GatherWindow and every ledger column of ``simulate_batched``
+must equal the scalar path's floats exactly — not approximately — because
+policy decisions argmin over these values and a single ULP can flip a
+near-tie (the timezones scenario, with its heavily duplicated request
+nodes, is the regression case that caught exactly that).
 
 Backend coverage: the pool and queue backends run the same
 ``_simulate_spec`` entry point as the serial backend, and their
 bit-identity to serial is pinned by the existing execution/queue suites —
 so the serial comparisons here transitively cover every backend.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -119,22 +121,17 @@ class TestGatherWindowBitIdentity:
 
     @staticmethod
     def _assert_methods_equal(base, window, active):
-        checks = [
-            ("exact_access_cost", base.exact_access_cost(active),
-             window.exact_access_cost(active)),
-            ("base_latency", base.base_latency(active),
-             window.base_latency(active)),
-            ("removal_costs", base.removal_costs(active),
-             window.removal_costs(active)),
-            ("migration_costs_all", base.migration_costs_all(active),
-             window.migration_costs_all(active)),
-            ("migration_costs", base.migration_costs(active, 0),
-             window.migration_costs(active, 0)),
-            ("addition_costs", base.addition_costs(active),
-             window.addition_costs(active)),
-        ]
-        for name, a, b in checks:
-            assert np.array_equal(a, b), f"{name} not bit-identical"
+        assert base.exact_access_cost(active) == window.exact_access_cost(active)
+        for flags in itertools.product((False, True), repeat=3):
+            a = base.epoch_scan(active, active, *flags)
+            b = window.epoch_scan(active, active, *flags)
+            assert a.stay == b.stay, f"stay not bit-identical under {flags}"
+            for field in ("migrate_target", "migrate_access", "removal", "addition"):
+                x, y = getattr(a, field), getattr(b, field)
+                if x is None or y is None:
+                    assert x is None and y is None, field
+                else:
+                    assert np.array_equal(x, y), f"{field} not bit-identical under {flags}"
 
     def test_memoised_results_shared_between_windows(self):
         rng = np.random.default_rng(7)

@@ -1,11 +1,13 @@
-"""Differential tests: the batched window's fused epoch scan vs the reference.
+"""The epoch scan against brute force, and plain windows against gathered ones.
 
-:meth:`GatherWindow.epoch_scan` fuses the five single-change families into
-one pass (and, for dyadic linear loads, skips the assignment entirely);
-:meth:`RequestBatch.epoch_scan` builds the same scan from the per-family
-methods. Policies argmin over these floats, so the contract is exact
-equality — of the raw scan arrays and of the ``Choice`` lists
-``enumerate_choices`` assembles from them — on both sides of the
+:meth:`RequestBatch.epoch_scan` scores the five single-change families of
+an epoch boundary in one pass. Its fields are checked against an
+enumeration of every candidate placement's ``exact_access_cost``. The
+vectorised sums may differ from that enumeration in ULPs, so values agree
+to a relative 1e-12. A :class:`GatherWindow` runs the same scan over its
+gathered distance slices; policies argmin over these floats, so there the
+contract is exact equality — of the raw scan arrays and of the ``Choice``
+lists ``enumerate_choices`` assembles from them — on both sides of the
 exact-load gate.
 """
 
@@ -19,7 +21,7 @@ from repro.core.batch import DistanceGather
 from repro.core.config import Configuration
 from repro.core.costs import CostModel, bandwidth_migration_matrix
 from repro.core.evaluation import RequestBatch
-from repro.core.load import QuadraticLoad
+from repro.core.load import PowerLoad, QuadraticLoad
 from repro.core.servercache import InactiveServerCache
 from repro.topology.generators import erdos_renyi
 from repro.topology.substrate import Substrate
@@ -37,6 +39,9 @@ STRENGTHS = {
     "nonuniform": "nonuniform",
 }
 COSTS = ("linear", "hop", "quadratic", "matrix")
+#: Every load model, for the plain-vs-gathered identity.
+LOADS = ("linear", "quadratic", "power2.5")
+REL = 1e-12
 
 
 def build_substrate(strength, rng):
@@ -53,6 +58,8 @@ def build_costs(kind, substrate):
         return CostModel.paper_default(wireless_hop=0.7)
     if kind == "quadratic":
         return CostModel.paper_default(load=QuadraticLoad())
+    if kind == "power2.5":
+        return CostModel.paper_default(load=PowerLoad(2.5))
     return CostModel.paper_default(
         migration_matrix=bandwidth_migration_matrix(substrate)
     )
@@ -99,6 +106,65 @@ def assert_scans_equal(reference, fused):
             assert np.array_equal(a, b), f"{field} not bit-identical"
 
 
+def close(value, expected):
+    return value == pytest.approx(expected, rel=REL, abs=REL)
+
+
+def assert_scan_matches_brute_force(batch, active, occupied, flags, invariant):
+    """Check every field of one scan against exact costs of its placements.
+
+    Entries of a split-dependent load may be lower bounds; representatives
+    are checked for optimality only under invariant loads.
+    """
+    migrate, deactivate, add = flags
+    scan = batch.epoch_scan(active, occupied, migrate, deactivate, add)
+    active = np.asarray(active, dtype=np.int64)
+    k, n = active.size, N
+
+    def exact(placement):
+        return batch.exact_access_cost(np.asarray(placement))
+
+    free = [u for u in range(n) if u not in set(occupied)]
+    assert close(scan.stay, exact(active) if k else 0.0)
+
+    if deactivate and k >= 2:
+        expected = [exact(np.delete(active, i)) for i in range(k)]
+        assert all(map(close, scan.removal, expected))
+    else:
+        assert scan.removal is None
+
+    if migrate and k:
+        assert scan.migrate_target.shape == scan.migrate_access.shape == (k,)
+        for i, (target, access) in enumerate(
+            zip(scan.migrate_target.tolist(), scan.migrate_access.tolist())
+        ):
+            if not free:
+                assert access == np.inf
+                continue
+            rest = np.delete(active, i)
+            moves = {u: exact(np.append(rest, u)) for u in free}
+            assert target in moves
+            if invariant:
+                assert close(access, moves[target])
+                assert close(access, min(moves.values()))
+            else:
+                assert access <= moves[target] * (1 + REL) + REL
+    else:
+        assert scan.migrate_target.size == scan.migrate_access.size == 0
+
+    if add:
+        assert scan.addition.shape == (n,)
+        for u in range(n):
+            placement = active if u in set(active.tolist()) else np.append(active, u)
+            expected = exact(placement)
+            if invariant:
+                assert close(scan.addition[u], expected), f"addition at {u}"
+            else:
+                assert scan.addition[u] <= expected * (1 + REL) + REL
+    else:
+        assert scan.addition is None
+
+
 @pytest.mark.parametrize("costs_kind", COSTS)
 @pytest.mark.parametrize("strength", STRENGTHS.values(), ids=STRENGTHS.keys())
 @pytest.mark.parametrize("trial", range(3))
@@ -107,24 +173,46 @@ def test_fused_scan_matches_reference(strength, costs_kind, trial):
     substrate = build_substrate(strength, rng)
     costs = build_costs(costs_kind, substrate)
     trace = random_trace(rng, 16)
-    gather = DistanceGather(substrate, costs, trace)
-    gated = costs_kind in ("linear", "hop", "matrix") and strength in (1.0, 0.5, 2.0)
-    assert (gather.exact_strength is not None) == gated
+    invariant = costs_kind != "quadratic" and strength != "nonuniform"
 
-    for k in range(1, 7):
+    for k in range(0, 5):
         t0 = int(rng.integers(0, 12))
         t1 = t0 + int(rng.integers(1, 5))
-        window = window_over(gather, trace, t0, t1)
-        reference = RequestBatch(substrate, costs, trace.rounds[t0:t1])
+        batch = RequestBatch(substrate, costs, trace.rounds[t0:t1])
+        config, _ = random_state(rng, k)
+        occupied = sorted(config.occupied)
+        for flags in FLAGS:
+            assert_scan_matches_brute_force(
+                batch, config.active, occupied, flags, invariant
+            )
+
+
+@pytest.mark.parametrize("load", LOADS)
+@pytest.mark.parametrize("strength_name", STRENGTHS)
+def test_plain_window_equals_gathered_window(strength_name, load):
+    rng = np.random.default_rng([73, LOADS.index(load), list(STRENGTHS).index(strength_name)])
+    substrate = build_substrate(STRENGTHS[strength_name], rng)
+    costs = build_costs(load, substrate)
+    rounds = list(random_trace(rng, 16).rounds)
+    rounds[3] = rounds[4] = np.zeros(0, dtype=np.int64)
+    trace = Trace(tuple(rounds), "test")
+    gather = DistanceGather(substrate, costs, trace)
+    # Random windows for k = 0..6, then the empty window [3, 5).
+    cases = [(k, int(rng.integers(0, 12)), int(rng.integers(1, 5))) for k in range(7)]
+    cases += [(k, 3, 2) for k in (0, 1, 3)]
+
+    for k, t0, length in cases:
+        window = window_over(gather, trace, t0, t0 + length)
+        plain = RequestBatch(substrate, costs, trace.rounds[t0 : t0 + length])
         config, cache = random_state(rng, k)
         occupied = sorted(config.occupied)
         for migrate, deactivate, add in FLAGS:
             assert_scans_equal(
-                reference.epoch_scan(config.active, occupied, migrate, deactivate, add),
+                plain.epoch_scan(config.active, occupied, migrate, deactivate, add),
                 window.epoch_scan(config.active, occupied, migrate, deactivate, add),
             )
             assert enumerate_choices(
-                reference, config, cache, costs, migrate, deactivate, add
+                plain, config, cache, costs, migrate, deactivate, add
             ) == enumerate_choices(
                 window, config, cache, costs, migrate, deactivate, add
             )

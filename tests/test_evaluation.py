@@ -1,7 +1,8 @@
 """Tests for vectorised candidate evaluation (repro.core.evaluation).
 
-The key contract: the fast family evaluators agree with brute-force
-round-by-round routing through ``route_requests``.
+The key contract: exact access costs agree with brute-force round-by-round
+routing through ``route_requests``, and every family of the epoch scan
+agrees with those exact costs.
 """
 
 import numpy as np
@@ -87,11 +88,21 @@ class TestExactAccessCost:
             batch.exact_access_cost(np.zeros(0, dtype=np.int64))
 
 
+def addition(batch, active):
+    """The scan's addition row: access cost of ``active + {u}`` per node."""
+    return batch.epoch_scan(active, active, migrate=False, deactivate=False).addition
+
+
+def removal(batch, active):
+    """The scan's removal family: access cost without each active server."""
+    return batch.epoch_scan(active, active, migrate=False, add=False).removal
+
+
 class TestAdditionCosts:
     def test_entries_match_exact_linear(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
         active = np.asarray([3, 7])
-        vector = batch.addition_costs(active)
+        vector = addition(batch, active)
         for u in range(sub.n):
             if u in (3, 7):
                 expected = batch.exact_access_cost(active)
@@ -104,7 +115,7 @@ class TestAdditionCosts:
         cm = CostModel.paper_default(load=QuadraticLoad())
         batch = RequestBatch(sub, cm, rounds)
         active = np.asarray([3, 7])
-        vector = batch.addition_costs(active)
+        vector = addition(batch, active)
         best = int(np.argmin(vector))
         exhaustive = {
             u: batch.exact_access_cost(np.append(active, u))
@@ -116,12 +127,12 @@ class TestAdditionCosts:
 
     def test_from_empty_active_set(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
-        vector = batch.addition_costs(np.zeros(0, dtype=np.int64))
+        vector = addition(batch, np.zeros(0, dtype=np.int64))
         for u in (0, 5, 11):
             assert vector[u] == pytest.approx(batch.exact_access_cost([u]))
 
     def test_empty_batch_returns_zeros(self, sub, costs):
-        vector = RequestBatch(sub, costs).addition_costs(np.asarray([1]))
+        vector = addition(RequestBatch(sub, costs), np.asarray([1]))
         np.testing.assert_array_equal(vector, np.zeros(sub.n))
 
 
@@ -129,41 +140,50 @@ class TestRemovalCosts:
     def test_matches_exact(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
         active = np.asarray([1, 6, 10])
-        vector = batch.removal_costs(active)
+        vector = removal(batch, active)
         for i in range(3):
             expected = batch.exact_access_cost(np.delete(active, i))
             assert vector[i] == pytest.approx(expected)
 
     def test_singleton_returns_inf(self, sub, costs, rounds):
+        """A singleton placement cannot shrink: the scan has no removal family."""
         batch = RequestBatch(sub, costs, rounds)
-        vector = batch.removal_costs(np.asarray([4]))
-        assert np.isinf(vector).all()
+        assert removal(batch, np.asarray([4])) is None
 
 
 class TestMigrationCosts:
+    @staticmethod
+    def best_moves(batch, active, occupied):
+        """Per server, the cheapest exact cost of moving it to a free node."""
+        free = [u for u in range(batch._substrate.n) if u not in set(occupied)]
+        return [
+            min(
+                batch.exact_access_cost(np.append(np.delete(active, i), u))
+                for u in free
+            )
+            for i in range(active.size)
+        ]
+
     def test_matches_exact_linear(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
         active = np.asarray([2, 9])
-        for i in range(2):
-            vector = batch.migration_costs(active, i)
+        scan = batch.epoch_scan(active, active, deactivate=False, add=False)
+        for i, (target, access) in enumerate(
+            zip(scan.migrate_target.tolist(), scan.migrate_access.tolist())
+        ):
+            assert target not in (2, 9)
             rest = np.delete(active, i)
-            for u in range(sub.n):
-                if u in active:
-                    assert np.isinf(vector[u])
-                else:
-                    expected = batch.exact_access_cost(np.append(rest, u))
-                    assert vector[u] == pytest.approx(expected), f"server {i}->node {u}"
-
-    def test_index_out_of_range(self, sub, costs, rounds):
-        batch = RequestBatch(sub, costs, rounds)
-        with pytest.raises(IndexError):
-            batch.migration_costs(np.asarray([1]), 3)
+            expected = batch.exact_access_cost(np.append(rest, target))
+            assert access == pytest.approx(expected), f"server {i}->node {target}"
+        expected = self.best_moves(batch, active, (2, 9))
+        assert scan.migrate_access.tolist() == pytest.approx(expected)
 
     def test_single_server_migration(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
-        vector = batch.migration_costs(np.asarray([5]), 0)
-        for u in (0, 8):
-            assert vector[u] == pytest.approx(batch.exact_access_cost([u]))
+        scan = batch.epoch_scan([5], [5, 8], deactivate=False, add=False)
+        assert scan.migrate_target[0] not in (5, 8)
+        expected = self.best_moves(batch, np.asarray([5]), (5, 8))
+        assert scan.migrate_access.tolist() == pytest.approx(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -181,7 +201,7 @@ def test_addition_never_increases_access(active, seed, n_rounds):
     batch = RequestBatch(sub, cm, rounds)
     active_arr = np.asarray(sorted(active))
     base = batch.exact_access_cost(active_arr)
-    vector = batch.addition_costs(active_arr)
+    vector = addition(batch, active_arr)
     assert (vector <= base + 1e-9).all()
 
 
@@ -233,16 +253,16 @@ def test_lazy_exact_argmin_bound_soundness(bounds, gaps, masked):
     seed=st.integers(0, 50),
 )
 def test_addition_argmin_exact_for_convex_load(active, seed):
-    """For the non-invariant QuadraticLoad, addition_costs' argmin entry must
-    equal the exact access cost of that candidate and undercut all others —
-    the lazy-shortlist refinement may leave other entries as lower bounds."""
+    """For the non-invariant QuadraticLoad, the addition row's argmin entry
+    must equal the exact access cost of that candidate and undercut all
+    others — the lazy refinement may leave other entries as lower bounds."""
     sub = erdos_renyi(15, p=0.3, seed=11)
     cm = CostModel.paper_default(load=QuadraticLoad())
     rng = np.random.default_rng(seed)
     rounds = [rng.integers(0, 15, size=rng.integers(1, 6)) for _ in range(4)]
     batch = RequestBatch(sub, cm, rounds)
     active_arr = np.asarray(sorted(active), dtype=np.int64)
-    vector = batch.addition_costs(active_arr)
+    vector = addition(batch, active_arr)
     best = int(np.argmin(vector))
 
     def exact_with(u):
