@@ -13,11 +13,15 @@ current configuration γ:
   is created from scratch (c) — the §III-A queue rule.
 
 Every family's access cost over the epoch window comes from one
-:meth:`~repro.core.evaluation.RequestBatch.epoch_scan`, so evaluating all
-``O(k·n)`` concrete candidates costs a few numpy broadcasts. A family is
-summarised by the best concrete candidate inside it; applying a choice
-updates the policy's configuration and inactive-server cache consistently
-with how :func:`~repro.core.transitions.price_transition` will charge it.
+:meth:`~repro.core.evaluation.RequestBatch.epoch_scan`, on a streamed,
+gathered or lookahead window alike, so evaluating all ``O(k·n)``
+concrete candidates costs a few numpy broadcasts. A family is summarised
+by the best concrete candidate inside it, and the scan gives each such
+representative its exact access cost under every load model (a
+convex load may leave only the other entries as lower bounds). Applying
+a choice updates the policy's configuration and inactive-server cache
+consistently with how :func:`~repro.core.transitions.price_transition`
+will charge it.
 """
 
 from __future__ import annotations

@@ -72,9 +72,11 @@ class EpochScan(NamedTuple):
             (the unchanged cost for ``u`` in ``active``), or ``None`` when
             additions were not scanned.
 
-    Stay and removals are exact. Under a load that depends on the split,
-    each candidate row's argmin is exact and its other migration and
-    addition entries may be lower bounds of their exact cost.
+    Stay, removals and every family's representative are exact: each
+    migration's cheapest free target, the addition row's cheapest free node
+    and its entries at occupied nodes. Under a load that depends on the
+    split, other migration and addition entries may be lower bounds of
+    their exact cost.
     """
 
     stay: float
@@ -339,7 +341,7 @@ class RequestBatch:
             if self._load_is_invariant():
                 latency += self._invariant_load()
             else:
-                self._refine_convex(latency, active, migrate, add)
+                self._refine_convex(latency, active, occupied, stay, migrate, add)
 
         targets = np.zeros(0, dtype=np.int64)
         access = np.zeros(0, dtype=np.float64)
@@ -393,31 +395,41 @@ class RequestBatch:
         return loads.reshape(count, -1).sum(axis=1)
 
     def _refine_convex(
-        self, latency: np.ndarray, active: np.ndarray, migrate: bool, add: bool
+        self,
+        latency: np.ndarray,
+        active: np.ndarray,
+        occupied: np.ndarray,
+        stay: float,
+        migrate: bool,
+        add: bool,
     ) -> None:
         """Add the load to candidate rows whose load depends on the split.
 
-        Each row gets a balanced-split lower bound of the load, and is then
-        refined by :meth:`_lazy_exact_argmin` until its argmin is exact.
+        Each row gets a balanced-split lower bound of the load, with
+        occupied nodes out of the running, and :meth:`_lazy_exact_argmin`
+        refines it until its cheapest free node is exact. The addition
+        row's occupied entries are then scored exactly: ``stay`` at an
+        active node, ``active + {u}`` at a cached one.
         """
         k = active.size
         if migrate:
             bound = self._balanced_load_bound(k)
             for i, rest in enumerate(active[_leave_one_out(k)]):
+                row = latency[i] + bound
+                row[active] = row[occupied] = np.inf
                 latency[i] = self._lazy_exact_argmin(
-                    latency[i] + bound,
-                    lambda u, rest=rest: self.exact_access_cost(np.append(rest, u)),
+                    row, lambda u, rest=rest: self.exact_access_cost(np.append(rest, u))
                 )
         if add:
-            active_set = set(active.tolist())
-
-            def exact(u: int) -> float:
-                candidate = active if u in active_set else np.append(active, u)
-                return self.exact_access_cost(candidate)
-
-            latency[-1] = self._lazy_exact_argmin(
-                latency[-1] + self._balanced_load_bound(k + 1), exact
+            row = latency[-1] + self._balanced_load_bound(k + 1)
+            row[active] = row[occupied] = np.inf
+            row = self._lazy_exact_argmin(
+                row, lambda u: self.exact_access_cost(np.append(active, u))
             )
+            for u in np.setdiff1d(occupied, active).tolist():
+                row[u] = self.exact_access_cost(np.append(active, u))
+            row[active] = stay
+            latency[-1] = row
 
     def _lazy_exact_argmin(self, bound: np.ndarray, exact) -> np.ndarray:
         """Refine ``bound`` entries with ``exact`` until the argmin is exact.

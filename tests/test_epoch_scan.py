@@ -113,8 +113,8 @@ def close(value, expected):
 def assert_scan_matches_brute_force(batch, active, occupied, flags, invariant):
     """Check every field of one scan against exact costs of its placements.
 
-    Entries of a split-dependent load may be lower bounds; representatives
-    are checked for optimality only under invariant loads.
+    Representatives are exact and optimal among free nodes. Other entries
+    are exact under an invariant load and lower bounds otherwise.
     """
     migrate, deactivate, add = flags
     scan = batch.epoch_scan(active, occupied, migrate, deactivate, add)
@@ -144,23 +144,26 @@ def assert_scan_matches_brute_force(batch, active, occupied, flags, invariant):
             rest = np.delete(active, i)
             moves = {u: exact(np.append(rest, u)) for u in free}
             assert target in moves
-            if invariant:
-                assert close(access, moves[target])
-                assert close(access, min(moves.values()))
-            else:
-                assert access <= moves[target] * (1 + REL) + REL
+            assert close(access, moves[target])
+            assert close(access, min(moves.values()))
     else:
         assert scan.migrate_target.size == scan.migrate_access.size == 0
 
     if add:
         assert scan.addition.shape == (n,)
+        expected = np.array([
+            exact(active if u in set(active.tolist()) else np.append(active, u))
+            for u in range(n)
+        ])
+        if free:
+            create = free[int(np.argmin(scan.addition[free]))]
+            assert close(scan.addition[create], expected[create])
+            assert close(scan.addition[create], expected[free].min())
         for u in range(n):
-            placement = active if u in set(active.tolist()) else np.append(active, u)
-            expected = exact(placement)
-            if invariant:
-                assert close(scan.addition[u], expected), f"addition at {u}"
+            if invariant or u in set(occupied):
+                assert close(scan.addition[u], expected[u]), f"addition at {u}"
             else:
-                assert scan.addition[u] <= expected * (1 + REL) + REL
+                assert scan.addition[u] <= expected[u] * (1 + REL) + REL
     else:
         assert scan.addition is None
 
@@ -216,6 +219,51 @@ def test_plain_window_equals_gathered_window(strength_name, load):
             ) == enumerate_choices(
                 window, config, cache, costs, migrate, deactivate, add
             )
+
+
+@pytest.mark.parametrize(
+    "load", (QuadraticLoad(), PowerLoad(1.5)), ids=("quadratic", "power1.5")
+)
+def test_convex_representatives_are_exact(load):
+    """Under a split-dependent load, each family's representative carries its
+    exact cost and is the cheapest choice of its family: a migration's target
+    among free nodes, the cheapest free node of the addition row (create),
+    and every cached node's entry (activate)."""
+    rng = np.random.default_rng([79, int(isinstance(load, PowerLoad))])
+    costs = CostModel.paper_default(load=load)
+    for _ in range(40):
+        n = int(rng.integers(6, 41))
+        substrate = erdos_renyi(n=n, p=min(1.0, 4.0 / n), seed=rng)
+        rounds = [
+            rng.integers(0, n, size=int(rng.integers(1, 12))) for _ in range(4)
+        ]
+        batch = RequestBatch(substrate, costs, rounds)
+        k = int(rng.integers(1, 5))
+        nodes = rng.choice(n, size=min(n, k + 2), replace=False).tolist()
+        active, cached = nodes[:k], nodes[k:]
+        occupied = sorted(nodes)
+        free = [u for u in range(n) if u not in set(nodes)]
+        scan = batch.epoch_scan(active, occupied)
+
+        def exact(placement):
+            return batch.exact_access_cost(np.asarray(placement, dtype=np.int64))
+
+        for i, (target, access) in enumerate(
+            zip(scan.migrate_target.tolist(), scan.migrate_access.tolist())
+        ):
+            rest = active[:i] + active[i + 1 :]
+            moves = [exact(rest + [u]) for u in free]
+            assert target in free
+            assert close(access, exact(rest + [target])), "inexact migration"
+            assert close(access, min(moves)), "migration not the cheapest"
+        for u in cached:
+            assert close(scan.addition[u], exact(active + [u])), "inexact activation"
+        row = scan.addition.copy()
+        row[occupied] = np.inf
+        create = int(np.argmin(row))
+        assert create in free
+        assert close(row[create], exact(active + [create])), "inexact creation"
+        assert close(row[create], min(exact(active + [u]) for u in free))
 
 
 def test_scan_is_memoised_across_sibling_windows():
