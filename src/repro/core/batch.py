@@ -231,8 +231,6 @@ class GatherWindow(RequestBatch):
         self._t0 = 0
         self._t1 = 0
         self._invariant: "bool | None" = None
-        self._inv_key: "tuple[int, int] | None" = None
-        self._inv_load_value = 0.0
         self._key_span: "tuple[int, int] | None" = None
         self._key = b""
 
@@ -279,25 +277,13 @@ class GatherWindow(RequestBatch):
 
     def _invariant_load(self) -> float:
         strength = self._gather.exact_strength
-        if strength is not None:
-            # Dyadic loads: Σ sizes/s is exact, hence (requests)/s.
-            return (self._c1 - self._c0) / strength
-        # The base-class memo invalidates in add_round/clear, which here
-        # only move pointers — key the memo on the window range instead.
-        key = (self._t0, self._t1)
-        if self._inv_key != key:
-            sizes = self.round_sizes
-            strength = float(self._substrate.strengths[0])
-            self._inv_load_value = float(
-                self._costs.load(np.full(sizes.shape, strength), sizes).sum()
-            )
-            self._inv_key = key
-        return self._inv_load_value
+        if strength is None:
+            return RequestBatch._invariant_load(self)
+        # Dyadic loads: Σ sizes/s is exact, hence (requests)/s.
+        return (self._c1 - self._c0) / strength
 
     def _dyadic_load(self) -> "float | None":
-        if self._gather.exact_strength is None:
-            return None
-        return self._invariant_load()
+        return None if self._gather.exact_strength is None else self._invariant_load()
 
     # -- distance access --------------------------------------------------------
 

@@ -108,7 +108,6 @@ class RequestBatch:
         self._round_ids: "np.ndarray | None" = None
         self._sizes: "np.ndarray | None" = None
         self._invariant: "bool | None" = None
-        self._inv_load: "float | None" = None
         for arr in rounds:
             self.add_round(arr)
 
@@ -120,7 +119,6 @@ class RequestBatch:
         self._flat = None
         self._round_ids = None
         self._sizes = None
-        self._inv_load = None
 
     def clear(self) -> None:
         """Empty the window (start of a new epoch)."""
@@ -128,7 +126,6 @@ class RequestBatch:
         self._flat = None
         self._round_ids = None
         self._sizes = None
-        self._inv_load = None
 
     @property
     def n_rounds(self) -> int:
@@ -206,20 +203,9 @@ class RequestBatch:
         if active.size == 0:
             raise ValueError("cannot evaluate a window against zero active servers")
 
-        distances = self._distance_block(active)
-        assignment = np.argmin(distances, axis=0)
-        latency = float(distances[assignment, np.arange(flat.size)].sum())
-        latency += self._costs.wireless_hop * flat.size
-
-        # One bincount over combined (round, server) keys: the same integer
-        # counts as a scatter-add, so the load floats are identical.
-        k = active.size
-        counts = np.bincount(
-            self.round_ids * k + assignment, minlength=self.n_rounds * k
-        ).reshape(self.n_rounds, k)
-        strengths = self._substrate.strengths[active]
-        load = float(self._costs.load(strengths, counts).sum())
-        return latency + load
+        block = self._distance_block(active)
+        latency = float(block.min(axis=0).sum()) + self._costs.wireless_hop * flat.size
+        return latency + float(self._placement_loads(block[None], active[None])[0])
 
     def _load_is_invariant(self) -> bool:
         if self._invariant is None:
@@ -233,14 +219,9 @@ class RequestBatch:
 
     def _invariant_load(self) -> float:
         """Window load total when it does not depend on the assignment."""
-        if self._inv_load is None:
-            sizes = self.round_sizes
-            strength = float(self._substrate.strengths[0])
-            self._inv_load = float(
-                self._costs.load(np.full(sizes.shape, strength), sizes).sum()
-            )
-        return self._inv_load
-
+        sizes = self.round_sizes
+        strength = float(self._substrate.strengths[0])
+        return float(self._costs.load(np.full(sizes.shape, strength), sizes).sum())
 
     def _dyadic_load(self) -> "float | None":
         """The window load when every assignment sums to the same bits.
@@ -304,9 +285,8 @@ class RequestBatch:
             fixed = self._dyadic_load()
             # Per-request latency under each leave-one-out placement (rows
             # 0..k-1, when migrations or removals need them) and under
-            # `active` itself (row k). min is exact, and each row holds the
-            # very values exact_access_cost gathers through its argmin; as a
-            # contiguous row it sums in the same pairwise order.
+            # `active` itself (row k). min is exact, so each contiguous row
+            # sums like exact_access_cost's, in the same pairwise order.
             block = self._distance_block(active)
             rows = np.empty((k + 1, m))
             if k:
@@ -376,8 +356,8 @@ class RequestBatch:
 
         ``blocks[p]`` is the ``(j, m)`` distance block of placement
         ``placements[p]``. One bincount over combined (placement, round,
-        server) keys yields :meth:`exact_access_cost`'s integer counts,
-        hence its load floats.
+        server) keys gives the same integer counts as a scatter-add, so
+        the load floats are identical.
         """
         count, j, _ = blocks.shape
         n_rounds = self.n_rounds
