@@ -284,38 +284,32 @@ class RequestBatch:
             hop = self._costs.wireless_hop * m
             fixed = self._dyadic_load()
             # Per-request latency under each leave-one-out placement (rows
-            # 0..k-1, when migrations or removals need them) and under
-            # `active` itself (row k). min is exact, so each contiguous row
-            # sums like exact_access_cost's, in the same pairwise order.
+            # 0..k-1, when migrations or removals need them; a lone server
+            # leaves none, so its row stays inf) and under `active` itself
+            # (row k). min is exact, so each contiguous row sums like
+            # exact_access_cost's, in the same pairwise order.
             block = self._distance_block(active)
-            rows = np.empty((k + 1, m))
+            rows = np.full((k + 1, m), np.inf)
             if k:
                 block.min(axis=0, out=rows[k])
-            else:
-                rows[k] = np.inf
-            if k == 1:
-                rows[0] = np.inf
-            elif k and (migrate or deactivate):
-                blocks = block[_leave_one_out(k)]
-                blocks.min(axis=1, out=rows[:k])
-            if k:
+                if k > 1 and (migrate or deactivate):
+                    blocks = block[_leave_one_out(k)]
+                    blocks.min(axis=1, out=rows[:k])
                 sums = rows[(0 if deactivate else k) :].sum(axis=1)
                 sums += hop
                 if fixed is None:
                     stay = float(
                         sums[-1] + self._placement_loads(block[None], active[None])[0]
                     )
+                    if deactivate:
+                        removal = sums[:k] + self._placement_loads(
+                            blocks, active[_leave_one_out(k)]
+                        )
                 else:
                     # Dyadic loads: every assignment sums to the same load bits.
                     stay = float(sums[-1] + fixed)
-                if deactivate:
-                    removal = sums[:k]
-                    if fixed is None:
-                        removal += self._placement_loads(
-                            blocks, active[_leave_one_out(k)]
-                        )
-                    else:
-                        removal += fixed
+                    if deactivate:
+                        removal = sums[:k] + fixed
             latency = self._candidate_latencies(rows[first:stop])
             latency += hop
             if self._load_is_invariant():
