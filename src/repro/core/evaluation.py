@@ -17,7 +17,8 @@ Python work:
 * the load term is added exactly. For assignment-invariant load models
   (linear load, uniform strengths — the paper's default) it is a constant
   across candidates; otherwise each candidate row carries a balanced-split
-  lower bound, refined with exact scores until the row's argmin is exact.
+  lower bound, refined with exact scores until the row's cheapest free
+  node is exact.
 
 :meth:`RequestBatch.epoch_scan` is that one pass: the five single-change
 families of an epoch boundary in a single :class:`EpochScan`, for a plain
