@@ -41,9 +41,9 @@ from repro.workload.base import Trace
 
 N = 12
 FLAGS = list(itertools.product((False, True), repeat=3))
-#: name -> (uniform strength, load). "dyadic" takes the fused scan with
-#: exact loads, "s3" the fused scan with summed loads, "quadratic" the
-#: base-class families with their exact shortlist re-scores.
+#: name -> (uniform strength, load). "dyadic" takes the scan's dyadic
+#: shortcut, "s3" counts summed loads, "quadratic" refines its lower
+#: bounds with exact re-scores.
 LOADS = {
     "dyadic": (1.0, LinearLoad()),
     "s3": (3.0, LinearLoad()),
