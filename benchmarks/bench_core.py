@@ -3,7 +3,7 @@
 
 :func:`repro.core.simulator.simulate` routes a materialised trace through a
 shared :class:`~repro.core.batch.DistanceGather` (span routing, gather
-windows, the fused and memoised epoch scan) and a streamed copy of the same
+windows, the memoised epoch scan) and a streamed copy of the same
 rounds round by round (``route_requests``, plain ``RequestBatch``
 windows). The ``batched`` column times the former, the ``scalar`` column
 the latter, on four points:
@@ -21,13 +21,15 @@ gathered runs must equal the streamed runs exactly, which is the invariant
 that lets ``simulate`` pick its round source from the input type alone.
 
 On speedup expectations: bit-identity pins every reduction to the
-per-round path's exact summand sequences. The gathered path removes
-redundant distance gathers (the per-round path re-gathers columns per
-round and per epoch family), fuses each epoch's family scan into one pass
-memoised across sibling policies, and — under the default linear load
-with a power-of-two strength, where every load sum is exact — skips the
-assignment work behind the load term. The committed gate floors below
-sit well under the measured speedups, with CI-noise headroom.
+per-round path's exact summand sequences. Both sources run the same
+one-pass epoch scan. The gathered path removes redundant distance gathers
+(the streamed path re-gathers columns per round and per epoch window),
+memoises each scan across sibling policies and recurring windows, and —
+under the default linear load with a power-of-two strength, where every
+load sum is exact — skips the assignment work behind the load term. The
+repeats of the two sources alternate, and each side keeps its best time.
+The committed gate floors below sit well under the measured speedups,
+with CI-noise headroom.
 
 Usage::
 
@@ -132,16 +134,17 @@ def _bench_point(name, n, horizon, n_traces, policies, repeats, floor):
                 ))
         return out
 
-    def best_of(fn):
-        elapsed, result = [], None
-        for _ in range(repeats):
+    # Best of the repeats, alternating the two sources: a burst of load on
+    # a shared host then slows both sides, not all repeats of one.
+    elapsed = {run_scalar: [], run_batched: []}
+    runs = {}
+    for _ in range(repeats):
+        for fn in (run_scalar, run_batched):
             start = time.perf_counter()
-            result = fn()
-            elapsed.append(time.perf_counter() - start)
-        return min(elapsed), result
-
-    scalar_seconds, scalar_runs = best_of(run_scalar)
-    batched_seconds, batched_runs = best_of(run_batched)
+            runs[fn] = fn()
+            elapsed[fn].append(time.perf_counter() - start)
+    scalar_seconds, scalar_runs = min(elapsed[run_scalar]), runs[run_scalar]
+    batched_seconds, batched_runs = min(elapsed[run_batched]), runs[run_batched]
 
     replicates = n_traces * len(policies)
     rounds = replicates * horizon
