@@ -243,17 +243,9 @@ class ResultCache:
         entry. File-backed scenarios fold their input files' content
         digest into the key (see :func:`scenario_content_fingerprint`).
         """
-        payload = {
-            "kind": "point",
-            "experiment": experiment.cache_key(),
-            "sweep_seed": int(sweep_seed),
-            "spawn_start": int(spawn_start),
-            "runs": int(runs),
-        }
-        content = _experiment_content(experiment)
-        if content is not None:
-            payload["content"] = content
-        return self._digest(self._identity(**payload))
+        return self._unit(
+            "point", experiment, sweep_seed, {"spawn_start": spawn_start}, runs
+        )[0]
 
     def key_for_point_extension(
         self,
@@ -271,18 +263,10 @@ class ResultCache:
         they determine the samples bit for bit (see
         :func:`~repro.experiments.runner.spawn_point_extension_tasks`).
         """
-        payload = {
-            "kind": "point-extension",
-            "experiment": experiment.cache_key(),
-            "sweep_seed": int(sweep_seed),
-            "point_index": int(point_index),
-            "start": int(start),
-            "runs": int(runs),
-        }
-        content = _experiment_content(experiment)
-        if content is not None:
-            payload["content"] = content
-        return self._digest(self._identity(**payload))
+        return self._unit(
+            "point-extension", experiment, sweep_seed,
+            {"point_index": point_index, "start": start}, runs,
+        )[0]
 
     def path_for_key(self, key: str) -> Path:
         """Where the entry with ``key`` lives (whether or not it exists)."""
@@ -348,28 +332,131 @@ class ResultCache:
         order — exactly what the point's tasks produced. Corrupt entries,
         spec-dict mismatches and sample-count mismatches are misses.
         """
-        path = self.path_for_key(
-            self.key_for_point(experiment, sweep_seed, spawn_start, runs)
+        return self._load_unit(
+            "point", experiment, sweep_seed, {"spawn_start": spawn_start}, runs
         )
-        data = self._read(path)
-        if data is None:
-            self.point_misses += 1
-            return None
+
+    def store_point(
+        self,
+        experiment: "ExperimentSpec",
+        sweep_seed: int,
+        spawn_start: int,
+        runs: int,
+        samples: "Sequence[Mapping[str, float]]",
+    ) -> Path:
+        """Persist one sweep point's replicate samples; returns the path."""
+        return self._store_unit(
+            "point", experiment, sweep_seed, {"spawn_start": spawn_start}, runs,
+            samples,
+        )
+
+    def load_point_extension(
+        self,
+        experiment: "ExperimentSpec",
+        sweep_seed: int,
+        point_index: int,
+        start: int,
+        runs: int,
+    ) -> "list[dict[str, float]] | None":
+        """One cached adaptive top-up batch, or ``None`` on a miss.
+
+        Mirrors :meth:`load_point` for the extension stream: corrupt
+        entries, coordinate mismatches and malformed or non-finite sample
+        blocks are misses.
+        """
+        return self._load_unit(
+            "point-extension", experiment, sweep_seed,
+            {"point_index": point_index, "start": start}, runs,
+        )
+
+    def store_point_extension(
+        self,
+        experiment: "ExperimentSpec",
+        sweep_seed: int,
+        point_index: int,
+        start: int,
+        runs: int,
+        samples: "Sequence[Mapping[str, float]]",
+    ) -> Path:
+        """Persist one adaptive top-up batch; returns the entry path."""
+        return self._store_unit(
+            "point-extension", experiment, sweep_seed,
+            {"point_index": point_index, "start": start}, runs, samples,
+        )
+
+    # -- the replicate-unit codec: point and point-extension entries ----------
+    #
+    # Both kinds hold a block of ``runs`` replicate samples of one experiment
+    # and differ only in their kind string and the coordinates pinning the
+    # block's seeds.
+
+    #: unit kind → the prefix of its ``*_hits``/``*_misses``/``*_stores``
+    _COUNTERS = {"point": "point", "point-extension": "extension"}
+
+    def _unit(
+        self, kind: str, experiment: "ExperimentSpec", sweep_seed: int,
+        coordinates: Mapping, runs: int,
+    ) -> "tuple[str, dict]":
+        """A unit's key and its coordinate fields, in entry order."""
+        fields = {
+            "sweep_seed": int(sweep_seed),
+            **{name: int(value) for name, value in coordinates.items()},
+            "runs": int(runs),
+        }
+        payload = {"kind": kind, "experiment": experiment.cache_key(), **fields}
+        content = _experiment_content(experiment)
+        if content is not None:
+            payload["content"] = content
+        return self._digest(self._identity(**payload)), fields
+
+    def _count(self, kind: str, event: str) -> None:
+        counter = f"{self._COUNTERS[kind]}_{event}"
+        setattr(self, counter, getattr(self, counter) + 1)
+
+    def _load_unit(
+        self, kind: str, experiment: "ExperimentSpec", sweep_seed: int,
+        coordinates: Mapping, runs: int,
+    ) -> "list[dict[str, float]] | None":
+        key, fields = self._unit(kind, experiment, sweep_seed, coordinates, runs)
+        data = self._read(self.path_for_key(key))
+        samples = None
         if (
-            data.get("schema") != CACHE_SCHEMA
-            or data.get("kind") != "point"
-            or data.get("experiment") != experiment.to_dict()
-            or data.get("sweep_seed") != int(sweep_seed)
-            or data.get("spawn_start") != int(spawn_start)
+            data is not None
+            and data.get("schema") == CACHE_SCHEMA
+            and data.get("kind") == kind
+            and data.get("experiment") == experiment.to_dict()
+            and all(data.get(name) == value for name, value in fields.items())
         ):
-            self.point_misses += 1
-            return None
-        samples = self._decode_samples(data.get("samples"), runs)
-        if samples is None:
-            self.point_misses += 1
-            return None
-        self.point_hits += 1
+            samples = self._decode_samples(data.get("samples"), runs)
+        self._count(kind, "misses" if samples is None else "hits")
         return samples
+
+    def _store_unit(
+        self, kind: str, experiment: "ExperimentSpec", sweep_seed: int,
+        coordinates: Mapping, runs: int,
+        samples: "Sequence[Mapping[str, float]]",
+    ) -> Path:
+        import repro
+
+        if len(samples) != int(runs):
+            raise ValueError(f"{len(samples)} samples for runs={runs}")
+        key, fields = self._unit(kind, experiment, sweep_seed, coordinates, runs)
+        path = self.path_for_key(key)
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "version": repro.__version__,
+            "kind": kind,
+            "key": key,
+            "experiment": experiment.to_dict(),
+            **fields,
+            "samples": [
+                {str(name): float(value) for name, value in sample.items()}
+                for sample in samples
+            ],
+        }
+        self._write(path, payload)
+        self._count(kind, "stores")
+        return path
 
     @staticmethod
     def _decode_samples(samples, runs: int) -> "list[dict[str, float]] | None":
@@ -395,116 +482,6 @@ class ResultCache:
         except (AttributeError, TypeError, ValueError):
             return None
         return decoded
-
-    def store_point(
-        self,
-        experiment: "ExperimentSpec",
-        sweep_seed: int,
-        spawn_start: int,
-        runs: int,
-        samples: "Sequence[Mapping[str, float]]",
-    ) -> Path:
-        """Persist one sweep point's replicate samples; returns the path."""
-        import repro
-
-        if len(samples) != int(runs):
-            raise ValueError(f"{len(samples)} samples for runs={runs}")
-        key = self.key_for_point(experiment, sweep_seed, spawn_start, runs)
-        path = self.path_for_key(key)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "version": repro.__version__,
-            "kind": "point",
-            "key": key,
-            "experiment": experiment.to_dict(),
-            "sweep_seed": int(sweep_seed),
-            "spawn_start": int(spawn_start),
-            "runs": int(runs),
-            "samples": [
-                {str(name): float(value) for name, value in sample.items()}
-                for sample in samples
-            ],
-        }
-        self._write(path, payload)
-        self.point_stores += 1
-        return path
-
-    def load_point_extension(
-        self,
-        experiment: "ExperimentSpec",
-        sweep_seed: int,
-        point_index: int,
-        start: int,
-        runs: int,
-    ) -> "list[dict[str, float]] | None":
-        """One cached adaptive top-up batch, or ``None`` on a miss.
-
-        Mirrors :meth:`load_point` for the extension stream: corrupt
-        entries, coordinate mismatches and malformed or non-finite sample
-        blocks are misses.
-        """
-        path = self.path_for_key(
-            self.key_for_point_extension(
-                experiment, sweep_seed, point_index, start, runs
-            )
-        )
-        data = self._read(path)
-        if data is None:
-            self.extension_misses += 1
-            return None
-        if (
-            data.get("schema") != CACHE_SCHEMA
-            or data.get("kind") != "point-extension"
-            or data.get("experiment") != experiment.to_dict()
-            or data.get("sweep_seed") != int(sweep_seed)
-            or data.get("point_index") != int(point_index)
-            or data.get("start") != int(start)
-        ):
-            self.extension_misses += 1
-            return None
-        samples = self._decode_samples(data.get("samples"), runs)
-        if samples is None:
-            self.extension_misses += 1
-            return None
-        self.extension_hits += 1
-        return samples
-
-    def store_point_extension(
-        self,
-        experiment: "ExperimentSpec",
-        sweep_seed: int,
-        point_index: int,
-        start: int,
-        runs: int,
-        samples: "Sequence[Mapping[str, float]]",
-    ) -> Path:
-        """Persist one adaptive top-up batch; returns the entry path."""
-        import repro
-
-        if len(samples) != int(runs):
-            raise ValueError(f"{len(samples)} samples for runs={runs}")
-        key = self.key_for_point_extension(
-            experiment, sweep_seed, point_index, start, runs
-        )
-        path = self.path_for_key(key)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "version": repro.__version__,
-            "kind": "point-extension",
-            "key": key,
-            "experiment": experiment.to_dict(),
-            "sweep_seed": int(sweep_seed),
-            "point_index": int(point_index),
-            "start": int(start),
-            "runs": int(runs),
-            "samples": [
-                {str(name): float(value) for name, value in sample.items()}
-                for sample in samples
-            ],
-        }
-        self._write(path, payload)
-        self.extension_stores += 1
-        return path
 
     @staticmethod
     def _read(path: Path) -> "dict | None":

@@ -22,6 +22,7 @@ sweep is bit-identical to the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -569,6 +570,59 @@ def compute_comparisons(
     return tuple(results)
 
 
+def _fold(
+    point_samples: "Sequence[Sequence[Mapping[str, float]]]",
+    comparison: "ComparisonSpec | None",
+    ci_level: "float | None" = None,
+    method: str = "t",
+    **fields,
+) -> FigureResult:
+    """The one aggregation fold behind both public aggregators.
+
+    Collects every series' per-point value lists (series in first-seen
+    order), summarises each list — :func:`mean_stderr`, or with a
+    ``ci_level`` :func:`point_summary`, whose intervals and counts are
+    attached as well — and computes the paired comparisons over the same
+    lists. ``fields`` are the remaining :class:`FigureResult` fields.
+    """
+    collected: "dict[str, list[list[float]]]" = {}
+    for group in point_samples:
+        point_values: dict[str, list[float]] = {}
+        for sample in group:
+            for name, value in sample.items():
+                point_values.setdefault(name, []).append(float(value))
+        for name, values in point_values.items():
+            collected.setdefault(name, []).append(values)
+
+    summarise = mean_stderr
+    if ci_level is not None:
+        summarise = partial(point_summary, level=ci_level, method=method)
+    series, errors, ci = {}, {}, {}
+    for name, per_point in collected.items():
+        stats = [summarise(values) for values in per_point]
+        series[name] = tuple(s.mean for s in stats)
+        errors[name] = tuple(s.stderr for s in stats)
+        if ci_level is not None:
+            ci[name] = tuple((s.ci.low, s.ci.high) for s in stats)
+    if ci_level is not None:
+        fields.update(
+            ci=ci,
+            counts=tuple(len(group) for group in point_samples),
+            ci_level=float(ci_level),
+        )
+    return FigureResult(
+        series=series,
+        errors=errors,
+        # a 0-point partial (shard mode) has no series to resolve against
+        comparisons=(
+            compute_comparisons(collected, comparison)
+            if comparison is not None and collected
+            else ()
+        ),
+        **fields,
+    )
+
+
 def aggregate_samples(
     figure: str,
     title: str,
@@ -594,37 +648,10 @@ def aggregate_samples(
         raise ValueError(
             f"{len(samples)} samples for {len(x_values)} points x {runs} runs"
         )
-    collected: "dict[str, list[list[float]]]" = {}
-    for i, _x in enumerate(x_values):
-        point_samples: dict[str, list[float]] = {}
-        for j in range(runs):
-            sample = samples[i * runs + j]
-            for name, value in sample.items():
-                point_samples.setdefault(name, []).append(float(value))
-        for name, values in point_samples.items():
-            collected.setdefault(name, []).append(values)
-
-    series = {}
-    errors = {}
-    for name, per_point in collected.items():
-        stats = [mean_stderr(values) for values in per_point]
-        series[name] = tuple(s.mean for s in stats)
-        errors[name] = tuple(s.stderr for s in stats)
-
-    return FigureResult(
-        figure=figure,
-        title=title,
-        x_label=x_label,
-        x_values=tuple(x_values),
-        series=series,
-        errors=errors,
-        notes=notes,
-        # a 0-point partial (shard mode) has no series to resolve against
-        comparisons=(
-            compute_comparisons(collected, comparison)
-            if comparison is not None and collected
-            else ()
-        ),
+    return _fold(
+        [samples[i * runs : (i + 1) * runs] for i in range(len(x_values))],
+        comparison, figure=figure, title=title, x_label=x_label,
+        x_values=tuple(x_values), notes=notes,
     )
 
 
@@ -655,49 +682,13 @@ def aggregate_point_summaries(
         raise ValueError(
             f"{len(point_samples)} sample groups for {len(x_values)} points"
         )
-    counts = []
-    collected: "dict[str, list[list[float]]]" = {}
-    for i, group in enumerate(point_samples):
-        group = list(group)
+    groups = [list(group) for group in point_samples]
+    for x, group in zip(x_values, groups):
         if not group:
-            raise ValueError(f"sweep point {x_values[i]!r} has no samples")
-        counts.append(len(group))
-        point_values: dict[str, list[float]] = {}
-        for sample in group:
-            for name, value in sample.items():
-                point_values.setdefault(name, []).append(float(value))
-        for name, values in point_values.items():
-            collected.setdefault(name, []).append(values)
-
-    series = {}
-    errors = {}
-    ci = {}
-    for name, per_point in collected.items():
-        summaries = [
-            point_summary(values, level=ci_level, method=method)
-            for values in per_point
-        ]
-        series[name] = tuple(s.mean for s in summaries)
-        errors[name] = tuple(s.stderr for s in summaries)
-        ci[name] = tuple((s.ci.low, s.ci.high) for s in summaries)
-
-    return FigureResult(
-        figure=figure,
-        title=title,
-        x_label=x_label,
-        x_values=tuple(x_values),
-        series=series,
-        errors=errors,
-        ci=ci,
-        counts=tuple(counts),
-        ci_level=float(ci_level),
-        notes=notes,
-        # a 0-point partial (shard mode) has no series to resolve against
-        comparisons=(
-            compute_comparisons(collected, comparison)
-            if comparison is not None and collected
-            else ()
-        ),
+            raise ValueError(f"sweep point {x!r} has no samples")
+    return _fold(
+        groups, comparison, ci_level=ci_level, method=method, figure=figure,
+        title=title, x_label=x_label, x_values=tuple(x_values), notes=notes,
     )
 
 
