@@ -331,7 +331,6 @@ def run_sweep(
     backend: "ExecutionBackend | None" = None,
     cache: "ResultCache | None" = None,
     shard: "tuple[int, int] | None" = None,
-    resume: bool = True,
     replication: "ReplicationSpec | None" = None,
     comparison: "ComparisonSpec | None" = None,
 ) -> "FigureResult":
@@ -345,6 +344,9 @@ def run_sweep(
             the stored result without simulating anything, a miss stores
             the freshly computed one. Safe because the spec is the complete
             input of the computation and results are backend-independent.
+            Per-point entries are always probed and filled too, so a sweep
+            interrupted mid-run, or invalidated for a subset of points,
+            re-simulates only the missing points on the next call.
         shard: optional ``(index, count)`` with ``0 <= index < count``:
             compute only the sweep points whose index modulo ``count``
             equals ``index``, storing them into ``cache`` (required). N
@@ -354,10 +356,6 @@ def run_sweep(
             full figure. A shard that finishes while other shards' points
             are still missing returns a *partial* result restricted to the
             available points.
-        resume: probe and fill per-point cache entries (the default). A
-            sweep interrupted mid-run, or invalidated for a subset of
-            points, re-simulates only the missing points on the next call.
-            ``False`` restores all-or-nothing caching at the sweep level.
         replication: convenience override for
             :attr:`~repro.api.specs.SweepSpec.replication` — the spec is
             replaced with this :class:`ReplicationSpec` (or spec dict)
@@ -403,7 +401,7 @@ def run_sweep(
             comparison = ComparisonSpec.from_dict(comparison)
         spec = replace(spec, comparison=comparison)
 
-    result = _execute_sweep(spec, backend, cache, shard, resume)
+    result = _execute_sweep(spec, backend, cache, shard)
     _record_sweep(spec, result)
     return result
 
@@ -413,7 +411,6 @@ def _execute_sweep(
     backend: "ExecutionBackend | None",
     cache: "ResultCache | None",
     shard: "tuple[int, int] | None",
-    resume: bool,
 ) -> "FigureResult":
     """:func:`run_sweep` after spec normalization (observer-transparent)."""
     from repro.experiments.runner import (
@@ -425,11 +422,6 @@ def _execute_sweep(
     if shard is not None and cache is None:
         raise ValueError(
             "sharded execution needs a shared cache: pass cache=ResultCache(...)"
-        )
-    if shard is not None and not resume:
-        raise ValueError(
-            "sharded execution requires resume=True: shards coordinate "
-            "exclusively through per-point cache entries"
         )
 
     if cache is not None:
@@ -449,7 +441,7 @@ def _execute_sweep(
     units = _PointUnits(
         spec,
         backend,
-        cache if resume else None,
+        cache,
         range(n_points),
         owns=None if shard is None else lambda i: i % shard[1] == shard[0],
     )
@@ -500,7 +492,6 @@ def collect_point_samples(
     spec: SweepSpec,
     backend: "ExecutionBackend | None" = None,
     cache: "ResultCache | None" = None,
-    resume: bool = True,
 ) -> "list[list[Mapping[str, float]]]":
     """The raw initial replicate block behind every sweep point.
 
@@ -509,8 +500,8 @@ def collect_point_samples(
     very engine behind :func:`run_sweep`, with the same flat seeds and the
     same per-point cache entries, so a call over the cache of a completed
     sweep loads everything and simulates nothing. Missing blocks are
-    simulated (and stored, when ``cache`` and ``resume`` allow) so the
-    result is always complete.
+    simulated (and stored, with a ``cache``) so the result is always
+    complete.
 
     This is the sample-level feed of
     :func:`repro.analysis.stats.comparison_matrix`: every-vs-every paired
@@ -518,9 +509,7 @@ def collect_point_samples(
     :class:`FigureResult` no longer carries.
     """
     n_points = len(spec.values)
-    units = _PointUnits(
-        spec, backend, cache if resume else None, range(n_points)
-    )
+    units = _PointUnits(spec, backend, cache, range(n_points))
     next(units.rounds(), None)
     return [units.samples[i] for i in range(n_points)]
 
@@ -637,20 +626,23 @@ class _PointUnits:
     def rounds(self) -> "Iterator[bool]":
         """Advance each open point one unit a round; yield if it simulated."""
         while self._open:
-            fresh: "list[tuple[int, int, int]]" = []
+            fresh = []
             still_open = []
             for i in self._open:
                 unit = _next_unit(self.spec, self.samples[i])
                 if unit is None:
                     continue
-                block = self._load(i, *unit)
+                entry, coordinates, tasks = self._unit(i, *unit)
+                block = None
+                if self.cache is not None:
+                    block = getattr(self.cache, f"load_{entry}")(*coordinates)
                 if block is not None:
                     task = ReplicateTask(x=self.x_values[i], seed=None)
                     for offset, sample in enumerate(block):
                         self._validator(unit[0] + offset, task, sample)
                     self.samples[i].extend(block)
                 elif self.owns is None or self.owns(i):
-                    fresh.append((i, *unit))
+                    fresh.append((i, unit[0], entry, coordinates, tasks))
                 else:
                     self.blocked.add(i)
                     continue
@@ -660,59 +652,50 @@ class _PointUnits:
                 self._run(fresh)
             yield bool(fresh)
 
-    def _load(self, i: int, start: int, size: int):
-        if self.cache is None:
-            return None
-        if start == 0:
-            return self.cache.load_point(
-                self._experiments[i], self.spec.seed, i * size, size
-            )
-        return self.cache.load_point_extension(
-            self._experiments[i], self.spec.seed, i, start, size
-        )
+    def _unit(
+        self, i: int, start: int, size: int
+    ) -> "tuple[str, tuple, list[ReplicateTask]]":
+        """Unit ``(i, start, size)`` as ``(entry, coordinates, tasks)``.
 
-    def _store(self, i: int, start: int, block) -> None:
-        size = len(block)
-        if start == 0:
-            self.cache.store_point(
-                self._experiments[i], self.spec.seed, i * size, size, block
-            )
-        else:
-            self.cache.store_point_extension(
-                self._experiments[i], self.spec.seed, i, start, size, block
-            )
-
-    def _tasks(self, i: int, start: int, size: int) -> "list[ReplicateTask]":
+        ``entry`` names the :class:`~repro.api.cache.ResultCache` pair
+        ``load_<entry>``/``store_<entry>`` holding the unit, ``coordinates``
+        are their leading arguments and ``tasks`` its replicates: a
+        ``point`` entry at flat offset ``i * size`` with
+        :func:`~repro.experiments.runner.spawn_tasks` seeds for the initial
+        block, a ``point_extension`` entry with per-point seeds for a top-up.
+        """
         from repro.experiments.runner import spawn_point_extension_tasks
 
+        experiment, seed = self._experiments[i], self.spec.seed
         if start == 0:
-            return self._flat_tasks[i * size : (i + 1) * size]
-        return spawn_point_extension_tasks(
-            self.x_values[i], i, start, size, self.spec.seed
+            return (
+                "point", (experiment, seed, i * size, size),
+                self._flat_tasks[i * size : (i + 1) * size],
+            )
+        return (
+            "point_extension", (experiment, seed, i, start, size),
+            spawn_point_extension_tasks(self.x_values[i], i, start, size, seed),
         )
 
-    def _run(self, units: "list[tuple[int, int, int]]") -> None:
+    def _run(self, units: "list[tuple[int, int, str, tuple, list]]") -> None:
         """Run ``units`` as one backend batch, committing each as it completes.
 
         Results arrive in task order. Backends that ignore (or only
         partially drive) the result hook are backstopped from the returned
         list through the same path.
         """
-        spans = [
-            (i, start, self._tasks(i, start, size)) for i, start, size in units
-        ]
-        tasks = [task for _i, _start, span in spans for task in span]
+        tasks = [task for *_unit, span in units for task in span]
         current, landed, delivered = 0, [], 0
 
         def take(task, sample) -> None:
             nonlocal current, delivered
-            i, start, span = spans[current]
+            i, start, entry, coordinates, span = units[current]
             self._validator(start + len(landed), task, sample)
             landed.append(sample)
             delivered += 1
             if len(landed) == len(span):
                 if self.cache is not None:
-                    self._store(i, start, landed)
+                    getattr(self.cache, f"store_{entry}")(*coordinates, landed)
                 self.samples[i].extend(landed)
                 landed.clear()
                 current += 1
@@ -954,7 +937,6 @@ def refine_sweep(
     result: "FigureResult | None" = None,
     backend: "ExecutionBackend | None" = None,
     cache: "ResultCache | None" = None,
-    resume: bool = True,
     rounds: int = 1,
     max_new_points: int = 8,
     min_spacing: "float | None" = None,
@@ -993,7 +975,7 @@ def refine_sweep(
             result that does not structurally match the spec — x values
             off the grid, missing points, different series or comparison
             payloads — is rejected with a :class:`ValueError`.
-        backend/cache/resume: forwarded to :func:`run_sweep`; pass the
+        backend/cache: forwarded to :func:`run_sweep`; pass the
             cache used for the original sweep to avoid recomputing it.
         rounds: refinement iterations (each re-examines the refined grid).
         max_new_points: total budget of inserted points across rounds.
@@ -1028,7 +1010,7 @@ def refine_sweep(
         raise ValueError(f"max_new_points must be >= 1, got {max_new_points}")
 
     if result is None:
-        result = run_sweep(spec, backend=backend, cache=cache, resume=resume)
+        result = run_sweep(spec, backend=backend, cache=cache)
     _check_result_matches(spec, result)
 
     added = 0
@@ -1057,7 +1039,7 @@ def refine_sweep(
         if not new_values:
             break
         spec = replace(spec, values=spec.values + tuple(new_values))
-        result = run_sweep(spec, backend=backend, cache=cache, resume=resume)
+        result = run_sweep(spec, backend=backend, cache=cache)
         added += len(new_values)
 
     return spec, _sorted_by_x(result)

@@ -10,7 +10,7 @@ Every figure/ablation registers itself in :data:`repro.api.FIGURES` via
 ``@register_figure`` (together with its quick-scale parameters). The
 sweep-based ones build a :class:`~repro.api.specs.SweepSpec` and forward
 :func:`~repro.api.experiment.run_sweep`'s execution options (``backend``,
-``cache``, ``shard``, ``resume``, ``replication``, ``comparison``) through
+``cache``, ``shard``, ``replication``, ``comparison``) through
 ``**run``; see :mod:`repro.api` for the declarative spec layer and the
 CLI's generic ``run`` subcommand.
 """

@@ -60,14 +60,14 @@ figure function. ``--workers N`` fans sweep replicates out over N processes
 replicate count at any scale and ``--json`` emits the machine-readable
 result including the resolved spec. ``--cache-dir DIR`` memoizes results on
 disk keyed on the spec (``--no-cache`` bypasses an enabled cache): whole
-sweeps *and* every individual sweep point, so an interrupted or partially
-invalidated sweep resumes from the per-point entries instead of restarting
-(``--no-resume`` restores all-or-nothing caching); stderr reports
-``cache hit`` or ``cache miss`` for the sweep. ``--shard I/N`` computes
-only every N-th sweep point starting at the I-th (1-based) into the shared
-cache directory — run the N shards as N independent processes or CI jobs,
-then rerun without ``--shard`` to assemble the full figure from the warm
-cache, bit-identical to a serial run.
+sweeps *and* every individual sweep point, always both, so an interrupted
+or partially invalidated sweep resumes from the per-point entries instead
+of restarting; stderr reports ``cache hit`` or ``cache miss`` for the
+sweep. ``--shard I/N`` computes only every N-th sweep point starting at
+the I-th (1-based) into the shared cache directory — run the N shards as N
+independent processes or CI jobs, then rerun without ``--shard`` to
+assemble the full figure from the warm cache, bit-identical to a serial
+run.
 
 Confidence-aware replication (both modes): ``--ci LEVEL`` attaches
 per-point confidence intervals to the result (``±`` halfwidth columns in
@@ -317,21 +317,6 @@ def _add_output_flags(
         )
 
 
-def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
-    """``--resume``/``--no-resume``: per-point or all-or-nothing caching."""
-    parser.add_argument(
-        "--resume", dest="resume", action="store_true", default=True,
-        help=(
-            "reuse per-point cache entries and recompute only missing sweep "
-            "points (the default whenever --cache-dir is set)"
-        ),
-    )
-    parser.add_argument(
-        "--no-resume", dest="resume", action="store_false",
-        help="all-or-nothing caching: ignore and do not write per-point entries",
-    )
-
-
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -536,7 +521,7 @@ def _point_stats_line(cache: ResultCache) -> str:
     """The per-point hit/miss summary printed to stderr after a sweep.
 
     Derived purely from the cache counters: every sweep point is probed
-    exactly once per resumable run, so hits + misses is the point total and
+    exactly once per cached run, so hits + misses is the point total and
     misses not recomputed here belong to other shards.
     """
     total = cache.point_hits + cache.point_misses
@@ -715,7 +700,6 @@ def build_run_parser() -> argparse.ArgumentParser:
     _add_output_flags(parser, "the result (with the resolved spec)", plot=True)
     _add_cache_flags(parser)
     _add_confidence_flags(parser)
-    _add_resume_flags(parser)
     return parser
 
 
@@ -993,7 +977,6 @@ def build_from_bundle_parser() -> argparse.ArgumentParser:
     _add_backend_flags(parser)
     _add_output_flags(parser, "one array with every replayed result (+ its spec)")
     _add_cache_flags(parser)
-    _add_resume_flags(parser)
     return parser
 
 
@@ -1025,9 +1008,7 @@ def _run_from_bundle(argv: "list[str]") -> int:
     cache = _cache_for(args)
     payloads = []
     for i, (key, spec) in enumerate(pairs):
-        result = run_sweep(
-            spec, backend=backend, cache=cache, resume=args.resume
-        )
+        result = run_sweep(spec, backend=backend, cache=cache)
         if args.json:
             payloads.append({**result.to_dict(), "key": key, "spec": spec.to_dict()})
         else:
@@ -1050,8 +1031,6 @@ def run_command(argv: "list[str]") -> int:
 
     args = build_run_parser().parse_args(argv)
     cache = _cache_for(args)
-    if args.shard is not None and not args.resume:
-        raise CLIError("--shard requires per-point resume; drop --no-resume")
     backend = _backend_for(args)
     spec = _validated_spec(args)
 
@@ -1061,10 +1040,7 @@ def run_command(argv: "list[str]") -> int:
     # and so is a spec value only a running replicate rejects, such as a
     # start node outside the substrate or a round no capacity can pack
     with _user_errors(ValueError):
-        result = run_sweep(
-            spec, backend=backend, cache=cache, shard=args.shard,
-            resume=args.resume,
-        )
+        result = run_sweep(spec, backend=backend, cache=cache, shard=args.shard)
     elapsed = time.perf_counter() - started
     if cache is not None:
         _print_cache_status(cache, [spec])

@@ -13,7 +13,7 @@ reporting as the figure reproductions.
 
 Each is a :class:`~repro.api.specs.SweepSpec` run by
 :func:`~repro.api.experiment.run_sweep`, so every ablation takes its
-execution options (``backend``, ``cache``, ``shard``, ``resume``,
+execution options (``backend``, ``cache``, ``shard``,
 ``replication``, ``comparison``) as ``**run`` keywords, like the figures.
 """
 

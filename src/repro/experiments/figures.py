@@ -36,7 +36,7 @@ The network-size sweeps couple the commuter day length to the size via
 graphs, exactly as §V-A prescribes.
 
 Every sweep figure takes :func:`~repro.api.experiment.run_sweep`'s
-execution options (``backend``, ``cache``, ``shard``, ``resume``,
+execution options (``backend``, ``cache``, ``shard``,
 ``replication``, ``comparison``) as ``**run`` keywords and forwards them
 unchanged.
 """

@@ -380,15 +380,6 @@ class TestAdaptiveCaching:
         result = run_sweep(small_sweep(replication=UNREACHABLE), cache=None)
         assert result.counts == (5, 5, 5)
 
-    def test_resume_false_skips_point_entries_but_caches_the_sweep(
-        self, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        result = run_sweep(small_sweep(), cache=cache, resume=False)
-        assert cache.point_stores == 0 and cache.extension_stores == 0
-        assert cache.stats()["kinds"] == {"sweep": 1}
-        assert result == run_sweep(small_sweep())
-
 
 class TestRefineSweep:
     def two_series_sweep(self, **overrides):

@@ -35,6 +35,32 @@ def small_sweep(**overrides) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+#: Both replicate-unit entry kinds at sweep seed 1, as the ``ResultCache``
+#: method suffix and the coordinates between the sweep seed and ``runs``:
+#: a point entry at spawn offset 0 and a top-up of point 3 from position 2.
+UNIT_KINDS = {
+    "point": ("point", (0,)),
+    "point-extension": ("point_extension", (3, 2)),
+}
+
+
+def store_unit(cache, kind, experiment, samples):
+    suffix, coordinates = UNIT_KINDS[kind]
+    store = getattr(cache, f"store_{suffix}")
+    return store(experiment, 1, *coordinates, len(samples), samples)
+
+
+def load_unit(cache, kind, experiment, runs):
+    suffix, coordinates = UNIT_KINDS[kind]
+    return getattr(cache, f"load_{suffix}")(experiment, 1, *coordinates, runs)
+
+
+def unit_path(cache, kind, experiment, runs):
+    suffix, coordinates = UNIT_KINDS[kind]
+    key = getattr(cache, f"key_for_{suffix}")(experiment, 1, *coordinates, runs)
+    return cache.path_for_key(key)
+
+
 class ExplodingBackend(ExecutionBackend):
     """Proof that a cache hit never re-simulates."""
 
@@ -187,16 +213,18 @@ class TestPointEntries:
         assert cache.point_misses == 1
 
     def test_tampered_point_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_sweep()
-        point = spec.experiment_at(2)
-        path = cache.store_point(point, 1, 0, 2, [{"ONTH": 1.0}, {"ONTH": 2.0}])
-        data = json.loads(path.read_text())
-        data["experiment"]["horizon"] = 999
-        path.write_text(json.dumps(data))
-        assert cache.load_point(point, 1, 0, 2) is None
-        path.write_text("{torn")
-        assert cache.load_point(point, 1, 0, 2) is None
+        point = small_sweep().experiment_at(2)
+        samples = [{"ONTH": 1.0}, {"ONTH": 2.0}]
+        for kind in UNIT_KINDS:
+            cache = ResultCache(tmp_path / kind)
+            path = store_unit(cache, kind, point, samples)
+            assert load_unit(cache, kind, point, 2) == samples, kind
+            data = json.loads(path.read_text())
+            data["experiment"]["horizon"] = 999
+            path.write_text(json.dumps(data))
+            assert load_unit(cache, kind, point, 2) is None, kind
+            path.write_text("{torn")
+            assert load_unit(cache, kind, point, 2) is None, kind
 
     def test_non_object_json_entry_is_a_miss_everywhere(self, tmp_path):
         # Valid JSON whose top level is not an object (a foreign or
@@ -205,27 +233,44 @@ class TestPointEntries:
         cache = ResultCache(tmp_path)
         spec = small_sweep()
         point = spec.experiment_at(2)
-        point_path = cache.store_point(point, 1, 0, 1, [{"ONTH": 1.0}])
+        paths = [store_unit(cache, kind, point, [{"ONTH": 1.0}]) for kind in UNIT_KINDS]
         run_sweep(spec, cache=cache)
-        sweep_path = cache.path_for(spec)
-        for path in (point_path, sweep_path):
+        paths.append(cache.path_for(spec))
+        for path in paths:
             path.write_text("[1, 2]")
-        assert cache.load_point(point, 1, 0, 1) is None
+        for kind in UNIT_KINDS:
+            assert load_unit(cache, kind, point, 1) is None, kind
         assert cache.load(spec) is None
-        assert cache.stats()["kinds"]["corrupt"] == 2
+        assert cache.stats()["kinds"]["corrupt"] == 3
 
     def test_sweep_entry_is_not_a_point_entry(self, tmp_path):
-        # A sweep entry copied over a point key must be rejected by the
+        # A sweep entry copied over a unit key must be rejected by the
         # kind check, not parsed as samples.
         cache = ResultCache(tmp_path)
         spec = small_sweep()
         run_sweep(spec, cache=cache)
         point = spec.experiment_at(2)
-        sweep_path = cache.path_for(spec)
-        point_path = cache.path_for_key(cache.key_for_point(point, 1, 0, 2))
-        point_path.parent.mkdir(parents=True, exist_ok=True)
-        point_path.write_text(sweep_path.read_text())
-        assert cache.load_point(point, 1, 0, 2) is None
+        for kind in UNIT_KINDS:
+            path = unit_path(cache, kind, point, 2)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(cache.path_for(spec).read_text())
+            assert load_unit(cache, kind, point, 2) is None, kind
+
+    @pytest.mark.parametrize("source, target", [
+        ("point", "point-extension"), ("point-extension", "point"),
+    ])
+    def test_one_unit_kind_is_not_the_other(self, tmp_path, source, target):
+        # the copy holds well-formed samples of the same experiment, but
+        # its kind and coordinates belong to the other entry kind
+        cache = ResultCache(tmp_path)
+        point = small_sweep().experiment_at(2)
+        samples = [{"ONTH": 1.0}, {"ONTH": 2.0}]
+        copied = store_unit(cache, source, point, samples)
+        path = unit_path(cache, target, point, 2)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(copied.read_text())
+        assert load_unit(cache, target, point, 2) is None
+        assert load_unit(cache, source, point, 2) == samples
 
 
 class TestMaintenance:
@@ -408,14 +453,6 @@ class TestCLICacheFlags:
         assert self.run_cli(["--cache-dir", str(tmp_path)]) == 0
         err = capsys.readouterr().err
         assert "points: 0/1 cached, 1 computed" in err
-
-    def test_no_resume_skips_point_entries(self, tmp_path, capsys):
-        assert self.run_cli(["--cache-dir", str(tmp_path), "--no-resume"]) == 0
-        err = capsys.readouterr().err
-        assert "points:" not in err
-        from repro.api.cache import ResultCache
-
-        assert ResultCache(tmp_path).stats()["kinds"] == {"sweep": 1}
 
 
 class TestCLISharding:

@@ -128,27 +128,11 @@ class TestResume:
         assert cache.point_hits == 2
         assert result == run_sweep(extended)
 
-    def test_no_resume_writes_no_point_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = run_sweep(small_sweep(), cache=cache, resume=False)
-        assert cache.point_stores == 0 and cache.point_misses == 0
-        assert cache.stats()["kinds"] == {"sweep": 1}
-        assert result == run_sweep(small_sweep())
-
 
 class TestShardSemantics:
     def test_shard_needs_a_cache(self):
         with pytest.raises(ValueError, match="shared cache"):
             run_sweep(small_sweep(), shard=(0, 2))
-
-    def test_shard_needs_resume(self, tmp_path):
-        # resume=False would silently compute the full sweep in every
-        # shard process; shards coordinate only through point entries.
-        with pytest.raises(ValueError, match="resume"):
-            run_sweep(
-                small_sweep(), cache=ResultCache(tmp_path),
-                shard=(0, 2), resume=False,
-            )
 
     @pytest.mark.parametrize("shard", [(2, 2), (-1, 2), (0, 0), ("a", 2), (1,)])
     def test_invalid_shards_are_rejected(self, shard):
