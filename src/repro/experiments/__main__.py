@@ -227,6 +227,9 @@ def _checked(convert, valid, rule: str, flag: "str | None" = None):
 #: ...): ``--runs 0`` is a flag error, not a traceback out of the sweep.
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
+#: argparse type for ``--seed``: numpy seeds must be non-negative.
+_seed = _checked(int, lambda v: v >= 0, ">= 0", "--seed")
+
 
 def _parse_queue(text: str) -> str:
     """argparse type for ``--queue PATH``: the queue database file.
@@ -277,7 +280,7 @@ def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
         help="use the exact caption parameters instead of the quick scale",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
+        "--seed", type=_seed, default=None, help="override the master seed"
     )
     parser.add_argument(
         "--runs", type=_positive_int, default=None,
@@ -683,7 +686,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runs", type=_positive_int, default=3, help="replicates per point"
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="master seed")
 
 
 def build_run_parser() -> argparse.ArgumentParser:
@@ -823,9 +826,10 @@ def _run_one(key: str, args, backend, emit_json: bool = True) -> "dict | None":
     kwargs = _figure_kwargs(key, args, cache, backend)
     started = time.perf_counter()
     # A typo'd --compare baseline only surfaces once the figure's series
-    # exist; an optimizer figure without the [opt] extra names the install.
-    with _user_errors(ComparisonSeriesError, ImportError), \
-            capture_sweeps() as captured:
+    # exist, and so does a value only a running replicate rejects (both
+    # ValueErrors); an optimizer figure without the [opt] extra names the
+    # install.
+    with _user_errors(ValueError, ImportError), capture_sweeps() as captured:
         result = fn(**kwargs)
     elapsed = time.perf_counter() - started
     if cache is not None and captured:

@@ -108,6 +108,38 @@ class TestOneLineErrors:
         ])
         assert spec_from_args(args).experiment.costs == CostSpec()
 
+    @pytest.mark.parametrize("argv", [
+        ["fig11", "--runs", "1"],
+        ["report", "fig13", "--runs", "1"],
+        ["run", "--policy", "onth"],
+        ["enqueue", "--policy", "onth", *QUEUE],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_names_the_flag(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert one_line(capsys.readouterr().err) == (
+            "error: --seed must be >= 0, got '-1'"
+        )
+        assert not any(tmp_path.iterdir())  # rejected before anything ran
+
+    def test_seed_zero_is_valid(self):
+        assert build_parser().parse_args(["fig13", "--seed", "0"]).seed == 0
+        args = build_run_parser().parse_args(["--policy", "onth", "--seed", "0"])
+        assert spec_from_args(args).seed == 0
+
+    def test_figure_value_error_is_one_line(self, monkeypatch, capsys):
+        # what only a running replicate rejects, e.g. a start node outside
+        # the substrate, ends figure mode like it ends `run`
+        def broken(runs=1, seed=0):
+            raise ValueError("start node 99 is not a node of the substrate")
+
+        monkeypatch.setitem(_REGISTRY, "fig13", (broken, {}))
+        assert main(["fig13"]) == 2
+        assert one_line(capsys.readouterr().err) == (
+            "error: start node 99 is not a node of the substrate"
+        )
+
     def test_shard_without_cache_is_one_line(self, capsys):
         assert main(["fig13", "--shard", "1/2"]) == 2
         assert "--cache-dir" in one_line(capsys.readouterr().err)
