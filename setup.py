@@ -40,8 +40,10 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[
-        "numpy>=1.22",
-        "scipy>=1.8",
+        # np.bitwise_count (OPT's configuration DP) is new in numpy 2.0;
+        # scipy.optimize.milp (the HiGHS backend) is new in scipy 1.9
+        "numpy>=2.0",
+        "scipy>=1.9",
     ],
     extras_require={
         # pytest-benchmark runs benchmarks/bench_fig*.py, the paper's claims
