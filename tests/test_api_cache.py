@@ -233,7 +233,9 @@ class TestPointEntries:
         cache = ResultCache(tmp_path)
         spec = small_sweep()
         point = spec.experiment_at(2)
-        paths = [store_unit(cache, kind, point, [{"ONTH": 1.0}]) for kind in UNIT_KINDS]
+        paths = [
+            store_unit(cache, kind, point, [{"ONTH": 1.0}]) for kind in UNIT_KINDS
+        ]
         run_sweep(spec, cache=cache)
         paths.append(cache.path_for(spec))
         for path in paths:
