@@ -930,6 +930,16 @@ class SweepSpec:
             raise ValueError("SweepSpec needs at least one value")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            # Replicate seeds are SeedSequence children of this one, and
+            # numpy would reject it only once the sweep runs.
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         if isinstance(self.parameter, (list, tuple)):
             paths = tuple(str(p) for p in self.parameter)
             if not paths:

@@ -2,21 +2,25 @@
 
 :func:`~repro.core.simulator.simulate` runs a materialised trace over a
 :class:`DistanceGather` instead of re-gathering the same distance columns
-over and over (once per round for routing, and once per candidate family
-per epoch for the best-response scan). This module removes that redundancy
-without changing a single ledger bit:
+from the substrate for every epoch window of every policy, and memoises
+what those windows compute. This module does both without changing a
+single ledger bit:
 
 * :class:`DistanceGather` gathers the substrate's distance columns for a
-  whole trace **once** (``distances[:, flat]``); every per-round routing
-  block and every epoch-window candidate matrix is then a cheap slice of
-  that gather instead of a fresh fancy-indexed copy;
+  whole trace **once**, one column per distinct request node
+  (``distances[:, nodes]``), so its size does not grow with the trace (a
+  commuter trace at n=1000 holds ~14k requests from 128 nodes). An
+  epoch window's candidate matrix is its requests' columns of that gather
+  (``columns[:, col_of[c0:c1]]``): the values and layout of
+  ``distances[:, flat]``, copied only when the window's scan misses the
+  memo;
 * :class:`GatherWindow` is a drop-in :class:`~repro.core.evaluation.RequestBatch`
   whose ``add_round``/``clear`` just move window pointers over the gather.
   Policies get one from
   :meth:`~repro.core.policy.AllocationPolicy.new_window`; their epoch
   logic runs unchanged. The window holds no scan of its own: the one
   :meth:`~repro.core.evaluation.RequestBatch.epoch_scan` reads its
-  distance slices, memoises through :meth:`GatherWindow.memoised` and,
+  distance blocks, memoises through :meth:`GatherWindow.memoised` and,
   under dyadic loads, takes the window load without counting it.
 
 The gather also holds one memo that every window and the round loop share,
@@ -77,13 +81,15 @@ __all__ = [
 
 
 class DistanceGather:
-    """Distance columns of one trace, gathered once and sliced thereafter.
+    """Distance columns of one trace's request nodes, gathered once.
 
-    ``columns[v, j]`` is the distance from node ``v`` to the ``j``-th
-    request of the flattened trace — so routing round ``t`` needs only the
-    contiguous column range ``offsets[t]:offsets[t+1]``, and any epoch
-    window of a policy is likewise a column range. The gather itself is
-    lazy: a run that never scans candidates never pays for it.
+    ``columns[v, col_of[j]]`` is the distance from node ``v`` to the
+    ``j``-th request of the flattened trace: ``columns`` holds one column
+    per distinct request node and ``col_of`` maps each request to its
+    column. Round ``t`` is the request range ``offsets[t]:offsets[t+1]``,
+    and any epoch window of a policy is likewise a range. The gather is
+    lazy: a run that never scans candidates never pays for it, and the
+    round loop's router reads the substrate's distances directly.
     """
 
     def __init__(
@@ -143,6 +149,7 @@ class DistanceGather:
         #: (see :func:`~repro.core.load.dyadic_linear_strength`), else None.
         self.exact_strength = dyadic_linear_strength(costs.load, substrate.strengths)
         self._columns: "np.ndarray | None" = None
+        self._col_of: "np.ndarray | None" = None
         self._row_of: "np.ndarray | None" = None
         self._sizes_f64: "np.ndarray | None" = None
         self._arange: "np.ndarray | None" = None
@@ -172,21 +179,31 @@ class DistanceGather:
         self._memo[key] = value
 
     @property
-    def has_columns(self) -> bool:
-        """Whether the full column gather has been materialised."""
-        return self._columns is not None
-
-    @property
     def columns(self) -> np.ndarray:
-        """``(n, total_requests)`` distance gather (computed on first use)."""
+        """``(n, U)`` distances to the trace's ``U`` distinct request nodes.
+
+        Built on first use, together with :attr:`col_of`. The distinct
+        nodes come from a presence table over the substrate, not a sort.
+        """
         if self._columns is None:
+            present = np.zeros(self.substrate.n, dtype=bool)
+            present[self.flat] = True
+            # Column of each node, in node order (valid where present).
+            self._col_of = (np.cumsum(present, dtype=np.intp) - 1)[self.flat]
             # Must be the same gather op a plain RequestBatch uses: a
             # column fancy-index yields a Fortran-ordered array, and numpy's
             # axis-1 reductions are only bitwise-reproducible when the
             # operand layout matches (np.take would give C order and shift
             # the pairwise summation order by a ULP on fractional weights).
-            self._columns = self.substrate.distances[:, self.flat]
+            self._columns = self.substrate.distances[:, np.flatnonzero(present)]
         return self._columns
+
+    @property
+    def col_of(self) -> np.ndarray:
+        """Column of :attr:`columns` that holds each flattened request."""
+        if self._col_of is None:
+            self.columns  # builds both
+        return self._col_of
 
     @property
     def row_of(self) -> np.ndarray:
@@ -217,11 +234,12 @@ class GatherWindow(RequestBatch):
     """A :class:`RequestBatch` served from a :class:`DistanceGather`.
 
     ``add_round``/``clear`` move ``[t0, t1)`` pointers instead of copying
-    request arrays; ``flat``/``round_ids``/``round_sizes`` and the distance
-    accessors are slices of the gather. The base class's epoch scan and
-    exact costs therefore see byte-identical inputs in the same shapes and
-    reduction orders as a freshly built plain window — the outputs are
-    bit-identical, just cheaper to produce, and memoised on the gather.
+    request arrays; ``flat``/``round_ids``/``round_sizes`` are slices of the
+    gather, and the distance accessors copy the window's requests' columns
+    out of it. The base class's epoch scan and exact costs therefore see
+    byte-identical inputs in the same shapes, layouts and reduction
+    orders as a freshly built plain window — the outputs are bit-identical,
+    just cheaper to produce, and memoised on the gather.
     """
 
     def __init__(self, gather: DistanceGather) -> None:
@@ -288,10 +306,12 @@ class GatherWindow(RequestBatch):
     # -- distance access --------------------------------------------------------
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
-        return self._gather.columns[rows, self._c0 : self._c1]
+        gather = self._gather
+        return gather.columns[np.ix_(rows, gather.col_of[self._c0 : self._c1])]
 
     def _candidate_matrix(self) -> np.ndarray:
-        return self._gather.columns[:, self._c0 : self._c1]
+        gather = self._gather
+        return gather.columns[:, gather.col_of[self._c0 : self._c1]]
 
     # -- content-keyed memo -----------------------------------------------------
 

@@ -24,7 +24,8 @@ Python work:
 families of an epoch boundary in a single :class:`EpochScan`, for a plain
 window (streamed input, OFFBR/OFFTH lookahead, OFFSTAT's whole trace) and
 for a :class:`~repro.core.batch.GatherWindow` alike. The gather window only
-changes where the distances come from and memoises the result.
+changes where the distances come from (its gather's columns of the trace's
+distinct request nodes) and memoises the result.
 """
 
 from __future__ import annotations

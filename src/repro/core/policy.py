@@ -114,7 +114,7 @@ class AllocationPolicy(ABC):
 
         Feed it every round in order (``add_round``) and ``clear`` it at
         epoch boundaries. Over a materialised trace it is a
-        :class:`~repro.core.batch.GatherWindow` slicing the run's distance
+        :class:`~repro.core.batch.GatherWindow` reading the run's distance
         gather, otherwise a plain :class:`RequestBatch`; both evaluate
         candidates bit for bit alike.
         """

@@ -20,11 +20,12 @@ because one round's requests are much cheaper than a migration.
 
 The input type picks where distances come from. A materialised
 :class:`~repro.workload.base.Trace` gets a
-:class:`~repro.core.batch.DistanceGather`: nearest routing reads it in
-spans of rounds (a round whose content recurs is routed once per active
-set, from the gather's content-keyed memo), and every policy request
-window is a slice of it. Any other round-iterable (a lazily generated
-stream) is routed round by round with
+:class:`~repro.core.batch.DistanceGather`: nearest routing reads the
+substrate's distances in spans of rounds (a round whose content recurs is
+routed once per active set, from the gather's content-keyed memo), and
+every policy request window reads the gather's columns of distinct
+request nodes. Any other round-iterable (a lazily generated stream) is
+routed round by round with
 :func:`~repro.core.routing.route_requests` and plain
 :class:`~repro.core.evaluation.RequestBatch` windows, so memory stays
 O(round). Non-nearest routing always uses ``route_requests``. Both sources
@@ -100,8 +101,9 @@ def simulate(
             a policy exceeding it is a bug and raises.
         gather: the :class:`~repro.core.batch.DistanceGather` of a
             materialised ``trace`` under this substrate and cost model, so
-            policies run over one trace share its columns and epoch memo;
-            built here when omitted, unused for streamed input.
+            policies run over one trace share its distinct-node columns
+            and epoch memo; built here when omitted, unused for streamed
+            input.
 
     Returns:
         The immutable :class:`~repro.core.results.RunResult`.
@@ -316,12 +318,7 @@ class _SpanRouter:
         self._strengths = self._substrate.strengths[active]
         end = min(gather.sizes.size, t + _SPAN_ROUNDS)
         c0, c1 = gather.offset_list[t], gather.offset_list[end]
-        if gather.has_columns:
-            block = gather.columns[active, c0:c1]
-        else:
-            # Policies that never scan candidates should not pay for the
-            # full (n, requests) gather; the span block holds the same values.
-            block = self._substrate.distances[np.ix_(active, gather.flat[c0:c1])]
+        block = self._substrate.distances[np.ix_(active, gather.flat[c0:c1])]
         self._assign = np.argmin(block, axis=0)
         self._values = block[self._assign, gather.arange(self._assign.size)]
         # Per-round server counts of the whole span in one bincount over

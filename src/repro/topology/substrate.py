@@ -9,8 +9,10 @@ shortest-path latency matrix, which is the quantity every other subsystem
 consumes: request access cost is the shortest-path latency from access point
 to server (§II-B), and the commuter workload needs distances from the network
 center (§V-A). The matrix is computed once with
-:func:`scipy.sparse.csgraph.dijkstra` over a CSR adjacency, so even the
-1000-node substrates of Figures 1 and 7 cost only a few milliseconds.
+:func:`scipy.sparse.csgraph.dijkstra` over a CSR adjacency. That is the
+dominant setup cost of a large substrate: about 0.3 s for a 1000-node
+Erdős–Rényi graph on a 2-vCPU machine, roughly half of a size sweep
+(Fig. 3) up to n=1000, where every replicate draws its own graph.
 """
 
 from __future__ import annotations

@@ -50,7 +50,8 @@ def check_round(t: int, requests) -> np.ndarray:
     ``1.0`` are accepted; booleans, fractions and non-finite values raise
     instead of being truncated into node indices. The substrate's upper
     bound is checked where its size is known (the simulator and
-    :class:`~repro.core.batch.DistanceGather`).
+    :class:`~repro.core.batch.DistanceGather`, which maps every request
+    through a per-node table).
 
     Raises:
         ValueError: naming round ``t`` when its requests are not valid.

@@ -274,6 +274,22 @@ class TestPointEntries:
         assert load_unit(cache, target, point, 2) is None
         assert load_unit(cache, source, point, 2) == samples
 
+    @pytest.mark.parametrize("kind", list(UNIT_KINDS))
+    @pytest.mark.parametrize("stored_kind", ["sweep", "bogus"])
+    def test_kind_field_alone_decides_a_miss(self, tmp_path, kind, stored_kind):
+        # a well-formed entry at its own key, with only "kind" changed:
+        # the samples, experiment and coordinates would all decode
+        point = small_sweep().experiment_at(2)
+        samples = [{"ONTH": 1.0}, {"ONTH": 2.0}]
+        kept, edited = ResultCache(tmp_path / "kept"), ResultCache(tmp_path / "edited")
+        original = store_unit(kept, kind, point, samples)
+        path = store_unit(edited, kind, point, samples)
+        data = json.loads(original.read_text())
+        data["kind"] = stored_kind
+        path.write_text(json.dumps(data))
+        assert load_unit(edited, kind, point, 2) is None
+        assert load_unit(kept, kind, point, 2) == samples
+
 
 class TestMaintenance:
     def fill(self, cache, count):

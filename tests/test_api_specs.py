@@ -244,6 +244,26 @@ class TestSweepSpec:
                 SweepSpec(experiment=small_experiment(), parameter=parameter,
                           values=(1, 2))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_bad_seed_names_the_field(self, seed):
+        # numpy's SeedSequence would reject it only once the sweep runs
+        with pytest.raises(ValueError) as error:
+            SweepSpec(experiment=small_experiment(), seed=seed)
+        assert str(error.value) == (
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_from_data(self, seed):
+        data = SweepSpec(experiment=small_experiment()).to_dict()
+        data["seed"] = seed
+        with pytest.raises(ValueError, match="^seed must be a non-negative "):
+            SweepSpec.from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("seed", [0, 2**40, np.int64(5)])
+    def test_non_negative_integer_seeds_are_valid(self, seed):
+        assert SweepSpec(experiment=small_experiment(), seed=seed).seed == seed
+
 
 class TestParseComponent:
     def test_kind_only(self):

@@ -159,6 +159,58 @@ class TestGatherWindowBitIdentity:
             window.add_round(np.array([1, 2, 3], dtype=np.int64))
 
 
+def random_rounds(rng, nodes, count, max_size, empty_share=0.2):
+    """``count`` rounds drawn with repeats from ``nodes``, some empty."""
+    return [
+        rng.choice(nodes, size=0 if rng.random() < empty_share
+                   else int(rng.integers(1, max_size + 1)))
+        for _ in range(count)
+    ]
+
+
+def gather_cases():
+    """(case id, substrate, trace) over the distinct-node gather's edges."""
+    rng = np.random.default_rng(2026)
+    er = erdos_renyi(n=25, p=0.2, seed=rng)
+    for trial in range(4):
+        nodes = rng.choice(25, size=int(rng.integers(1, 8)), replace=False)
+        yield f"repeated-{trial}", er, make_trace(random_rounds(rng, nodes, 12, 9))
+    yield "empty-rounds", er, make_trace([[], [], []])
+    every = [rng.permutation(25) for _ in range(3)]
+    yield "every-node", er, make_trace([*every, [], *random_rounds(rng, 25, 4, 30)])
+    one = Substrate(1, [])
+    yield "one-node", one, make_trace([[0, 0], [], [0], [0, 0, 0]])
+
+
+class TestDistinctNodeGather:
+    """The gather holds one column per distinct node; every window's
+    distances must still equal a plain RequestBatch's in value and layout."""
+
+    @pytest.mark.parametrize(
+        "substrate, trace",
+        [case[1:] for case in gather_cases()],
+        ids=[case[0] for case in gather_cases()],
+    )
+    def test_windows_equal_plain_batches(self, substrate, trace):
+        costs = CostModel.paper_default()
+        gather = DistanceGather(substrate, costs, trace)
+        rng = np.random.default_rng(substrate.n)
+        horizon = len(trace.rounds)
+        for t0, t1 in itertools.combinations(range(horizon + 1), 2):
+            base, window = window_pair(substrate, costs, trace, t0, t1, gather)
+            pairs = [(base._candidate_matrix(), window._candidate_matrix())]
+            for size in {1, substrate.n, int(rng.integers(1, substrate.n + 1))}:
+                rows = rng.choice(substrate.n, size=size, replace=False)
+                pairs.append((base._distance_block(rows), window._distance_block(rows)))
+            for plain, gathered in pairs:
+                assert np.array_equal(plain, gathered), (t0, t1)
+                assert plain.flags.f_contiguous == gathered.flags.f_contiguous
+                assert plain.flags.c_contiguous == gathered.flags.c_contiguous
+        distinct = np.unique(np.concatenate(trace.rounds)).size
+        assert gather.columns.shape == (substrate.n, distinct)
+        assert gather.col_of.shape == gather.flat.shape
+
+
 # ---------------------------------------------------------------------------
 # simulate_batched: ledger bit-identity with scalar simulate
 
