@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.analysis.stats import t_critical
 from repro.api.execution import ExecutionBackend, ReplicateTask, SerialBackend
-from repro.api.metrics import MetricContext, PolicyRun, evaluate_metrics
+from repro.api.metrics import (
+    MetricContext,
+    PolicyRun,
+    check_metric,
+    evaluate_metrics,
+)
 from repro.api.specs import (
     ComparisonSpec,
     ExperimentSpec,
@@ -429,14 +434,9 @@ def _execute_sweep(
         if cached is not None:
             return cached
 
+    _preflight(spec)
     rep = spec.replication
     runs = spec.effective_runs
-    if rep is not None and rep.adaptive and rep.max_runs < runs:
-        raise ValueError(
-            f"ReplicationSpec.max_runs ({rep.max_runs}) is below the "
-            f"initial replicate count ({runs})"
-        )
-
     n_points = len(spec.values)
     units = _PointUnits(
         spec,
@@ -486,6 +486,82 @@ def _execute_sweep(
     if cache is not None and len(complete) == n_points:
         cache.store(spec, result)
     return result
+
+
+@contextmanager
+def _rejecting(component: str, point: str = ""):
+    """Re-raise what building ``component`` raises as one-line ``ValueError``.
+
+    Factories raise ``ValueError``, ``TypeError`` (a misspelt parameter),
+    ``LookupError`` (an unknown registry name) or ``ImportError`` (a solver
+    backend that is not installed); each leaves as
+    ``"<component><point>: <message>"``.
+    """
+    try:
+        yield
+    except (ValueError, TypeError, LookupError, ImportError) as error:
+        message = " ".join(str(error).split())
+        raise ValueError(f"{component}{point}: {message}") from error
+
+
+def _preflight(spec: SweepSpec) -> None:
+    """Reject a sweep that cannot run before any replicate does.
+
+    Builds every component each sweep point needs -- the substrate (once,
+    or per point when a topology parameter is swept), every effective
+    scenario and every policy -- checks each metric's parameters against
+    the policy labels (:func:`~repro.api.metrics.check_metric`) and, under
+    the default metric, resolves the paired-comparison series. None of it
+    simulates or computes distances. Every failure is one
+    ``ValueError`` naming the component path and, when the sweep moves
+    that component, the point: ``experiment.topology at topology.n=-3:
+    n must be >= 1, got -3``.
+    """
+    rep = spec.replication
+    if rep is not None and rep.adaptive and rep.max_runs < spec.effective_runs:
+        raise ValueError(
+            f"ReplicationSpec.max_runs ({rep.max_runs}) is below the "
+            f"initial replicate count ({spec.effective_runs})"
+        )
+    swept = {path.partition(".")[0] for path in spec.parameter_paths}
+    substrate = None
+    # Without a parameter every value runs the same experiment.
+    for value in spec.values if swept else spec.values[:1]:
+        components = value if isinstance(spec.parameter, tuple) else (value,)
+        point = " at " + ", ".join(
+            f"{path}={component!r}"
+            for path, component in zip(spec.parameter_paths, components)
+        ) if swept else ""
+        at = dict.fromkeys(swept, point)
+        with _rejecting("experiment", point):
+            probe = spec.experiment_at(value)
+        if substrate is None or "topology" in swept:
+            with _rejecting("experiment.topology", at.get("topology", "")):
+                substrate = probe.topology.build(
+                    np.random.default_rng(spec.seed)
+                )
+        with _rejecting("experiment.scenario", at.get("scenario", "")):
+            probe.scenario.build(substrate)
+        for i, policy_spec in enumerate(probe.policies):
+            if policy_spec.scenario is not None:
+                with _rejecting(
+                    f"experiment.policies[{i}].scenario",
+                    at.get("scenario", ""),
+                ):
+                    policy_spec.scenario.build(substrate)
+        with _rejecting("experiment.policies", at.get("policies", "")):
+            labels = resolve_series_labels(probe)
+        for i, metric in enumerate(probe.metrics):
+            with _rejecting(f"experiment.metrics[{i}]", at.get("policies", "")):
+                check_metric(metric, labels)
+        if spec.comparison is not None and all(
+            m.kind == "total_cost" and m.label is None for m in probe.metrics
+        ):
+            # With the default metric the result series are exactly the
+            # policy labels; metric-derived series names only exist after
+            # simulating.
+            with _rejecting("comparison", at.get("policies", "")):
+                spec.comparison.resolve_contrasts(labels)
 
 
 def collect_point_samples(

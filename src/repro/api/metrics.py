@@ -42,6 +42,7 @@ Built-ins:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -63,6 +64,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep module load light
 __all__ = [
     "PolicyRun",
     "MetricContext",
+    "check_metric",
     "evaluate_metrics",
 ]
 
@@ -158,18 +160,47 @@ class MetricContext:
         reference = str(reference)
         if reference in self.by_label:
             return self.by_label[reference].run.total_cost
-        if normalize_name(reference) == "opt":
-            key = (run.trace_index, run.cost_spec)
-            if key not in self._reference_cache:
-                from repro.algorithms.opt import Opt
+        _check_reference(reference, self.labels)
+        key = (run.trace_index, run.cost_spec)
+        if key not in self._reference_cache:
+            from repro.algorithms.opt import Opt
 
-                cost, _plan = Opt.solve(self.substrate, run.trace, run.costs)
-                self._reference_cache[key] = float(cost)
-            return self._reference_cache[key]
+            cost, _plan = Opt.solve(self.substrate, run.trace, run.costs)
+            self._reference_cache[key] = float(cost)
+        return self._reference_cache[key]
+
+
+def _check_reference(reference, labels: Sequence[str]) -> None:
+    """A reference is ``"OPT"`` or one of the policy ``labels``."""
+    reference = str(reference)
+    if reference not in labels and normalize_name(reference) != "opt":
         raise ValueError(
             f"unknown reference {reference!r}; expected 'OPT' or one of the "
-            f"policy labels {list(self.by_label)}"
+            f"policy labels {list(labels)}"
         )
+
+
+def check_metric(metric: "MetricSpec", labels: Sequence[str]) -> None:
+    """Reject ``metric`` before any replicate evaluates it.
+
+    Resolves the metric, binds its params to its signature (the leading
+    placeholder stands in for the :class:`MetricContext`) and checks the
+    name-valued params of the built-ins against the policy ``labels``: a
+    ``reference`` (``"OPT"`` or a label), a ``policy`` (a label) and
+    :func:`cost_breakdown`'s ``parts``.
+    """
+    bound = inspect.signature(metric.resolve()).bind(None, **metric.params)
+    bound.apply_defaults()
+    arguments = bound.arguments
+    if "reference" in arguments:
+        _check_reference(arguments["reference"], labels)
+    if arguments.get("policy") is not None and arguments["policy"] not in labels:
+        raise ValueError(
+            f"unknown policy label {arguments['policy']!r}; expected one of "
+            f"{list(labels)}"
+        )
+    if "parts" in arguments:
+        _breakdown_parts(arguments["parts"])
 
 
 def evaluate_metrics(
@@ -284,24 +315,32 @@ def cost_breakdown(
     (``"migration+creation"``). With a single policy the series carry the
     part names alone; with several they are prefixed ``"<label> <part>"``.
     """
-    if isinstance(parts, str):
-        parts = (parts,)
+    parts = _breakdown_parts(parts)
     out: dict[str, float] = {}
     for run in context.runs:
         breakdown = run.run.breakdown
-        for part in parts:
+        for part, components in parts:
             value = 0.0
-            for component in str(part).split("+"):
-                component = component.strip()
-                if component not in _BREAKDOWN_FIELDS:
-                    raise ValueError(
-                        f"unknown breakdown part {component!r}; expected "
-                        f"one of {_BREAKDOWN_FIELDS} (joinable with '+')"
-                    )
+            for component in components:
                 value += float(getattr(breakdown, component))
             name = part if len(context.runs) == 1 else f"{run.label} {part}"
             out[str(name)] = value
     return out
+
+
+def _breakdown_parts(parts) -> "list[tuple[str, list[str]]]":
+    """Each breakdown part with the cost factors its ``+`` joins."""
+    parsed = []
+    for part in (parts,) if isinstance(parts, str) else parts:
+        components = [component.strip() for component in str(part).split("+")]
+        for component in components:
+            if component not in _BREAKDOWN_FIELDS:
+                raise ValueError(
+                    f"unknown breakdown part {component!r}; expected "
+                    f"one of {_BREAKDOWN_FIELDS} (joinable with '+')"
+                )
+        parsed.append((part, components))
+    return parsed
 
 
 @register_metric("migrations")

@@ -142,15 +142,46 @@ def _frozen(value: Any) -> Any:
     return value
 
 
-def _check_keys(data: Mapping, allowed: "set[str]", what: str) -> None:
-    """Reject unknown keys in a spec dict: typos must not silently fall back
-    to defaults (see :meth:`CostSpec.from_dict`)."""
+def _check_keys(
+    data: Mapping,
+    allowed: "set[str]",
+    what: str,
+    required: "set[str]" = frozenset(),
+) -> None:
+    """Reject a spec dict that is not a mapping, lacks a ``required`` key or
+    has an unknown one: typos must not silently fall back to defaults (see
+    :meth:`CostSpec.from_dict`)."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a mapping, got {data!r}")
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise ValueError(f"{what} is missing the required keys {missing}")
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(
             f"unknown {what} keys {unknown}; expected a subset of "
             f"{sorted(allowed)}"
         )
+
+
+def _list(data: Mapping, key: str, what: str) -> "tuple | None":
+    """The list under ``key`` of a spec dict as a tuple; ``None`` if unset."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what}.{key} must be a list, got {value!r}")
+    return None if value is None else tuple(value)
+
+
+def _check_integer(name: str, value: Any, minimum: int) -> int:
+    """``value`` as an ``int`` if it is one (not a bool) and >= ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < minimum
+    ):
+        sign = "non-negative" if minimum == 0 else "positive"
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    return int(value)
 
 
 def _accepts(factory: Any, name: str) -> bool:
@@ -180,6 +211,11 @@ class _ComponentSpec:
     def __post_init__(self) -> None:
         if not str(self.kind).strip():
             raise ValueError(f"{type(self).__name__}.kind must be non-empty")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(
+                f"{type(self).__name__}.params must be a mapping, "
+                f"got {self.params!r}"
+            )
         object.__setattr__(
             self, "params", {str(k): _frozen(v) for k, v in dict(self.params).items()}
         )
@@ -191,8 +227,8 @@ class _ComponentSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "_ComponentSpec":
         """Inverse of :meth:`to_dict`; unknown keys raise."""
-        _check_keys(data, {"kind", "params"}, cls.__name__)
-        return cls(kind=data["kind"], params=dict(data.get("params") or {}))
+        _check_keys(data, {"kind", "params"}, cls.__name__, {"kind"})
+        return cls(kind=data["kind"], params=data.get("params") or {})
 
     def with_params(self, **updates: Any) -> "_ComponentSpec":
         """Copy with ``updates`` merged into :attr:`params`."""
@@ -283,12 +319,13 @@ class PolicySpec(_ComponentSpec):
             data,
             {"kind", "params", "label", "costs", "scenario", "routing"},
             "PolicySpec",
+            {"kind"},
         )
         costs = data.get("costs")
         scenario = data.get("scenario")
         return cls(
             kind=data["kind"],
-            params=dict(data.get("params") or {}),
+            params=data.get("params") or {},
             label=data.get("label"),
             costs=CostSpec.from_dict(costs) if costs is not None else None,
             scenario=(
@@ -329,7 +366,10 @@ class CostSpec:
                 f"unknown migration model {self.migration_model!r}; expected "
                 f"one of {_MIGRATION_MODELS}"
             )
-        self._cost_model()  # surface bad constants at spec-build time
+        try:
+            self._cost_model()  # surface bad constants at spec-build time
+        except TypeError as error:  # a constant that is not a number
+            raise ValueError(f"CostSpec: {error}") from error
 
     @classmethod
     def paper_default(cls, **overrides: Any) -> "CostSpec":
@@ -479,22 +519,15 @@ class ReplicationSpec:
     method: str = "t"
 
     def __post_init__(self) -> None:
-        if self.runs is not None:
-            object.__setattr__(self, "runs", int(self.runs))
-            if self.runs < 1:
-                raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.batch is not None:
-            object.__setattr__(self, "batch", int(self.batch))
-            if self.batch < 1:
-                raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.max_runs is not None:
-            object.__setattr__(self, "max_runs", int(self.max_runs))
-            if self.max_runs < 1:
-                raise ValueError(f"max_runs must be >= 1, got {self.max_runs}")
-            if self.runs is not None and self.max_runs < self.runs:
-                raise ValueError(
-                    f"max_runs ({self.max_runs}) must be >= runs ({self.runs})"
+        for name in ("runs", "batch", "max_runs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(
+                    self, name, _check_integer(name, getattr(self, name), 1)
                 )
+        if None not in (self.runs, self.max_runs) and self.max_runs < self.runs:
+            raise ValueError(
+                f"max_runs ({self.max_runs}) must be >= runs ({self.runs})"
+            )
         if not 0.0 <= float(self.ci_level) < 1.0:
             raise ValueError(
                 f"ci_level must be in [0, 1), got {self.ci_level}"
@@ -689,7 +722,7 @@ class ComparisonSpec:
         """Inverse of :meth:`to_dict`; unknown keys raise."""
         _check_keys(data, {f.name for f in fields(cls)}, "ComparisonSpec")
         data = dict(data)
-        data["contrasts"] = tuple(data.get("contrasts") or ())
+        data["contrasts"] = _list(data, "contrasts", "ComparisonSpec") or ()
         return cls(**data)
 
 
@@ -736,8 +769,9 @@ class ExperimentSpec:
                 f"{sorted(fp[0] for fp in duplicate_metrics)}; set "
                 "MetricSpec.label to distinguish intentional repeats"
             )
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(
+            self, "horizon", _check_integer("horizon", self.horizon, 1)
+        )
         object.__setattr__(self, "routing", _routing_name(self.routing))
         # Only *explicit* labels can be checked statically; same-kind policies
         # with different parameters are legitimate (their built ``.name``s may
@@ -841,20 +875,23 @@ class ExperimentSpec:
             {"name", "topology", "scenario", "policies", "costs", "metrics",
              "horizon", "routing", "seed"},
             "ExperimentSpec",
+            {"topology", "scenario"},
         )
+        metrics = _list(data, "metrics", "ExperimentSpec")
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             scenario=ScenarioSpec.from_dict(data["scenario"]),
             policies=tuple(
-                PolicySpec.from_dict(p) for p in data.get("policies", ())
+                PolicySpec.from_dict(p)
+                for p in _list(data, "policies", "ExperimentSpec") or ()
             ),
             costs=CostSpec.from_dict(data.get("costs") or {}),
             # A dict *without* the key (pre-metric-pipeline era) gets the
             # default; an explicit empty list is malformed and must raise
             # in __post_init__ like ExperimentSpec(metrics=()) does.
             metrics=(
-                tuple(MetricSpec.from_dict(m) for m in data["metrics"])
-                if data.get("metrics") is not None
+                tuple(MetricSpec.from_dict(m) for m in metrics)
+                if metrics is not None
                 else DEFAULT_METRICS
             ),
             horizon=data.get("horizon", 500),
@@ -928,18 +965,10 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(_frozen(v) for v in self.values))
         if not self.values:
             raise ValueError("SweepSpec needs at least one value")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
-            # Replicate seeds are SeedSequence children of this one, and
-            # numpy would reject it only once the sweep runs.
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
+        object.__setattr__(self, "runs", _check_integer("runs", self.runs, 1))
+        # Replicate seeds are SeedSequence children of this one, and numpy
+        # would reject a bad one only once the sweep runs.
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
         if isinstance(self.parameter, (list, tuple)):
             paths = tuple(str(p) for p in self.parameter)
             if not paths:
@@ -953,6 +982,11 @@ class SweepSpec:
                         f"sweep value {value!r} does not match the "
                         f"{len(paths)} swept paths {paths}"
                     )
+        elif self.parameter is not None and not isinstance(self.parameter, str):
+            raise ValueError(
+                "SweepSpec.parameter must be a path, a tuple of paths or "
+                f"None, got {self.parameter!r}"
+            )
         for path in self.parameter_paths:
             if path in ("seed", "name"):
                 # Replicate randomness derives from SweepSpec.seed via
@@ -1070,13 +1104,14 @@ class SweepSpec:
             {"experiment", "parameter", "values", "runs", "seed", "figure",
              "title", "x_label", "notes", "replication", "comparison"},
             "SweepSpec",
+            {"experiment"},
         )
         replication = data.get("replication")
         comparison = data.get("comparison")
         return cls(
             experiment=ExperimentSpec.from_dict(data["experiment"]),
             parameter=data.get("parameter"),
-            values=tuple(data.get("values") or ("total cost",)),
+            values=_list(data, "values", "SweepSpec") or ("total cost",),
             runs=data.get("runs", 5),
             seed=data.get("seed", 0),
             figure=data.get("figure", "sweep"),

@@ -91,7 +91,13 @@ replicate samples (and cache entries) of a plain run.
 Each flag group is defined once and shared by the parsers that take it;
 the spec flags default to the :class:`CostSpec`/:class:`ExperimentSpec`
 fields. Every user error raises :class:`CLIError`, which :func:`main`
-prints as one ``error: ...`` line before returning exit status 2.
+prints as one ``error: ...`` line before returning exit status 2. The
+CLI checks its flags only: whether a spec can run is decided by the one
+pre-flight in :mod:`repro.api` that ``run``, ``run --from-bundle``,
+``report``, ``enqueue`` and the service's ``POST /sweep`` all pass
+through, so a bad value anywhere in the spec, such as ``--topology
+line:n=-3``, ends as ``error: experiment.topology: n must be >= 1, got
+-3`` before any replicate runs.
 """
 
 from __future__ import annotations
@@ -127,7 +133,6 @@ from repro.api.registry import (
     normalize_name,
 )
 from repro.api.specs import (
-    ComparisonSeriesError,
     ComparisonSpec,
     CostSpec,
     ExperimentSpec,
@@ -915,17 +920,12 @@ def spec_from_args(args) -> SweepSpec:
 
 
 def _validated_spec(args) -> SweepSpec:
-    """Build and pre-flight the sweep a ``run``/``enqueue`` call describes.
+    """The sweep a ``run``/``enqueue`` call describes, its flags checked.
 
-    Builds every sweep point's components up front (substrate, scenario,
-    policies, metrics — everything but the simulation) so typos and bad
-    values anywhere in ``--sweep`` fail fast with a one-line message
-    instead of a traceback after earlier points already ran — or, worse
-    for ``enqueue``, a poisoned job failing worker by worker. Raises
-    :class:`CLIError` for every bad input.
+    Rejects flag combinations that would be silently ignored; whether the
+    spec itself can run is :func:`~repro.api.experiment.run_sweep`'s and
+    :func:`~repro.queue.worker.enqueue_sweep`'s pre-flight to decide.
     """
-    from repro.api.experiment import resolve_series_labels
-
     _validate_confidence_args(args)
     if args.load != "power" and args.load_exponent != _default(
         CostSpec, "load_exponent"
@@ -934,34 +934,8 @@ def _validated_spec(args) -> SweepSpec:
             f"--load-exponent only shapes --load power; it has no effect "
             f"with --load {args.load}"
         )
-    with _user_errors(UnknownNameError, ValueError, TypeError, ImportError):
-        spec = spec_from_args(args)
-        substrate = None
-        topology_swept = any(
-            path.startswith("topology.") for path in spec.parameter_paths
-        )
-        for value in spec.values:
-            probe = spec.experiment_at(value)
-            if substrate is None or topology_swept:
-                substrate = probe.topology.build(np.random.default_rng(spec.seed))
-            probe.scenario.build(substrate)
-            resolve_series_labels(probe)
-        for metric in spec.experiment.metrics:
-            # Resolve the kind and check the parameter names against the
-            # metric's signature (the leading placeholder stands in for the
-            # evaluation context).
-            inspect.signature(metric.resolve()).bind(None, **metric.params)
-        if spec.comparison is not None and all(
-            m.kind == "total_cost" and m.label is None
-            for m in spec.experiment.metrics
-        ):
-            # With the default metric the result series are exactly the
-            # policy labels, so a typo'd --compare baseline can fail fast
-            # here; metric-derived series names only exist after simulating.
-            spec.comparison.resolve_contrasts(
-                resolve_series_labels(spec.experiment)
-            )
-    return spec
+    with _user_errors(ValueError):
+        return spec_from_args(args)
 
 
 def build_from_bundle_parser() -> argparse.ArgumentParser:
@@ -1012,7 +986,8 @@ def _run_from_bundle(argv: "list[str]") -> int:
     cache = _cache_for(args)
     payloads = []
     for i, (key, spec) in enumerate(pairs):
-        result = run_sweep(spec, backend=backend, cache=cache)
+        with _user_errors(ValueError):
+            result = run_sweep(spec, backend=backend, cache=cache)
         if args.json:
             payloads.append({**result.to_dict(), "key": key, "spec": spec.to_dict()})
         else:
@@ -1039,10 +1014,10 @@ def run_command(argv: "list[str]") -> int:
     spec = _validated_spec(args)
 
     started = time.perf_counter()
-    # --compare against a metric-derived series name the pre-flight could
-    # not know is still a bad flag (ComparisonSeriesError is a ValueError),
-    # and so is a spec value only a running replicate rejects, such as a
-    # start node outside the substrate or a round no capacity can pack
+    # run_sweep's pre-flight rejects a spec that cannot run with one
+    # ValueError; so does a running replicate for what only it can see,
+    # such as --compare against a metric-derived series name, a start node
+    # outside the substrate or a round no capacity can pack
     with _user_errors(ValueError):
         result = run_sweep(spec, backend=backend, cache=cache, shard=args.shard)
     elapsed = time.perf_counter() - started
@@ -1150,7 +1125,7 @@ def report_command(argv: "list[str]") -> int:
 
     cache = _cache_for(args)
     sections = []
-    with _user_errors(UnknownNameError, ComparisonSeriesError, ValueError):
+    with _user_errors(UnknownNameError, ValueError):
         if args.from_bundle:
             _manifest, pairs = load_bundle(args.from_bundle)
             for key, spec in pairs:
@@ -1525,6 +1500,8 @@ def enqueue_command(argv: "list[str]") -> int:
     cache = ResultCache(args.cache_dir)
     with _queue_errors(args.queue):
         broker = Broker(args.queue)
+    # a spec the pre-flight rejects is the user's error, not the queue's
+    with _user_errors(*_QUEUE_ERRORS):
         state = enqueue_sweep(broker, cache, spec, requeue=args.requeue)
 
     if args.wait and not state.get("cached"):

@@ -111,7 +111,11 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        state = enqueue_sweep(self.server.broker, cache, spec)
+        try:
+            state = enqueue_sweep(self.server.broker, cache, spec)
+        except ValueError as error:  # the pre-flight rejected the spec
+            self._error(400, f"malformed sweep spec: {error}")
+            return
         self._send(
             202,
             {

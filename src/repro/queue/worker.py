@@ -71,6 +71,10 @@ def enqueue_sweep(
     workers' business; their cache-first execution makes warm point tasks
     nearly free.
 
+    A cold spec is pre-flighted first, exactly as :func:`run_sweep` does:
+    a spec it rejects raises one ``ValueError`` and no job row is created,
+    so no worker ever leases it.
+
     A previously ``done``/``failed`` job whose sweep entry has since been
     evicted (or that failed) is re-created when ``requeue`` — by default a
     failed job's state is returned so callers can surface the error.
@@ -86,6 +90,9 @@ def enqueue_sweep(
             "spec": spec.to_dict(),
             "tasks": {},
         }
+    from repro.api.experiment import _preflight
+
+    _preflight(spec)
     tasks = [("point", {"point": i}) for i in range(len(spec.values))]
     state = broker.enqueue_job(
         job_id, "sweep", spec=spec.to_dict(), tasks=tasks
