@@ -123,6 +123,29 @@ def _transition_matrix(
     return beta * migrations + creation * creations
 
 
+def _forward_pass(
+    value: np.ndarray,
+    access: np.ndarray,
+    transition_to: np.ndarray,
+    run: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The DP's rounds: final state values and each round's best parent.
+
+    ``transition_to[j, i]`` is the cost of moving from state ``i`` to state
+    ``j``, held C-contiguous so each round's argmin over source states runs
+    along contiguous rows; ties go to the lowest source index.
+    """
+    n_rounds, n_states = access.shape
+    parents = np.empty((n_rounds, n_states), dtype=np.int32)
+    targets = np.arange(n_states)
+    for t in range(n_rounds):
+        served = value + access[t]  # pay round t with the previous state
+        reachable = served[None, :] + transition_to
+        parents[t] = np.argmin(reachable, axis=1)
+        value = reachable[targets, parents[t]] + run
+    return value, parents
+
+
 def _mask_to_nodes(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -195,7 +218,9 @@ class Opt(PlannedPolicy):
                 "The paper runs OPT on small (line) graphs only (§V-A)."
             )
 
-        transition = _transition_matrix(act, inact, costs.migration, costs.creation)
+        transition_to = np.ascontiguousarray(
+            _transition_matrix(act, inact, costs.migration, costs.creation).T
+        )
         run = (
             costs.run_active * np.bitwise_count(act)
             + costs.run_inactive * np.bitwise_count(inact)
@@ -216,13 +241,7 @@ class Opt(PlannedPolicy):
         start_state = self._find_state(act, inact, start)
         value = np.full(n_states, np.inf)
         value[start_state] = 0.0
-        parents = np.empty((n_rounds, n_states), dtype=np.int32)
-
-        for t in range(n_rounds):
-            served = value + access[t]  # pay round t with the previous state
-            reachable = served[:, None] + transition
-            parents[t] = np.argmin(reachable, axis=0)
-            value = reachable[parents[t], np.arange(n_states)] + run
+        value, parents = _forward_pass(value, access, transition_to, run)
 
         final = int(np.argmin(value))
         self._optimal_cost = float(value[final])

@@ -11,7 +11,9 @@ programs.  Two interchangeable backends solve them:
   before the root LP at a roughly fixed ~10 ms per solve, several times
   the whole solve of the placement programs, whose root LP is already
   integral.  The zero gap still proves optimality, so the answers do not
-  change.  The constraint matrix goes to HiGHS as one prebuilt CSC array.
+  change.  The constraint matrix goes to HiGHS as one prebuilt CSC array;
+  ``scipy.sparse`` and ``scipy.optimize`` load on the first solve, not on
+  import.
 * ``"pulp"`` — the `PuLP <https://coin-or.github.io/pulp/>`_ modeller with
   its bundled CBC solver, behind the optional ``[opt]`` extra
   (``pip install 'repro-flexible-server-allocation[opt]'``).  Selecting it
@@ -33,9 +35,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # imported lazily at runtime, when a program is solved
+    from scipy import sparse
 
 __all__ = [
     "BACKENDS",
@@ -210,6 +215,8 @@ class Program:
         entries), which is the canonical form HiGHS receives — ``milp``'s
         own ``csc_array(A)`` then converts nothing.
         """
+        from scipy import sparse
+
         idx, coef, lows, highs = zip(*self._rows)
         cols = np.concatenate(idx)
         order = np.argsort(cols, kind="stable")

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from repro.core.config import Configuration
 from repro.core.load import LinearLoad, LoadFunction
@@ -149,6 +148,8 @@ def bandwidth_migration_matrix(
     check_positive("state_size_mbit", state_size_mbit)
     check_non_negative("overhead", overhead)
     check_positive("time_unit_ms", time_unit_ms)
+
+    from scipy.sparse.csgraph import dijkstra
 
     n = substrate.n
     adjacency = _adjacency_with_bandwidth(substrate)

@@ -113,19 +113,31 @@ def erdos_renyi(
     p = check_probability("p", p)
     rng = ensure_rng(seed)
 
-    edges: list[tuple[int, int]] = []
-    if n > 1 and p > 0:
-        # Vectorised pair sampling: upper-triangular Bernoulli draws.
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.size) < p
-        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-
-    edges = _connect_components(n, edges, rng)
+    edges = _connect_components(n, _sample_pairs(n, p, rng), rng)
     links = _links_from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), rng,
                               latency_range, unit_latency)
     return Substrate(
         n, links, name=name or f"erdos-renyi(n={n},p={p})", capacities=capacity
     )
+
+
+def _sample_pairs(
+    n: int, p: float, rng: np.random.Generator
+) -> list[tuple[int, int]]:
+    """The ``G(n, p)`` edges: one Bernoulli draw per pair ``i < j``.
+
+    The draws run over the pairs in row-major order (``np.triu_indices``'s
+    order), and only the hits' flat indices are decoded to ``(i, j)`` via
+    each row's start offset, so no ``n·(n-1)/2`` index arrays are built.
+    """
+    if n < 2 or p == 0:
+        return []
+    hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    row_len = np.arange(n - 1, 0, -1)
+    row_start = np.cumsum(row_len) - row_len
+    iu = np.searchsorted(row_start, hits, side="right") - 1
+    ju = hits - row_start[iu] + iu + 1
+    return list(zip(iu.tolist(), ju.tolist()))
 
 
 def _connect_components(

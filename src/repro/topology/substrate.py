@@ -13,15 +13,20 @@ center (§V-A). The matrix is computed once with
 dominant setup cost of a large substrate: about 0.3 s for a 1000-node
 Erdős–Rényi graph on a 2-vCPU machine, roughly half of a size sweep
 (Fig. 3) up to n=1000, where every replicate draws its own graph.
+scipy's sparse-graph modules (~0.45 s to import) load on the first
+construction, not with the package, so a sweep's pre-flight loads them
+before a process pool forks its workers, and a warm cache hit never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+
+if TYPE_CHECKING:  # imported lazily at runtime, on the first construction
+    from scipy.sparse import csr_matrix
 
 __all__ = ["Link", "Substrate"]
 
@@ -166,6 +171,8 @@ class Substrate:
         return arr
 
     def _build_adjacency(self) -> csr_matrix:
+        from scipy.sparse import csr_matrix
+
         if not self._links:
             # single-node substrates are legal; scipy handles an empty matrix
             return csr_matrix((self._n, self._n), dtype=np.float64)
@@ -177,6 +184,10 @@ class Substrate:
         return csr_matrix((vals, (rows, cols)), shape=(self._n, self._n))
 
     def _require_connected(self) -> None:
+        # Imported on every construction, even of one node, so the
+        # calling process holds csgraph before a pool forks its workers.
+        from scipy.sparse.csgraph import connected_components
+
         if self._n == 1:
             return
         n_components, _ = connected_components(self._adjacency, directed=False)
@@ -290,6 +301,8 @@ class Substrate:
                 # The adjacency already holds both (u, v) and (v, u), so the
                 # directed search gives the undirected distances without
                 # scipy's undirected variant walking a transposed copy too.
+                from scipy.sparse.csgraph import dijkstra
+
                 dist = dijkstra(self._adjacency, directed=True)
             dist.flags.writeable = False
             self._distances = dist

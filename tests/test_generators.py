@@ -157,3 +157,37 @@ class TestRandomDraws:
     def test_latency_rejects_inverted_range(self, rng):
         with pytest.raises(ValueError, match="lo <= hi"):
             random_latencies(rng, 10, (5.0, 2.0))
+
+
+def _triu_pairs(n, p, rng):
+    """The upper-triangle formulation the decoded sampling must equal."""
+    if n < 2 or p == 0:
+        return []
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+class TestErdosRenyiPairDecoding:
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_edges_equal_the_triu_formulation(self, n, p, seed):
+        from repro.topology.generators import _sample_pairs
+
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _sample_pairs(n, p, rng) == _triu_pairs(n, p, reference_rng)
+        # The same draws were consumed, so the repair and latencies agree too.
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_substrate_equals_the_triu_formulation(self, seed):
+        from repro.topology.generators import _connect_components, _links_from_edges
+
+        rng = np.random.default_rng(seed)
+        edges = _connect_components(200, _triu_pairs(200, 0.01, rng), rng)
+        links = _links_from_edges(
+            np.array(edges, dtype=np.int64).reshape(-1, 2), rng, (1.0, 10.0), False
+        )
+        sub = erdos_renyi(200, p=0.01, seed=seed, latency_range=(1.0, 10.0))
+        assert sub.links == tuple(links)

@@ -244,3 +244,61 @@ class TestPlanQuality:
         trace = trace_of([2], [3], [2], [1], [2])
         cost, plan = Opt.solve(sub, trace, cm, start_node=2)
         assert all(cfg.active == (2,) for cfg in plan)
+
+
+def _reference_forward_pass(value, access, transition_to, run):
+    """The recurrence over the ``[from, to]`` matrix, argmin down columns."""
+    transition = transition_to.T
+    n_rounds, n_states = access.shape
+    parents = np.empty((n_rounds, n_states), dtype=np.int32)
+    for t in range(n_rounds):
+        served = value + access[t]
+        reachable = served[:, None] + transition
+        parents[t] = np.argmin(reachable, axis=0)
+        value = reachable[parents[t], np.arange(n_states)] + run
+    return value, parents
+
+
+class TestForwardPassDifferential:
+    """The contiguous ``[to, from]`` pass equals the column-wise recurrence."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_column_recurrence(self, seed, monkeypatch):
+        import repro.algorithms.opt as opt_module
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        sub = line(n, seed=seed, unit_latency=False, latency_range=(5, 20))
+        trace = trace_of(*[
+            rng.integers(0, n, size=rng.integers(0, 4))
+            for _ in range(int(rng.integers(1, 40)))
+        ])
+        beta, creation = rng.choice([1.0, 10.0, 40.0, 400.0], size=2)
+        run_active = float(rng.uniform(0, 3))
+        cm = CostModel(
+            migration=beta, creation=creation, run_active=run_active,
+            run_inactive=float(rng.uniform(0, run_active)),
+        )
+        options = dict(
+            start_node=int(rng.integers(0, n)),
+            max_servers=[None, 1, 2][seed % 3],
+            allow_inactive=bool(seed % 2),
+            require_active=seed % 4 != 3,  # states with no server: rows of inf
+        )
+        passes = []
+        real_pass = opt_module._forward_pass
+
+        def recording(*args):
+            passes.append((real_pass(*args), _reference_forward_pass(*args)))
+            return passes[-1][0]
+
+        monkeypatch.setattr(opt_module, "_forward_pass", recording)
+        cost, plan = Opt.solve(sub, trace, cm, **options)
+        monkeypatch.setattr(opt_module, "_forward_pass", _reference_forward_pass)
+        reference_cost, reference_plan = Opt.solve(sub, trace, cm, **options)
+
+        [((value, parents), (reference_value, reference_parents))] = passes
+        assert np.array_equal(value, reference_value)
+        assert np.array_equal(parents, reference_parents)
+        assert cost == reference_cost
+        assert plan == reference_plan
