@@ -46,7 +46,7 @@ setup(
         "scipy>=1.9",
     ],
     extras_require={
-        # pytest-benchmark runs benchmarks/bench_fig*.py, the paper's claims
+        # pytest-benchmark runs benchmarks/bench_figures.py, the paper's claims
         "test": ["pytest>=7", "pytest-cov>=4", "hypothesis>=6", "pytest-benchmark>=4"],
         # the optional pulp/CBC solver backend for the ILP/LP policy family
         # (backend="pulp" / backend="auto"); scipy's HiGHS backend works

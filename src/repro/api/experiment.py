@@ -57,6 +57,7 @@ from repro.api.specs import (
     SweepSpec,
 )
 from repro.core.batch import DistanceGather
+from repro.core.policy import resolve_start
 from repro.core.results import RunResult
 from repro.core.routing import RoutingStrategy
 from repro.core.simulator import simulate
@@ -515,7 +516,9 @@ def _preflight(spec: SweepSpec) -> None:
     simulates or computes distances. Every failure is one
     ``ValueError`` naming the component path and, when the sweep moves
     that component, the point: ``experiment.topology at topology.n=-3:
-    n must be >= 1, got -3``.
+    n must be >= 1, got -3``. The exception is an explicit ``start_node``
+    outside the substrate, which fails with the policy's own message,
+    ``start node 99 outside the substrate``, as the replicate would.
     """
     rep = spec.replication
     if rep is not None and rep.adaptive and rep.max_runs < spec.effective_runs:
@@ -551,6 +554,10 @@ def _preflight(spec: SweepSpec) -> None:
                     policy_spec.scenario.build(substrate)
         with _rejecting("experiment.policies", at.get("policies", "")):
             labels = resolve_series_labels(probe)
+        for policy_spec in probe.policies:
+            node = policy_spec.params.get("start_node")
+            if node is not None:  # the default, the center, needs distances
+                resolve_start(substrate, node)
         for i, metric in enumerate(probe.metrics):
             with _rejecting(f"experiment.metrics[{i}]", at.get("policies", "")):
                 check_metric(metric, labels)

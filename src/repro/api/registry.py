@@ -131,7 +131,8 @@ class Registry:
         self._loaded = False
         self._entries: dict[str, Any] = {}
         self._display: dict[str, str] = {}
-        self._primary_keys: "set[str]" = set()
+        #: every lookup key -> the key of the name it was registered under
+        self._primary: dict[str, str] = {}
 
     # -- population ------------------------------------------------------------
 
@@ -158,7 +159,7 @@ class Registry:
                         )
                 self._entries[key] = target
                 self._display.setdefault(key, str(alias))
-            self._primary_keys.add(_normalize(name))
+                self._primary[key] = _normalize(name)
             return target
 
         return decorate
@@ -187,6 +188,15 @@ class Registry:
             raise UnknownNameError(self.kind, name, self.names())
         return self._entries[key]
 
+    def primary(self, name: str) -> str:
+        """The name the entry behind ``name`` was registered under.
+
+        An alias maps to its entry's primary name, any spelling to the
+        registered one; raises :class:`UnknownNameError` like :meth:`resolve`.
+        """
+        self.resolve(name)
+        return self._display[self._primary[_normalize(name)]]
+
     def names(self) -> tuple[str, ...]:
         """All registered names (including aliases), sorted."""
         self._ensure_builtins()
@@ -211,10 +221,8 @@ class Registry:
         consumers (the CLI's ``--list`` and ``all``) never duplicate work.
         """
         self._ensure_builtins()
-        return tuple(
-            (self._display[key], self._entries[key])
-            for key in sorted(self._primary_keys, key=lambda k: self._display[k])
-        )
+        primary = sorted(set(self._primary.values()), key=self._display.get)
+        return tuple((self._display[key], self._entries[key]) for key in primary)
 
 
 class FigureEntry(NamedTuple):

@@ -130,7 +130,6 @@ from repro.api.registry import (
     list_policies,
     list_scenarios,
     list_topologies,
-    normalize_name,
 )
 from repro.api.specs import (
     ComparisonSpec,
@@ -147,14 +146,6 @@ from repro.api.specs import (
 )
 from repro.experiments.reporting import format_figure
 
-#: figure id -> (callable, quick-scale overrides); materialised from the
-#: figure registry so the inventory lives next to the figure functions.
-#: Kept as a plain module-level dict (a one-time snapshot) so callers can
-#: inspect or monkeypatch the CLI's inventory independently of the live
-#: registry; figures registered after this module imports are reachable
-#: through repro.api.FIGURES but not through the CLI.
-_REGISTRY: dict = {name: entry for name, entry in FIGURES.items()}
-
 #: The execution options a sweep figure forwards to ``run_sweep`` through
 #: its ``**run`` keywords.
 _RUN_OPTIONS = ("backend", "cache", "shard", "replication", "comparison")
@@ -168,12 +159,12 @@ class CLIError(Exception):
 
 
 @contextmanager
-def _user_errors(*kinds, prefix: str = ""):
+def _user_errors(*kinds, prefix: str = "", suffix: str = ""):
     """Re-raise ``kinds`` escaping the block as :class:`CLIError`."""
     try:
         yield
     except kinds as error:
-        raise CLIError(f"{prefix}{error}") from error
+        raise CLIError(f"{prefix}{error}{suffix}") from error
 
 
 def _queue_errors(path: str):
@@ -493,31 +484,6 @@ def _validate_confidence_args(args) -> None:
         raise CLIError(f"--max-runs ({max_runs}) must be >= --runs ({runs})")
 
 
-def _validate_figure_replication(key: str, args) -> None:
-    """Reject --max-runs below figure ``key``'s effective replicate count.
-
-    That count is ``--runs``, else the quick-scale override (unless
-    ``--paper``), else the figure function's own default. Without this
-    check the conflict would only surface as a mid-run :class:`ValueError`
-    traceback out of the sweep engine.
-    """
-    replication = _replication_for(args)
-    if replication is None or not replication.adaptive:
-        return
-    fn, quick = _REGISTRY[key]
-    runs = args.runs
-    if runs is None and not args.paper:
-        runs = quick.get("runs")
-    if runs is None:
-        parameter = inspect.signature(fn).parameters.get("runs")
-        runs = getattr(parameter, "default", None)
-    if isinstance(runs, int) and replication.initial_runs(runs) > replication.max_runs:
-        raise CLIError(
-            f"--max-runs ({replication.max_runs}) is below {key}'s replicate "
-            f"count ({runs}); raise --max-runs or lower --runs"
-        )
-
-
 def _print_cache_status(cache: ResultCache, specs) -> None:
     """The whole-sweep cache hit/miss line printed to stderr after a run."""
     status = "hit" if cache.hits else "miss"
@@ -731,31 +697,40 @@ def figure_command(argv: "list[str]") -> int:
     _validate_confidence_args(args)
 
     if args.list or not args.figure:
-        for name, (fn, _quick) in sorted(_REGISTRY.items()):
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:<14} {doc}")
+        for name, entry in FIGURES.items():
+            print(f"{name:<14} {_entry_doc(entry)}")
         return 0
 
     every = args.figure.lower() == "all"
-    if every:
-        keys = sorted(_REGISTRY)
-    else:
-        try:
-            keys = [_lookup_figure(args.figure)]
-        except UnknownNameError as error:
-            raise CLIError(
-                f"{error}; use --list, or one of the subcommands: "
-                f"{', '.join(sorted(_SUBCOMMANDS))}"
-            ) from error
-    for key in keys:
-        _validate_figure_replication(key, args)
+    names = [name for name, _entry in FIGURES.items()] if every else [args.figure]
+    subcommands = ", ".join(sorted(_SUBCOMMANDS))
+    with _user_errors(
+        UnknownNameError,
+        suffix=f"; use --list, or one of the subcommands: {subcommands}",
+    ):
+        keys = [FIGURES.primary(name) for name in names]
 
     started = time.perf_counter()
+    footer = "paper scale" if args.paper else "quick scale"
+    caches = [_cache_for(args) for _key in keys]  # per-figure counters
     payloads = []
-    for i, key in enumerate(keys):
+    for i, (key, kwargs, captured, result, elapsed) in enumerate(
+        _run_figures(keys, args, backend, caches)
+    ):
         if i and not args.json:
             print()
-        payloads.append(_run_one(key, args, backend, emit_json=not every))
+        cache = kwargs.get("cache")
+        if cache is not None and captured:
+            _print_cache_status(cache, [spec for spec, _result in captured])
+        params = {
+            k: v.to_dict() if isinstance(v, (ReplicationSpec, ComparisonSpec)) else v
+            for k, v in kwargs.items()
+            # execution/orchestration knobs, not figure parameters
+            if k not in ("backend", "cache", "shard")
+        }
+        payloads.append(_print_result(
+            result, args, cache, elapsed, {"params": params}, footer, not every
+        ))
     if every:
         summary = (
             f"regenerated {len(keys)} experiments in "
@@ -769,47 +744,26 @@ def figure_command(argv: "list[str]") -> int:
     return 0
 
 
-def _lookup_figure(name: str) -> str:
-    """Resolve ``name`` to a ``_REGISTRY`` key with the registry's leniency.
-
-    Matches case-insensitively with ``-``/``_`` interchangeable, and raises
-    :class:`UnknownNameError` (typo suggestions included) otherwise.
-    """
-    normalized = normalize_name(name)
-    for key in _REGISTRY:
-        if normalize_name(key) == normalized:
-            return key
-    # Aliases are not enumerated by the snapshot; resolve through the live
-    # registry and map the entry back to its primary key.
-    try:
-        entry = FIGURES.resolve(name)
-    except UnknownNameError:
-        raise UnknownNameError("figure", name, tuple(sorted(_REGISTRY))) from None
-    for key, value in _REGISTRY.items():
-        if value is entry:
-            return key
-    raise UnknownNameError("figure", name, tuple(sorted(_REGISTRY)))
-
-
 def _figure_kwargs(key: str, args, cache, backend) -> "dict":
-    """The keyword arguments one figure function takes from CLI flags.
+    """The keyword arguments figure ``key`` takes from CLI flags.
 
-    Shared between the figure mode and the ``report`` subcommand so both
-    thread seed/runs/backend/cache/replication/comparison identically.
     Sweep figures take the execution options through ``**run``; flags a
-    figure does not accept are noted on stderr and dropped.
+    figure does not accept are noted on stderr and dropped. A ``--max-runs``
+    below the figure's replicate count -- ``--runs``, else its scale's
+    ``runs``, else the function's default -- is a :class:`CLIError`.
     """
-    fn, quick = _REGISTRY[key]
+    fn, quick = FIGURES.resolve(key)
     kwargs = {} if args.paper else dict(quick)
     parameters = inspect.signature(fn).parameters
     takes_run = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+    replication = _replication_for(args)
     for flag, option, value in (
         ("seed", "seed", args.seed),
         ("runs", "runs", args.runs),
         ("backend", "workers/--queue", backend),
         ("cache", "cache-dir", cache),
         ("shard", "shard", args.shard),
-        ("replication", "ci/--target-halfwidth", _replication_for(args)),
+        ("replication", "ci/--target-halfwidth", replication),
         ("comparison", "compare", _comparison_for(args)),
     ):
         if value is None:
@@ -819,37 +773,37 @@ def _figure_kwargs(key: str, args, cache, backend) -> "dict":
         else:
             print(f"note: {key} does not take --{option}; ignored",
                   file=sys.stderr)
+    runs = kwargs.get("runs", getattr(parameters.get("runs"), "default", None))
+    adaptive = "replication" in kwargs and replication.adaptive
+    if adaptive and isinstance(runs, int) and (
+        replication.initial_runs(runs) > replication.max_runs
+    ):
+        raise CLIError(
+            f"--max-runs ({replication.max_runs}) is below {key}'s replicate "
+            f"count ({runs}); raise --max-runs or lower --runs"
+        )
     return kwargs
 
 
-def _run_one(key: str, args, backend, emit_json: bool = True) -> "dict | None":
-    """Run one figure; returns the JSON payload when ``--json`` is active."""
+def _run_figures(keys, args, backend, caches):
+    """Run the figures ``keys``, each over its cache, as ``args`` asks.
+
+    The one figure runner of figure mode and ``report``. Every figure's
+    kwargs are built, and so checked, before the first figure runs. Yields
+    ``(key, kwargs, captured sweeps, result, elapsed seconds)`` per figure.
+    """
     from repro.api.experiment import capture_sweeps
 
-    fn, _quick = _REGISTRY[key]
-    cache = _cache_for(args)
-    kwargs = _figure_kwargs(key, args, cache, backend)
-    started = time.perf_counter()
-    # A typo'd --compare baseline only surfaces once the figure's series
-    # exist, and so does a value only a running replicate rejects (both
-    # ValueErrors); an optimizer figure without the [opt] extra names the
-    # install.
-    with _user_errors(ValueError, ImportError), capture_sweeps() as captured:
-        result = fn(**kwargs)
-    elapsed = time.perf_counter() - started
-    if cache is not None and captured:
-        _print_cache_status(cache, [spec for spec, _result in captured])
-    params = {
-        k: v.to_dict() if isinstance(v, (ReplicationSpec, ComparisonSpec)) else v
-        for k, v in kwargs.items()
-        # execution/orchestration knobs, not figure parameters
-        if k not in ("backend", "cache", "shard")
-    }
-    scale = "paper" if args.paper else "quick"
-    return _print_result(
-        result, args, cache, elapsed, {"params": params}, f"{scale} scale",
-        emit_json,
-    )
+    plans = [_figure_kwargs(k, args, c, backend) for k, c in zip(keys, caches)]
+    for key, kwargs in zip(keys, plans):
+        started = time.perf_counter()
+        # A typo'd --compare baseline only surfaces once the figure's series
+        # exist, and so does a value only a running replicate rejects (both
+        # ValueErrors); an optimizer figure without the [opt] extra names the
+        # install.
+        with _user_errors(ValueError, ImportError), capture_sweeps() as captured:
+            result = FIGURES.resolve(key).fn(**kwargs)
+        yield key, kwargs, captured, result, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -958,22 +912,19 @@ def build_from_bundle_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_from_bundle(argv: "list[str]") -> int:
-    """``run --from-bundle DIR``: replay a repro bundle's sweeps."""
+def _replay_bundle(path: str, backend, cache):
+    """Replay every sweep of the repro bundle at ``path`` through ``cache``.
+
+    The one bundle replay of ``run --from-bundle`` and ``report
+    --from-bundle``. Yields ``(key, spec, result)`` per bundled sweep, and
+    notes on stderr when the bundle was built from other package sources.
+    """
     from repro.api.cache import _code_fingerprint
     from repro.api.experiment import run_sweep
     from repro.experiments.report import load_bundle
 
-    args = build_from_bundle_parser().parse_args(argv)
-    if args.shard is not None:
-        raise CLIError(
-            "bundle replay renders complete sweeps; --shard is not "
-            "supported here"
-        )
-    backend = _backend_for(args)
     with _user_errors(ValueError):
-        manifest, pairs = load_bundle(args.from_bundle)
-
+        manifest, pairs = load_bundle(path)
     fingerprint = manifest.get("environment", {}).get("code_fingerprint")
     if fingerprint is not None and fingerprint != _code_fingerprint():
         print(
@@ -982,22 +933,36 @@ def _run_from_bundle(argv: "list[str]") -> int:
             "current code instead of loading the bundled cache keys",
             file=sys.stderr,
         )
-
-    cache = _cache_for(args)
-    payloads = []
-    for i, (key, spec) in enumerate(pairs):
+    for key, spec in pairs:
         with _user_errors(ValueError):
             result = run_sweep(spec, backend=backend, cache=cache)
+        yield key, spec, result
+
+
+def _run_from_bundle(argv: "list[str]") -> int:
+    """``run --from-bundle DIR``: replay a repro bundle's sweeps."""
+    args = build_from_bundle_parser().parse_args(argv)
+    if args.shard is not None:
+        raise CLIError(
+            "bundle replay renders complete sweeps; --shard is not "
+            "supported here"
+        )
+    replayed = _replay_bundle(
+        args.from_bundle, _backend_for(args), _cache_for(args)
+    )
+    payloads = []
+    count = 0
+    for count, (key, spec, result) in enumerate(replayed, 1):
         if args.json:
             payloads.append({**result.to_dict(), "key": key, "spec": spec.to_dict()})
         else:
-            if i:
+            if count > 1:
                 print()
             print(format_figure(result))
     if args.json:
         print(json.dumps(payloads, indent=2))
     else:
-        print(f"\nreplayed {len(pairs)} sweeps from {args.from_bundle}")
+        print(f"\nreplayed {count} sweeps from {args.from_bundle}")
     return 0
 
 
@@ -1016,8 +981,8 @@ def run_command(argv: "list[str]") -> int:
     started = time.perf_counter()
     # run_sweep's pre-flight rejects a spec that cannot run with one
     # ValueError; so does a running replicate for what only it can see,
-    # such as --compare against a metric-derived series name, a start node
-    # outside the substrate or a round no capacity can pack
+    # such as --compare against a metric-derived series name or a round no
+    # capacity can pack
     with _user_errors(ValueError):
         result = run_sweep(spec, backend=backend, cache=cache, shard=args.shard)
     elapsed = time.perf_counter() - started
@@ -1091,66 +1056,50 @@ def build_report_parser() -> argparse.ArgumentParser:
 
 def report_command(argv: "list[str]") -> int:
     """Entry point of ``python -m repro.experiments report ...``."""
-    from repro.api.experiment import capture_sweeps, run_sweep
     from repro.experiments.report import (
         ReportSection,
         capture_environment,
-        load_bundle,
         render_report,
         write_bundle,
     )
 
     args = build_report_parser().parse_args(argv)
-    if args.shard is not None:
-        raise CLIError(
-            "reports render complete figures; run the shards first, then "
-            "report without --shard over the shared cache"
-        )
-    if args.from_bundle and args.figures:
-        raise CLIError(
-            "--from-bundle re-renders the bundled specs; figure ids cannot "
-            "be combined with it"
-        )
-    if args.from_bundle and args.bundle:
-        raise CLIError(
-            "--bundle cannot be combined with --from-bundle (that bundle "
-            "already exists)"
-        )
-    if not args.from_bundle and not args.figures:
-        raise CLIError(
-            "name at least one figure to report, or --from-bundle DIR"
-        )
+    for conflict, message in (
+        (args.shard is not None,
+         "reports render complete figures; run the shards first, then "
+         "report without --shard over the shared cache"),
+        (args.from_bundle and args.figures,
+         "--from-bundle re-renders the bundled specs; figure ids cannot "
+         "be combined with it"),
+        (args.from_bundle and args.bundle,
+         "--bundle cannot be combined with --from-bundle (that bundle "
+         "already exists)"),
+        (not args.from_bundle and not args.figures,
+         "name at least one figure to report, or --from-bundle DIR"),
+    ):
+        if conflict:
+            raise CLIError(message)
     backend = _backend_for(args)
     _validate_confidence_args(args)
 
     cache = _cache_for(args)
-    sections = []
-    with _user_errors(UnknownNameError, ValueError):
-        if args.from_bundle:
-            _manifest, pairs = load_bundle(args.from_bundle)
-            for key, spec in pairs:
-                result = run_sweep(spec, backend=backend, cache=cache)
-                sections.append(ReportSection(key, spec, result))
-        else:
-            keys = [_lookup_figure(name) for name in args.figures]
-            for key in keys:
-                _validate_figure_replication(key, args)
-            for key in keys:
-                fn, _quick = _REGISTRY[key]
-                kwargs = _figure_kwargs(key, args, cache, backend)
-                with capture_sweeps() as captured:
-                    fn(**kwargs)
-                if not captured:
-                    print(
-                        f"note: {key} runs no sweeps; skipped",
-                        file=sys.stderr,
-                    )
-                    continue
-                for index, (spec, result) in enumerate(captured):
-                    section_key = (
-                        key if len(captured) == 1 else f"{key}-{index + 1}"
-                    )
-                    sections.append(ReportSection(section_key, spec, result))
+    if args.from_bundle:
+        sections = [
+            ReportSection(key, spec, result)
+            for key, spec, result in _replay_bundle(args.from_bundle, backend, cache)
+        ]
+    else:
+        with _user_errors(UnknownNameError):
+            keys = [FIGURES.primary(name) for name in args.figures]
+        sections = []
+        runs = _run_figures(keys, args, backend, [cache] * len(keys))
+        for key, _kwargs, captured, _result, _elapsed in runs:
+            if not captured:
+                print(f"note: {key} runs no sweeps; skipped", file=sys.stderr)
+                continue
+            for index, (spec, result) in enumerate(captured):
+                section_key = key if len(captured) == 1 else f"{key}-{index + 1}"
+                sections.append(ReportSection(section_key, spec, result))
     if not sections:
         raise CLIError("nothing to report (no sweeps ran)")
 

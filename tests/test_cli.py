@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from repro.experiments.__main__ import _REGISTRY, build_parser, main
+from repro.api.registry import FIGURES
+from repro.experiments.__main__ import build_parser, main
 
 
 class TestParser:
@@ -27,13 +28,13 @@ class TestParser:
 class TestRegistry:
     def test_all_19_figures_present(self):
         for i in range(1, 20):
-            assert f"fig{i:02d}" in _REGISTRY
+            assert f"fig{i:02d}" in FIGURES
 
     def test_rocketfuel_present(self):
-        assert "rocketfuel" in _REGISTRY
+        assert "rocketfuel" in FIGURES
 
     def test_ablations_present(self):
-        assert {k for k in _REGISTRY if k.startswith("abl-")} == {
+        assert {k for k in FIGURES if k.startswith("abl-")} == {
             "abl-routing", "abl-cache", "abl-threshold",
             "abl-migration", "abl-mobility", "abl-beta",
         }
@@ -71,14 +72,41 @@ class TestMain:
         assert "fig11" in proc.stdout
 
 
+class TestLateRegisteredFigure:
+    """A figure registered after the CLI module imports is a CLI figure."""
+
+    @pytest.fixture(autouse=True)
+    def late(self, monkeypatch):
+        from repro.api.registry import register_figure
+
+        fig13 = FIGURES.resolve("fig13").fn  # loads the builtin figures
+        for name, table in list(vars(FIGURES).items()):
+            if isinstance(table, (dict, set)):  # register into copies
+                monkeypatch.setattr(FIGURES, name, table.copy())
+
+        @register_figure("zz-late", quick=dict(runs=1))
+        def late_figure(runs=3, seed=0, **run):
+            """A figure registered after the CLI module was imported."""
+            return fig13(runs=runs, seed=seed, **run)
+
+    def test_listed_by_list(self, capsys):
+        assert main(["--list"]) == 0
+        assert "zz-late" in capsys.readouterr().out
+
+    def test_run_by_figure_mode(self, capsys):
+        assert main(["zz-late"]) == 0
+        assert "[fig13]" in capsys.readouterr().out
+
+    def test_named_in_the_unknown_figure_inventory(self, capsys):
+        assert main(["fig99"]) == 2
+        assert "zz-late" in capsys.readouterr().err
+
+
 class TestRunAll:
     def test_all_command_exists(self, capsys, monkeypatch):
         """`all` iterates the registry; patch it down to one cheap entry."""
-        import repro.experiments.__main__ as cli
-
-        monkeypatch.setattr(
-            cli, "_REGISTRY", {"fig13": cli._REGISTRY["fig13"]}
-        )
+        entries = tuple((key, FIGURES.resolve(key)) for key in ("fig13",))
+        monkeypatch.setattr(FIGURES, "items", lambda: entries)
         assert main(["all", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "[fig13]" in out

@@ -7,11 +7,11 @@ every bad value must exit 2 with one ``error:`` line on stderr.
 
 import pytest
 
+from repro.api.registry import FIGURES, FigureEntry
 from repro.api.specs import CostSpec, ExperimentSpec
 from repro.experiments.__main__ import (
     _SUBCOMMANDS,
     _figure_kwargs,
-    _REGISTRY,
     build_parser,
     build_run_parser,
     main,
@@ -134,7 +134,8 @@ class TestOneLineErrors:
         def broken(runs=1, seed=0):
             raise ValueError("start node 99 is not a node of the substrate")
 
-        monkeypatch.setitem(_REGISTRY, "fig13", (broken, {}))
+        FIGURES.resolve("fig13")  # load the builtins before patching one
+        monkeypatch.setitem(FIGURES._entries, "fig13", FigureEntry(broken, {}))
         assert main(["fig13"]) == 2
         assert one_line(capsys.readouterr().err) == (
             "error: start node 99 is not a node of the substrate"
@@ -169,7 +170,7 @@ class TestFigureKwargs:
         import inspect
 
         for key in ("fig03", "fig08", "fig13", "fig19", "rocketfuel", "optim"):
-            fn, _quick = _REGISTRY[key]
+            fn, _quick = FIGURES.resolve(key)
             kinds = {p.kind for p in inspect.signature(fn).parameters.values()}
             assert inspect.Parameter.VAR_KEYWORD in kinds, key
 

@@ -290,22 +290,20 @@ class TestFigurePathFlags:
 
     def test_figure_alias_resolves_via_live_registry(self, monkeypatch):
         # register_figure accepts aliases; they are not enumerated in the
-        # snapshot but must still resolve from the command line.
-        import repro.experiments.__main__ as cli
+        # inventory but must still resolve to their figure's primary name.
         from repro.api.registry import FIGURES
 
-        entry = cli._REGISTRY["fig13"]
+        entry = FIGURES.resolve("fig13")
         monkeypatch.setitem(FIGURES._entries, "zz_alias_test", entry)
         monkeypatch.setitem(FIGURES._display, "zz_alias_test", "zz-alias-test")
-        assert cli._lookup_figure("zz-alias-test") == "fig13"
+        monkeypatch.setitem(FIGURES._primary, "zz_alias_test", "fig13")
+        assert FIGURES.primary("zz-alias-test") == "fig13"
 
     def test_all_with_json_is_one_document(self, capsys, monkeypatch):
-        import repro.experiments.__main__ as cli
+        from repro.api.registry import FIGURES
 
-        monkeypatch.setattr(
-            cli, "_REGISTRY",
-            {"fig13": cli._REGISTRY["fig13"], "fig14": cli._REGISTRY["fig14"]},
-        )
+        entries = tuple((key, FIGURES.resolve(key)) for key in ("fig13", "fig14"))
+        monkeypatch.setattr(FIGURES, "items", lambda: entries)
         assert main(["all", "--runs", "1", "--json"]) == 0
         captured = capsys.readouterr()
         payloads = json.loads(captured.out)  # must parse as a single array

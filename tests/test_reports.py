@@ -335,6 +335,28 @@ class TestReportCLI:
         ]) == 0
         assert out2.read_text() == first
 
+    def test_both_bundle_replays_note_a_fingerprint_mismatch(
+        self, tmp_path, capsys
+    ):
+        cache, bundle = tmp_path / "cache", tmp_path / "bundle"
+        assert main([
+            "report", "fig13", "--runs", "1", "--cache-dir", str(cache),
+            "--bundle", str(bundle),
+        ]) == 0
+        first = capsys.readouterr().out
+        manifest = bundle / "MANIFEST.json"
+        data = json.loads(manifest.read_text())
+        data["environment"]["code_fingerprint"] = "0" * 16
+        manifest.write_text(json.dumps(data))
+        for command in ("run", "report"):
+            assert main([
+                command, "--from-bundle", str(bundle), "--cache-dir", str(cache),
+            ]) == 0
+            captured = capsys.readouterr()
+            assert "code fingerprint mismatch" in captured.err, command
+            if command == "report":
+                assert captured.out == first
+
     def test_report_to_stdout_includes_comparison_columns(self, capsys):
         assert main([
             "report", "fig03", "--runs", "2", "--compare", "ONTH",

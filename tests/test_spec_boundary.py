@@ -186,6 +186,9 @@ BAD_SPECS = {
     )),
     "runs=1.5": _bad(lambda d: d.update(runs=1.5)),
     "runs=True": _bad(lambda d: d.update(runs=True)),
+    "start_node=99": _bad(
+        lambda d: d["experiment"]["policies"][0].update(params={"start_node": 99})
+    ),
 }
 
 
