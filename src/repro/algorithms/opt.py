@@ -64,11 +64,7 @@ def per_round_access_costs(
     if active.size == 0:
         result[sizes > 0] = np.inf
         return result
-    flat = (
-        np.concatenate(list(trace.rounds))
-        if n_rounds
-        else np.zeros(0, dtype=np.int64)
-    )
+    flat = trace.flat
     if flat.size == 0:
         return result
 

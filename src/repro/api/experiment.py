@@ -35,7 +35,7 @@ after the last simulation without consuming any randomness.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -516,9 +516,11 @@ def _preflight(spec: SweepSpec) -> None:
     simulates or computes distances. Every failure is one
     ``ValueError`` naming the component path and, when the sweep moves
     that component, the point: ``experiment.topology at topology.n=-3:
-    n must be >= 1, got -3``. The exception is an explicit ``start_node``
-    outside the substrate, which fails with the policy's own message,
-    ``start node 99 outside the substrate``, as the replicate would.
+    n must be >= 1, got -3``. An explicit ``start_node`` the substrate
+    lacks fails with the policy's own message, ``start node 99 outside the
+    substrate``, as the replicate would; under a swept topology or policy
+    it names the policy and the point too: ``experiment.policies[0] at
+    topology.n=3: start node 4 outside the substrate``.
     """
     rep = spec.replication
     if rep is not None and rep.adaptive and rep.max_runs < spec.effective_runs:
@@ -554,9 +556,18 @@ def _preflight(spec: SweepSpec) -> None:
                     policy_spec.scenario.build(substrate)
         with _rejecting("experiment.policies", at.get("policies", "")):
             labels = resolve_series_labels(probe)
-        for policy_spec in probe.policies:
+        for i, policy_spec in enumerate(probe.policies):
             node = policy_spec.params.get("start_node")
-            if node is not None:  # the default, the center, needs distances
+            if node is None:  # the default, the center, needs distances
+                continue
+            # Unswept, the policy's own message stands alone, as a
+            # replicate would raise it; swept, it names the point.
+            place = at.get("topology") or at.get("policies")
+            with (
+                _rejecting(f"experiment.policies[{i}]", place)
+                if place
+                else nullcontext()
+            ):
                 resolve_start(substrate, node)
         for i, metric in enumerate(probe.metrics):
             with _rejecting(f"experiment.metrics[{i}]", at.get("policies", "")):

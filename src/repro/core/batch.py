@@ -6,11 +6,13 @@ from the substrate for every epoch window of every policy, and memoises
 what those windows compute. This module does both without changing a
 single ledger bit:
 
-* :class:`DistanceGather` gathers the substrate's distance columns for a
-  whole trace **once**, one column per distinct request node
-  (``distances[:, nodes]``), so its size does not grow with the trace (a
-  commuter trace at n=1000 holds ~14k requests from 128 nodes). An
-  epoch window's candidate matrix is its requests' columns of that gather
+* :class:`DistanceGather` reads the trace's flat request array and round
+  offsets as they are stored (read-only, no copy) and gathers the
+  substrate's distance columns for the whole trace **once**, one column
+  per distinct request node (``distances[:, nodes]``), so its size does
+  not grow with the trace (a commuter trace at n=1000 holds ~14k
+  requests from 128 nodes). An epoch window's candidate matrix is its
+  requests' columns of that gather
   (``columns[:, col_of[c0:c1]]``): the values and layout of
   ``distances[:, flat]``, copied only when the window's scan misses the
   memo;
@@ -87,7 +89,10 @@ class DistanceGather:
     ``j``-th request of the flattened trace: ``columns`` holds one column
     per distinct request node and ``col_of`` maps each request to its
     column. Round ``t`` is the request range ``offsets[t]:offsets[t+1]``,
-    and any epoch window of a policy is likewise a range. The gather is
+    and any epoch window of a policy is likewise a range. ``flat`` and
+    ``offsets`` are the trace's own read-only arrays
+    (:attr:`~repro.workload.base.Trace.flat`), shared, not copied, and a
+    window's requests are read-only views into them. The gather is
     lazy: a run that never scans candidates never pays for it, and the
     round loop's router reads the substrate's distances directly.
     """
@@ -101,9 +106,9 @@ class DistanceGather:
         self.substrate = substrate
         self.costs = costs
         rounds = trace.rounds
-        self.sizes = np.asarray([r.size for r in rounds], dtype=np.int64)
-        self.offsets = np.zeros(len(rounds) + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.offsets[1:])
+        #: Round boundaries in :attr:`flat` (the trace's own, read-only).
+        self.offsets = trace.offsets
+        self.sizes = trace.requests_per_round()
         #: ``offsets`` as Python ints, for indexing in per-round code.
         self.offset_list: list[int] = self.offsets.tolist()
         # Intern the rounds: equal request arrays (``Trace`` rounds are all
@@ -127,11 +132,9 @@ class DistanceGather:
         renumber[~repeated] = np.arange(self.repeated_ids, repeated.size, dtype=id_type)
         #: Content id of each round: equal ids hold equal request arrays.
         self.round_ids = renumber[first_seen]
-        self.flat = (
-            np.concatenate(rounds)
-            if self.offsets[-1]
-            else np.zeros(0, dtype=np.int64)
-        )
+        #: Every request of the trace, in round order (the trace's own
+        #: read-only array).
+        self.flat = trace.flat
         if self.flat.size:
             lo, hi = int(self.flat.min()), int(self.flat.max())
             if lo < 0:

@@ -171,19 +171,18 @@ def bandwidth_migration_matrix(
 
 
 def _adjacency_with_bandwidth(substrate: Substrate) -> dict:
-    """Dense latency adjacency plus a bandwidth lookup for path walking."""
+    """Sparse latency adjacency plus a dense bandwidth lookup for path walking."""
     from scipy.sparse import csr_matrix
 
     n = substrate.n
-    rows, cols, lats = [], [], []
+    links = substrate.link_arrays
+    rows = np.concatenate((links.u, links.v))
+    cols = np.concatenate((links.v, links.u))
     bandwidth = np.zeros((n, n), dtype=np.float64)
-    for link in substrate.links:
-        rows.extend((link.u, link.v))
-        cols.extend((link.v, link.u))
-        lats.extend((link.latency, link.latency))
-        bandwidth[link.u, link.v] = link.bandwidth
-        bandwidth[link.v, link.u] = link.bandwidth
-    latency = csr_matrix((lats, (rows, cols)), shape=(n, n))
+    bandwidth[rows, cols] = np.concatenate((links.bandwidth, links.bandwidth))
+    latency = csr_matrix(
+        (np.concatenate((links.latency, links.latency)), (rows, cols)), shape=(n, n)
+    )
     return {"latency": latency, "bandwidth": bandwidth}
 
 

@@ -25,6 +25,7 @@ simulator serves from a shared distance gather when it can.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -43,9 +44,18 @@ def resolve_start(substrate: Substrate, node: "int | None") -> int:
     """The node of a policy's initial server: ``node``, or the network center.
 
     Raises:
-        ValueError: if ``node`` is not a node of ``substrate``.
+        ValueError: if ``node`` is not a whole number or not a node of
+            ``substrate``.
     """
-    start = substrate.center if node is None else int(node)
+    if node is None:
+        start = substrate.center
+    else:
+        try:
+            start = operator.index(node)
+        except TypeError:
+            raise ValueError(
+                f"start node must be a whole node index, got {node!r}"
+            ) from None
     if not 0 <= start < substrate.n:
         raise ValueError(f"start node {start} outside the substrate")
     return start

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_topology
-from repro.topology.substrate import T1_MBPS, T2_MBPS, Link, Substrate
+from repro.topology.substrate import T1_MBPS, T2_MBPS, LinkArrays, Substrate
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
@@ -68,17 +68,15 @@ def _links_from_edges(
     rng: np.random.Generator,
     latency_range: tuple[float, float],
     unit_latency: bool,
-) -> list[Link]:
+) -> LinkArrays:
+    """The links of ``edges`` (an ``(m, 2)`` array) with drawn latencies and bandwidths."""
     count = len(edges)
     if unit_latency:
         latencies = np.ones(count)
     else:
         latencies = random_latencies(rng, count, latency_range)
     bandwidths = random_bandwidth(rng, count)
-    return [
-        Link(int(u), int(v), float(lat), float(bw))
-        for (u, v), lat, bw in zip(edges, latencies, bandwidths)
-    ]
+    return LinkArrays(edges[:, 0], edges[:, 1], latencies, bandwidths)
 
 
 @register_topology("erdos_renyi", aliases=("er",))
@@ -152,30 +150,24 @@ def _connect_components(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
     for u, v in edges:
-        union(u, v)
+        parent[find(u)] = find(v)
 
-    roots = sorted({find(v) for v in range(n)})
-    if len(roots) <= 1:
-        return edges
-
-    # Link each component to the next via a random representative pair.
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(find(v), []).append(v)
-    component_lists = [members[r] for r in roots]
-    existing = set(edges)
+    if len(members) <= 1:
+        return edges
+
+    # Link each component to the next, in root order, via a random
+    # representative pair. ``left[rng.integers(0, len(left))]`` is
+    # ``rng.choice(left)``'s draw, without converting the list to an
+    # array. Components are disjoint, so no chain link is already an edge.
+    component_lists = [members[root] for root in sorted(members)]
     for left, right in zip(component_lists, component_lists[1:]):
-        u = int(rng.choice(left))
-        v = int(rng.choice(right))
-        edge = (min(u, v), max(u, v))
-        if edge not in existing:
-            edges.append(edge)
-            existing.add(edge)
-        union(u, v)
+        u = left[rng.integers(0, len(left))]
+        v = right[rng.integers(0, len(right))]
+        edges.append((min(u, v), max(u, v)))
     return edges
 
 
@@ -281,7 +273,7 @@ def random_tree(
     n = check_positive_int("n", n)
     rng = ensure_rng(seed)
     if n == 1:
-        return Substrate(1, [], name=name or "tree(n=1)")
+        return Substrate(1, (), name=name or "tree(n=1)")
     parents = np.array([int(rng.integers(0, i)) for i in range(1, n)])
     edges = np.column_stack([parents, np.arange(1, n)])
     edges = np.sort(edges, axis=1)

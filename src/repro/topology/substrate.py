@@ -4,15 +4,18 @@ A :class:`Substrate` is an undirected, connected graph whose nodes carry a
 *strength* ``ω(v)`` (CPU/memory capability entering the load function) and
 whose edges carry a *latency* ``λ(e)`` and a *bandwidth* ``ω(e)``.
 
-The object is immutable after construction and caches the all-pairs
+The links are stored as arrays (:class:`LinkArrays`), checked in bulk;
+the :class:`Link` objects are built only when :attr:`Substrate.links` is
+read. The object is immutable after construction and caches the all-pairs
 shortest-path latency matrix, which is the quantity every other subsystem
 consumes: request access cost is the shortest-path latency from access point
 to server (§II-B), and the commuter workload needs distances from the network
 center (§V-A). The matrix is computed once with
 :func:`scipy.sparse.csgraph.dijkstra` over a CSR adjacency. That is the
-dominant setup cost of a large substrate: about 0.3 s for a 1000-node
-Erdős–Rényi graph on a 2-vCPU machine, roughly half of a size sweep
-(Fig. 3) up to n=1000, where every replicate draws its own graph.
+dominant setup cost of a large substrate: in a size sweep (Fig. 3, 25
+Erdős–Rényi graphs of 100 to 1000 nodes, every replicate drawing its own)
+it took 2.2 s on a shared 2-vCPU machine, against 0.12 s for building the
+25 substrates (sampling, link checks, adjacency, connectivity).
 scipy's sparse-graph modules (~0.45 s to import) load on the first
 construction, not with the package, so a sweep's pre-flight loads them
 before a process pool forks its workers, and a warm cache hit never does.
@@ -20,15 +23,16 @@ before a process pool forks its workers, and a warm cache hit never does.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:  # imported lazily at runtime, on the first construction
     from scipy.sparse import csr_matrix
 
-__all__ = ["Link", "Substrate"]
+__all__ = ["Link", "LinkArrays", "Substrate"]
 
 #: Bandwidth of a T1 line in Mbit/s (§V-A: links are random T1 or T2).
 T1_MBPS = 1.544
@@ -73,14 +77,87 @@ class Link:
         return (self.u, self.v)
 
 
+def _first(mask: np.ndarray) -> "int | None":
+    """Index of the first true entry of ``mask``, or ``None``."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+class LinkArrays:
+    """Substrate links as four aligned read-only arrays.
+
+    The storage behind :class:`Substrate`: endpoints ``u < v`` (``int64``),
+    ``latency`` and ``bandwidth`` (``float64``), one entry per link in input
+    order. Each link is checked as :class:`Link` checks it, in bulk: the
+    first self-loop or non-positive latency or bandwidth, in input order,
+    raises :class:`Link`'s message. Iterating yields the equal
+    :class:`Link` objects, so the table stands in for a link list.
+    """
+
+    __slots__ = ("u", "v", "latency", "bandwidth")
+
+    def __init__(self, u, v, latency, bandwidth) -> None:
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        latency = np.array(latency, dtype=np.float64)
+        bandwidth = np.array(bandwidth, dtype=np.float64)
+        if not u.ndim == v.ndim == latency.ndim == bandwidth.ndim == 1 or not (
+            u.size == v.size == latency.size == bandwidth.size
+        ):
+            raise ValueError(
+                "link arrays must be 1-D and of equal length, got shapes "
+                f"{u.shape}, {v.shape}, {latency.shape}, {bandwidth.shape}"
+            )
+        bad = _first((u == v) | ~(latency > 0) | ~(bandwidth > 0))
+        if bad is not None:
+            if u[bad] == v[bad]:
+                raise ValueError(f"self-loop on node {int(u[bad])} is not allowed")
+            if not latency[bad] > 0:
+                raise ValueError(
+                    f"link latency must be > 0, got {float(latency[bad])!r}"
+                )
+            raise ValueError(
+                f"link bandwidth must be > 0, got {float(bandwidth[bad])!r}"
+            )
+        self.u = np.minimum(u, v)
+        self.v = np.maximum(u, v)
+        self.latency = latency
+        self.bandwidth = bandwidth
+        for arr in (self.u, self.v, latency, bandwidth):
+            arr.flags.writeable = False
+
+    @classmethod
+    def from_links(cls, links: "Iterable[Link]") -> "LinkArrays":
+        """The table of a :class:`Link` sequence, in its order."""
+        links = tuple(links)
+        return cls(
+            [link.u for link in links],
+            [link.v for link in links],
+            [link.latency for link in links],
+            [link.bandwidth for link in links],
+        )
+
+    def __len__(self) -> int:
+        return self.u.size
+
+    def __iter__(self) -> Iterator[Link]:
+        return map(
+            Link,
+            self.u.tolist(),
+            self.v.tolist(),
+            self.latency.tolist(),
+            self.bandwidth.tolist(),
+        )
+
+
 class Substrate:
     """Immutable substrate network with cached shortest-path latencies.
 
     Args:
         n: number of substrate nodes; nodes are indexed ``0 .. n-1``.
-        links: iterable of :class:`Link`; the resulting graph must be
-            connected (every access point must be able to reach every
-            candidate server location).
+        links: a :class:`LinkArrays` table (what the generators build) or
+            an iterable of :class:`Link`, converted to one; the resulting
+            graph must be connected (every access point must be able to
+            reach every candidate server location).
         strengths: per-node strength ``ω(v)``; scalar broadcasts to all
             nodes. Defaults to 1.0 everywhere, the paper's implicit setting.
         access_points: node indices that terminals may attach to
@@ -97,7 +174,7 @@ class Substrate:
     def __init__(
         self,
         n: int,
-        links: "list[Link] | tuple[Link, ...]",
+        links: "LinkArrays | Iterable[Link]",
         strengths: "float | np.ndarray | None" = None,
         access_points: "list[int] | np.ndarray | None" = None,
         name: str = "substrate",
@@ -107,17 +184,13 @@ class Substrate:
             raise ValueError(f"substrate needs at least one node, got n={n}")
         self._n = int(n)
         self._name = str(name)
-        self._links = tuple(links)
-        seen: set[tuple[int, int]] = set()
-        for link in self._links:
-            if not (0 <= link.u < n and 0 <= link.v < n):
-                raise ValueError(
-                    f"link {link.endpoints} references nodes outside 0..{n - 1}"
-                )
-            if link.endpoints in seen:
-                raise ValueError(f"duplicate link {link.endpoints}")
-            seen.add(link.endpoints)
-
+        #: The ``Link`` tuple, built on the first :attr:`links` access.
+        self._links: "tuple[Link, ...] | None" = None
+        if not isinstance(links, LinkArrays):
+            self._links = tuple(links)
+            links = LinkArrays.from_links(self._links)
+        self._link_arrays = links
+        self._check_links()
         self._strengths = self._build_strengths(strengths)
         self._capacities = self._build_capacities(capacities)
         self._access_points = self._build_access_points(access_points)
@@ -127,6 +200,27 @@ class Substrate:
         self._center: "int | None" = None
 
     # -- construction helpers -------------------------------------------------
+
+    def _check_links(self) -> None:
+        """Range and duplicate checks, naming the first bad link in input order."""
+        links, n = self._link_arrays, self._n
+        out = _first((links.u < 0) | (links.v >= n))
+        # Duplicates among the links before the first out-of-range one.
+        stop = len(links) if out is None else out
+        keys = links.u[:stop] * n + links.v[:stop]
+        _, first_seen = np.unique(keys, return_index=True)
+        repeated = np.ones(stop, dtype=bool)
+        repeated[first_seen] = False
+        dup = _first(repeated)
+        if dup is not None:
+            raise ValueError(
+                f"duplicate link {(int(links.u[dup]), int(links.v[dup]))}"
+            )
+        if out is not None:
+            raise ValueError(
+                f"link {(int(links.u[out]), int(links.v[out]))} references "
+                f"nodes outside 0..{n - 1}"
+            )
 
     def _build_strengths(self, strengths) -> np.ndarray:
         if strengths is None:
@@ -173,14 +267,14 @@ class Substrate:
     def _build_adjacency(self) -> csr_matrix:
         from scipy.sparse import csr_matrix
 
-        if not self._links:
+        links = self._link_arrays
+        if not len(links):
             # single-node substrates are legal; scipy handles an empty matrix
             return csr_matrix((self._n, self._n), dtype=np.float64)
-        rows, cols, vals = [], [], []
-        for link in self._links:
-            rows.extend((link.u, link.v))
-            cols.extend((link.v, link.u))
-            vals.extend((link.latency, link.latency))
+        # Each link enters as (u, v) then (v, u), interleaved in link order.
+        rows = np.column_stack((links.u, links.v)).ravel()
+        cols = np.column_stack((links.v, links.u)).ravel()
+        vals = np.repeat(links.latency, 2)
         return csr_matrix((vals, (rows, cols)), shape=(self._n, self._n))
 
     def _require_connected(self) -> None:
@@ -210,8 +304,15 @@ class Substrate:
 
     @property
     def links(self) -> tuple[Link, ...]:
-        """The substrate links (normalised, deduplicated)."""
+        """The substrate links (normalised, deduplicated), built on first access."""
+        if self._links is None:
+            self._links = tuple(self._link_arrays)
         return self._links
+
+    @property
+    def link_arrays(self) -> LinkArrays:
+        """The links as read-only ``u``/``v``/``latency``/``bandwidth`` arrays."""
+        return self._link_arrays
 
     @property
     def strengths(self) -> np.ndarray:
@@ -242,19 +343,12 @@ class Substrate:
     ) -> "Substrate":
         """A copy of this substrate with ``capacities`` swapped in.
 
-        The cached distance matrix is shared (it depends only on links), so
-        deriving a capacitated variant of a large substrate is cheap.
+        The links, adjacency and cached distance matrix are shared (none of
+        them depends on capacities), so deriving a capacitated variant of a
+        large substrate is cheap.
         """
-        clone = Substrate(
-            self._n,
-            self._links,
-            strengths=self._strengths,
-            access_points=self._access_points,
-            name=self._name,
-            capacities=capacities,
-        )
-        clone._distances = self._distances
-        clone._center = self._center
+        clone = copy.copy(self)
+        clone._capacities = clone._build_capacities(capacities)
         return clone
 
     @property
@@ -267,7 +361,7 @@ class Substrate:
     @property
     def n_links(self) -> int:
         """Number of substrate links ``|E|``."""
-        return len(self._links)
+        return len(self._link_arrays)
 
     def degree(self, node: int) -> int:
         """Number of links incident to ``node``."""

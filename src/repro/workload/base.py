@@ -5,9 +5,10 @@ access-point node. Since all servers host the same service in this model,
 a request is fully described by its access point, so a round is simply an
 ``int64`` array of node indices (duplicates = multiple requests at that
 point) and a :class:`Trace` is the whole request sequence.
-:func:`check_round` is the one definition of a valid round; ``Trace``,
-:class:`~repro.traces.StreamingTrace` and the simulator's streamed loop all
-call it.
+:func:`check_round` is the one definition of a valid round; ``Trace``
+applies it in bulk, :class:`~repro.traces.StreamingTrace` and the
+simulator's streamed loop round by round. A ``Trace`` stores its requests
+in one flat read-only array, and its rounds are views into it.
 
 Materialised traces are what both worlds consume: online algorithms read
 them round by round, offline algorithms (OPT, OFFSTAT, OFFBR/OFFTH) get the
@@ -87,28 +88,108 @@ def _npz_path(path: "str | Path") -> Path:
     return path
 
 
+def _flatten_rounds(rounds) -> "tuple[np.ndarray, np.ndarray]":
+    """``rounds`` checked and joined: one ``int64`` request array and its offsets.
+
+    The bulk form of :func:`check_round`: integer rounds pass a per-round
+    ``ndim``/dtype test, are joined by one concatenation and checked for
+    negative nodes in one pass; any other round goes through
+    :func:`check_round` itself (which converts integral floats). A bad
+    trace raises :func:`check_round`'s message for its first bad round.
+    """
+    arrays = []
+    for t, requests in enumerate(rounds):
+        arr = np.asarray(requests)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            try:
+                arr = check_round(t, arr)
+            except ValueError:
+                for s, earlier in enumerate(arrays):  # an earlier round fails first
+                    check_round(s, earlier)
+                raise
+        arrays.append(arr)
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([arr.size for arr in arrays], out=offsets[1:])
+    flat = (
+        np.concatenate(arrays, dtype=np.int64, casting="unsafe")
+        if arrays
+        else np.zeros(0, dtype=np.int64)
+    )
+    if flat.size and flat.min() < 0:
+        t = int(np.searchsorted(offsets, np.argmax(flat < 0), side="right")) - 1
+        check_round(t, flat[offsets[t] : offsets[t + 1]])
+    return flat, offsets
+
+
 @dataclass(frozen=True)
 class Trace:
     """An immutable request sequence: one node-index array per round.
 
+    The requests are stored flat: :attr:`flat` holds every request of the
+    trace in round order and round ``t`` is ``flat[offsets[t]:offsets[t+1]]``.
+    Both arrays are read-only, and so is every round, a view into
+    :attr:`flat` that cannot be made writeable. The rounds given to the
+    constructor are checked by :func:`check_round`'s rule in bulk and
+    copied once, into :attr:`flat`.
+
     Attributes:
-        rounds: tuple of read-only ``int64`` arrays; ``rounds[t]`` holds the
+        rounds: tuple of read-only ``int64`` views; ``rounds[t]`` holds the
             access point of every request of round ``t``.
         scenario_name: label of the generating scenario (for reports).
         metadata: scenario parameters recorded for provenance.
+        flat: every request of the trace, shape ``(total_requests,)``.
+        offsets: round boundaries in :attr:`flat`, shape ``(len + 1,)``.
     """
 
     rounds: tuple[np.ndarray, ...]
     scenario_name: str = ""
     metadata: dict = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        frozen_rounds = []
-        for t, arr in enumerate(self.rounds):
-            arr = check_round(t, arr).copy()
-            arr.flags.writeable = False
-            frozen_rounds.append(arr)
-        object.__setattr__(self, "rounds", tuple(frozen_rounds))
+        self._store(*_flatten_rounds(self.rounds))
+
+    @classmethod
+    def _from_flat(
+        cls, flat: np.ndarray, offsets: np.ndarray, scenario_name: str, metadata: dict
+    ) -> "Trace":
+        """A trace over already checked ``flat``/``offsets`` (no copy when read-only)."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "scenario_name", scenario_name)
+        object.__setattr__(trace, "metadata", metadata)
+        trace._store(flat, offsets)
+        return trace
+
+    def _store(self, flat: np.ndarray, offsets: np.ndarray) -> None:
+        if flat.flags.writeable:
+            flat.flags.writeable = False
+            flat = flat[:]  # a view of a read-only base stays read-only
+        if offsets.flags.writeable:
+            offsets.flags.writeable = False
+            offsets = offsets[:]
+        bounds = offsets.tolist()
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(
+            self,
+            "rounds",
+            tuple([flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]),
+        )
+
+    def __getattr__(self, name: str):
+        # Reached only when ``flat``/``offsets`` were never stored: a trace
+        # made without ``__init__`` (hand-built or corrupt data). Its rounds
+        # are joined unchecked, so the gather's own checks still see them.
+        if name not in ("flat", "offsets") or "rounds" not in self.__dict__:
+            raise AttributeError(name)
+        rounds = self.rounds
+        offsets = np.zeros(len(rounds) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rounds], out=offsets[1:])
+        flat = np.concatenate(rounds) if rounds else np.zeros(0, dtype=np.int64)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "offsets", offsets)
+        return self.__dict__[name]
 
     # -- sequence protocol ---------------------------------------------------------
 
@@ -126,9 +207,7 @@ class Trace:
     def _memo(self, name: str, compute) -> int:
         """Compute-once statistics on a frozen dataclass.
 
-        ``max_node``/``total_requests`` would otherwise re-scan every round
-        on each access; the rounds are immutable, so the first computed
-        value is final.
+        The rounds are immutable, so the first computed value is final.
         """
         cached = self.__dict__.get(name)
         if cached is None:
@@ -139,15 +218,12 @@ class Trace:
     @property
     def total_requests(self) -> int:
         """Number of requests over the whole trace (computed once)."""
-        return self._memo(
-            "_total_requests",
-            lambda: int(sum(arr.size for arr in self.rounds)),
-        )
+        return self._memo("_total_requests", lambda: int(self.flat.size))
 
     @property
     def max_requests_per_round(self) -> int:
         """Largest round size (the demand peak)."""
-        return max((arr.size for arr in self.rounds), default=0)
+        return int(self.requests_per_round().max(initial=0))
 
     @property
     def max_node(self) -> int:
@@ -156,46 +232,49 @@ class Trace:
         Computed once per trace: the rounds cannot change.
         """
         return self._memo(
-            "_max_node",
-            lambda: max(
-                (int(arr.max()) for arr in self.rounds if arr.size), default=-1
-            ),
+            "_max_node", lambda: int(self.flat.max()) if self.flat.size else -1
         )
 
     def requests_per_round(self) -> np.ndarray:
         """Round-size series, shape ``(len(trace),)``."""
-        return np.asarray([arr.size for arr in self.rounds], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def node_histogram(self, n_nodes: int) -> np.ndarray:
         """Total request count per node over the whole trace.
 
-        One ``np.bincount`` over the concatenated flat request array instead
-        of a per-round bincount loop — O(requests + n_nodes) regardless of
-        the round count.
+        One ``np.bincount`` over :attr:`flat` — O(requests + n_nodes)
+        regardless of the round count.
         """
         if self.max_node >= n_nodes:
             raise ValueError(
                 f"trace references node {self.max_node} >= n_nodes={n_nodes}"
             )
-        if not self.rounds:
-            return np.zeros(n_nodes, dtype=np.int64)
-        flat = np.concatenate(self.rounds)
-        return np.bincount(flat, minlength=n_nodes).astype(np.int64, copy=False)
+        return np.bincount(self.flat, minlength=n_nodes).astype(np.int64, copy=False)
 
     # -- slicing & composition ----------------------------------------------------
 
     def window(self, start: int, stop: int) -> "Trace":
-        """Sub-trace of rounds ``[start, stop)`` (epoch replay uses this)."""
+        """Sub-trace of rounds ``[start, stop)`` (epoch replay uses this).
+
+        Shares this trace's :attr:`flat`; nothing is copied.
+        """
         if not 0 <= start <= stop <= len(self.rounds):
             raise ValueError(
                 f"invalid window [{start}, {stop}) for a {len(self.rounds)}-round trace"
             )
-        return Trace(self.rounds[start:stop], self.scenario_name, dict(self.metadata))
+        first, last = self.offsets[start], self.offsets[stop]
+        return Trace._from_flat(
+            self.flat[first:last],
+            self.offsets[start : stop + 1] - first,
+            self.scenario_name,
+            dict(self.metadata),
+        )
 
     def concat(self, other: "Trace") -> "Trace":
         """Concatenate two traces in time."""
-        return Trace(
-            self.rounds + other.rounds,
+        return Trace._from_flat(
+            np.concatenate((self.flat, other.flat)),
+            np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1])),
             self.scenario_name or other.scenario_name,
             {**other.metadata, **self.metadata},
         )
@@ -203,23 +282,22 @@ class Trace:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: "str | Path") -> Path:
-        """Serialise to ``.npz`` (flat request array + round offsets + metadata).
+        """Serialise to ``.npz`` (flat request array + round sizes + metadata).
 
         The suffix is normalised to ``.npz`` (matching what ``np.savez``
         writes regardless); the actual path written is returned so callers
         can hand it straight to :meth:`load`.
         """
         path = _npz_path(path)
-        flat = (
-            np.concatenate([arr for arr in self.rounds])
-            if self.rounds
-            else np.zeros(0, dtype=np.int64)
-        )
-        sizes = np.asarray([arr.size for arr in self.rounds], dtype=np.int64)
         header = json.dumps(
             {"scenario_name": self.scenario_name, "metadata": self.metadata}
         )
-        np.savez(path, flat=flat, sizes=sizes, header=np.asarray(header))
+        np.savez(
+            path,
+            flat=self.flat,
+            sizes=self.requests_per_round(),
+            header=np.asarray(header),
+        )
         return path
 
     @classmethod
@@ -229,7 +307,7 @@ class Trace:
         Accepts the path exactly as the caller passed it to :meth:`save`:
         a missing ``.npz`` suffix is appended when the literal path does not
         exist (mirroring the ``np.savez`` behaviour that appended it on
-        write).
+        write). The file's rounds are checked like any others.
         """
         path = Path(path)
         if not path.exists():
@@ -238,10 +316,8 @@ class Trace:
             flat = data["flat"]
             sizes = data["sizes"]
             header = json.loads(str(data["header"]))
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        rounds = tuple(
-            flat[offsets[i]: offsets[i + 1]] for i in range(sizes.size)
-        )
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        rounds = tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
         return cls(rounds, header["scenario_name"], header["metadata"])
 
 

@@ -139,15 +139,20 @@ class CommuterScenario(Scenario):
         return aps[order]
 
     def stream(self, horizon: int, rng: np.random.Generator):
-        """Yield commuter rounds lazily."""
+        """Yield commuter rounds lazily.
+
+        A dynamic-load round is a read-only view of the trace's frozen
+        center ordering, not a copy; a static-load round is a fresh array.
+        """
         ordering = self._center_ordering(rng)
+        ordering.flags.writeable = False
         volume = self.peak_demand
         cap = self.peak_access_points
         for t in range(horizon):
             step = self.fanout_step(t)
             points = ordering[: min(1 << step, cap)]
             if self.dynamic_load:
-                yield points.copy()
+                yield points
             else:
                 # 2^(T/2) requests split as evenly as possible (exactly
                 # 2^(T/2-s) each below saturation).

@@ -210,7 +210,7 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_start_node_outside_the_substrate_is_one_line(self, capsys):
-        # only the replicate's policy reset sees the substrate size
+        # the pre-flight rejects it with the policy's own message
         rc = main([
             "run", "--policy", "onth:start_node=99", "--topology", "line:n=5",
             "--horizon", "10", "--runs", "1",
@@ -218,6 +218,17 @@ class TestRunCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: start node 99 outside the substrate"
+
+    def test_start_node_error_names_the_swept_point(self, capsys):
+        rc = main([
+            "run", "--policy", "onth:start_node=4", "--topology", "line:n=5",
+            "--sweep", "topology.n=6,3", "--horizon", "10", "--runs", "1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: experiment.policies[0] at topology.n=3: "
+            "start node 4 outside the substrate"
+        )
 
     def test_unpackable_round_is_one_line(self, capsys):
         # five unit capacities cannot serve a commuter round of more requests

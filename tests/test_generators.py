@@ -191,3 +191,23 @@ class TestErdosRenyiPairDecoding:
         )
         sub = erdos_renyi(200, p=0.01, seed=seed, latency_range=(1.0, 10.0))
         assert sub.links == tuple(links)
+
+
+class TestComponentRepresentativeDraw:
+    """The repair's ``left[rng.integers(0, len(left))]`` is ``rng.choice(left)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        members=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1,
+                         max_size=300),
+        draws=st.integers(min_value=1, max_value=4),
+    )
+    def test_same_draw_and_same_state(self, seed, members, draws):
+        choice_rng = np.random.default_rng(seed)
+        index_rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            assert int(choice_rng.choice(members)) == members[
+                index_rng.integers(0, len(members))
+            ]
+        assert choice_rng.bit_generator.state == index_rng.bit_generator.state

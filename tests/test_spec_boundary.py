@@ -189,6 +189,9 @@ BAD_SPECS = {
     "start_node=99": _bad(
         lambda d: d["experiment"]["policies"][0].update(params={"start_node": 99})
     ),
+    "start_node=[1]": _bad(
+        lambda d: d["experiment"]["policies"][0].update(params={"start_node": [1]})
+    ),
 }
 
 
@@ -236,6 +239,22 @@ def test_errors_name_the_component_and_the_swept_point():
         lambda: run_sweep(SweepSpec.from_dict(BAD_SPECS["onthh"]))
     )
     assert message.startswith("experiment.policies: unknown policy 'onthh'")
+
+
+def test_start_node_errors_name_the_swept_point():
+    data = _bad(lambda d: (
+        d["experiment"]["policies"][0].update(params={"start_node": 4}),
+        d.update(parameter="topology.n", values=[6, 3]),
+    ))
+    message = _one_line_value_error(lambda: run_sweep(
+        SweepSpec.from_dict(data), backend=_NoReplicates()
+    ))
+    assert message == (
+        "experiment.policies[0] at topology.n=3: start node 4 outside the substrate"
+    )
+    assert _one_line_value_error(lambda: run_sweep(
+        SweepSpec.from_dict(BAD_SPECS["start_node=[1]"]), backend=_NoReplicates()
+    )) == "start node must be a whole node index, got (1,)"
 
 
 @pytest.mark.parametrize("metric, message", [

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.topology.generators import erdos_renyi, line
 from repro.topology.rocketfuel import att_like_topology
-from repro.topology.substrate import Link, Substrate
+from repro.topology.substrate import Link, LinkArrays, Substrate
 
 
 def make_path(n=4, latency=1.0):
@@ -259,3 +259,85 @@ class TestCapacities:
         assert capped.distances is base  # cache shared, not recomputed
         uncapped = capped.with_capacities(None)
         assert not uncapped.capacitated
+
+
+def _link_error(u, v, latency, bandwidth) -> "str | None":
+    """``Link``'s own message for one link, or ``None`` when it is valid."""
+    try:
+        Link(u, v, latency, bandwidth)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestLinkArrays:
+    """Array-built links are checked in bulk with the ``Link`` messages."""
+
+    @pytest.mark.parametrize("bad", [
+        (3, 3, 1.0, 1.0),
+        (0, 2, 0.0, 1.0),
+        (0, 2, -1.5, 1.0),
+        (0, 2, float("nan"), 1.0),
+        (2, 0, 1.0, 0.0),
+        (1, 1, -1.0, -1.0),
+    ])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_first_bad_link_gives_links_message(self, bad, position):
+        rows = [(0, 1, 1.0, 1.0), (1, 2, 2.0, 1.0), (2, 3, 1.0, 6.3), (3, 4, 1.0, 1.0)]
+        rows[position] = bad
+        rows.append((4, 4, -1.0, -1.0))  # a later bad link never wins
+        u, v, lat, bw = map(list, zip(*rows))
+        with pytest.raises(ValueError) as error:
+            LinkArrays(u, v, lat, bw)
+        assert str(error.value) == _link_error(*bad)
+
+    def test_endpoints_are_normalised(self):
+        links = LinkArrays([3, 0], [1, 2], [2.0, 1.0], [1.0, 1.0])
+        assert links.u.tolist() == [1, 0] and links.v.tolist() == [3, 2]
+        assert tuple(links) == (Link(3, 1, 2.0, 1.0), Link(0, 2, 1.0, 1.0))
+
+    def test_arrays_are_read_only(self):
+        links = LinkArrays([0], [1], [1.0], [1.0])
+        for arr in (links.u, links.v, links.latency, links.bandwidth):
+            with pytest.raises(ValueError):
+                arr[0] = 2
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LinkArrays([0, 1], [1, 2], [1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 1), (1, 2), (2, 1), (0, 7)], "duplicate link (1, 2)"),
+        ([(0, 1), (0, 7), (1, 2), (2, 1)], "link (0, 7) references nodes outside 0..2"),
+        ([(0, 1), (1, 0), (-1, 2)], "duplicate link (0, 1)"),
+        ([(2, -1), (0, 1), (1, 0)], "link (-1, 2) references nodes outside 0..2"),
+    ])
+    def test_range_and_duplicates_name_the_first_bad_link(self, rows, message):
+        u, v = map(list, zip(*rows))
+        ones = [1.0] * len(rows)
+        with pytest.raises(ValueError) as error:
+            Substrate(3, LinkArrays(u, v, ones, ones))
+        assert str(error.value) == message
+        with pytest.raises(ValueError) as error:
+            Substrate(3, [Link(a, b, 1.0, 1.0) for a, b in rows])
+        assert str(error.value) == message
+
+    def test_links_tuple_equals_a_link_built_substrate(self):
+        rows = [(1, 0, 2.5, 1.544), (1, 2, 1.0, 6.312), (3, 2, 4.0, 1.544)]
+        from_links = Substrate(4, [Link(*row) for row in rows])
+        from_arrays = Substrate(4, LinkArrays(*map(list, zip(*rows))))
+        assert from_arrays.links == from_links.links
+        assert from_arrays.n_links == 3
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(from_arrays._adjacency, name),
+                getattr(from_links._adjacency, name),
+            )
+        np.testing.assert_array_equal(from_arrays.distances, from_links.distances)
+
+    def test_with_capacities_shares_links_and_adjacency(self):
+        sub = make_path(5)
+        capped = sub.with_capacities(2.0)
+        assert capped.link_arrays is sub.link_arrays
+        assert capped._adjacency is sub._adjacency
+        assert capped.links == sub.links

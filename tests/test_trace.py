@@ -239,3 +239,94 @@ class TestGenerateTrace:
         b = generate_trace(scenario, 20, seed=5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def _first_round_error(rounds) -> str:
+    """The message the per-round rule gives: ``check_round`` over each round in order."""
+    for t, requests in enumerate(rounds):
+        try:
+            check_round(t, requests)
+        except ValueError as error:
+            return str(error)
+    raise AssertionError("no bad round")
+
+
+BAD_ROUNDS = {
+    "2-D": np.zeros((2, 2), dtype=np.int64),
+    "bool": np.array([True, False]),
+    "fractional": np.array([1.0, 2.5]),
+    "NaN": np.array([np.nan]),
+    "negative": np.array([3, -2, -7]),
+    "negative float": np.array([1.0, -4.0]),
+    "negative list": [0, -1],
+}
+
+
+class TestBulkValidation:
+    """``Trace`` checks its rounds in bulk with ``check_round``'s rule and messages."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROUNDS))
+    @pytest.mark.parametrize("position", [0, 2, 5])
+    def test_first_bad_round_gives_check_rounds_message(self, kind, position):
+        rounds = [np.array([1, 2]), [], np.array([0]), np.array([4.0]), [3], [2, 2]]
+        rounds[position] = BAD_ROUNDS[kind]
+        with pytest.raises(ValueError) as error:
+            Trace(tuple(rounds))
+        assert str(error.value) == _first_round_error(rounds)
+        assert f"round {position} " in str(error.value)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROUNDS))
+    def test_an_earlier_negative_round_fails_first(self, kind):
+        rounds = [np.array([1]), np.array([0, -5]), BAD_ROUNDS[kind]]
+        with pytest.raises(ValueError, match="^round 1 references negative node -5$"):
+            Trace(tuple(rounds))
+
+    def test_mixed_integer_dtypes_are_exact(self):
+        rounds = (np.array([1, 2], dtype=np.int8), np.array([7], dtype=np.uint32),
+                  np.array([3.0]), [], np.array([2**40]))
+        trace = Trace(rounds)
+        assert [r.tolist() for r in trace] == [[1, 2], [7], [3], [], [2**40]]
+        assert trace.flat.dtype == np.int64
+
+    def test_integral_floats_and_empty_rounds_accepted(self):
+        trace = Trace((np.array([2.0, 0.0]), [], np.zeros(0), np.array([], dtype=int)))
+        assert [r.tolist() for r in trace] == [[2, 0], [], [], []]
+        np.testing.assert_array_equal(trace.offsets, [0, 2, 2, 2, 2])
+
+    def test_rounds_are_views_of_flat(self):
+        trace = Trace((np.array([4, 1]), [], np.array([2, 2, 3])))
+        np.testing.assert_array_equal(trace.flat, [4, 1, 2, 2, 3])
+        np.testing.assert_array_equal(trace.offsets, [0, 2, 2, 5])
+        assert all(np.shares_memory(r, trace.flat) for r in trace if r.size)
+
+    def test_views_cannot_be_made_writeable(self, tiny_trace):
+        for arr in (*tiny_trace.rounds, tiny_trace.flat, tiny_trace.offsets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        window = tiny_trace.window(1, 4)
+        for arr in (*window.rounds, window.flat, window.offsets):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_window_and_concat_keep_flat_storage(self, tiny_trace):
+        window = tiny_trace.window(1, 4)
+        assert np.shares_memory(window.flat, tiny_trace.flat)
+        np.testing.assert_array_equal(window.offsets, [0, 1, 1, 5])
+        double = tiny_trace.concat(window)
+        assert [r.tolist() for r in double] == [
+            r.tolist() for r in (*tiny_trace.rounds, *window.rounds)
+        ]
+        np.testing.assert_array_equal(
+            double.flat, np.concatenate([*tiny_trace.rounds, *window.rounds])
+        )
+
+    def test_commuter_rounds_are_read_only_views(self, line5):
+        scenario = CommuterScenario(line5, period=4, sojourn=2)
+        rounds = list(scenario.stream(12, np.random.default_rng(0)))
+        assert all(not r.flags.writeable for r in rounds)
+        with pytest.raises(ValueError):
+            rounds[-1].flags.writeable = True
+        trace = scenario.generate(12, np.random.default_rng(0))
+        for streamed, stored in zip(rounds, trace):
+            np.testing.assert_array_equal(streamed, stored)
