@@ -11,11 +11,11 @@ single ledger bit:
   substrate's distance columns for the whole trace **once**, one column
   per distinct request node (``distances[:, nodes]``), so its size does
   not grow with the trace (a commuter trace at n=1000 holds ~14k
-  requests from 128 nodes). An epoch window's candidate matrix is its
-  requests' columns of that gather
-  (``columns[:, col_of[c0:c1]]``): the values and layout of
-  ``distances[:, flat]``, copied only when the window's scan misses the
-  memo;
+  requests from 128 nodes). An epoch window's scan reads its requests'
+  columns of that gather chunk by chunk, as C-contiguous rows of
+  ``columns.T`` (``columns.T[col_of[c0 + j0 : c0 + j1]]``, the values of
+  ``distances[:, flat[j0:j1]].T``), so no ``(n, requests)`` block is
+  ever copied;
 * :class:`GatherWindow` is a drop-in :class:`~repro.core.evaluation.RequestBatch`
   whose ``add_round``/``clear`` just move window pointers over the gather.
   Policies get one from
@@ -42,9 +42,13 @@ its values, layout and summation order are the same at any position.
 Bit-identity ground rules (why these transformations are safe):
 
 * numpy's pairwise summation is a pure function of the summand sequence
-  and the operand layout, so every sum here runs over the exact values, in
-  the exact layout, that per-round routing and a plain ``RequestBatch``
-  sum (never padded, never transposed);
+  and the operand layout, so every pairwise sum here (routing, exact
+  costs, the scan's leave-one-out base rows) runs over the exact values,
+  in the exact layout, that per-round routing and a plain
+  ``RequestBatch`` sum (never padded, never transposed);
+* the scan's candidate sums are a sequential fold in request order, not
+  pairwise, so they depend only on the summand sequence: any chunking of
+  the window's requests gives the same bits;
 * ``min``/``argmin``/gathers are exact, so a leave-one-out base is the
   min over the remaining rows in any grouping, and a row of minima sums
   like the argmin gather it equals;
@@ -198,6 +202,8 @@ class DistanceGather:
             # axis-1 reductions are only bitwise-reproducible when the
             # operand layout matches (np.take would give C order and shift
             # the pairwise summation order by a ULP on fractional weights).
+            # Fortran order also makes columns.T, whose rows the scan's
+            # candidate fold reads, C-contiguous.
             self._columns = self.substrate.distances[:, np.flatnonzero(present)]
         return self._columns
 
@@ -238,11 +244,13 @@ class GatherWindow(RequestBatch):
 
     ``add_round``/``clear`` move ``[t0, t1)`` pointers instead of copying
     request arrays; ``flat``/``round_ids``/``round_sizes`` are slices of the
-    gather, and the distance accessors copy the window's requests' columns
-    out of it. The base class's epoch scan and exact costs therefore see
-    byte-identical inputs in the same shapes, layouts and reduction
-    orders as a freshly built plain window — the outputs are bit-identical,
-    just cheaper to produce, and memoised on the gather.
+    gather, and the distance accessors read the window's requests' columns
+    from it: a ``(rows, requests)`` block for exact costs and the scan's
+    base rows, and ``(chunk, n)`` candidate rows for the scan's fold. The
+    base class's epoch scan and exact costs therefore see byte-identical
+    inputs in the same shapes, layouts and reduction orders as a freshly
+    built plain window — the outputs are bit-identical, just cheaper to
+    produce, and memoised on the gather.
     """
 
     def __init__(self, gather: DistanceGather) -> None:
@@ -312,9 +320,12 @@ class GatherWindow(RequestBatch):
         gather = self._gather
         return gather.columns[np.ix_(rows, gather.col_of[self._c0 : self._c1])]
 
-    def _candidate_matrix(self) -> np.ndarray:
+    def _candidate_rows(self, j0: int, j1: int) -> np.ndarray:
+        # columns is Fortran-ordered, so its transpose is C-contiguous and
+        # a row gather is distances[:, flat[j0:j1]].T in value and layout.
         gather = self._gather
-        return gather.columns[:, gather.col_of[self._c0 : self._c1]]
+        c0 = self._c0
+        return gather.columns.T[gather.col_of[c0 + j0 : c0 + j1]]
 
     # -- content-keyed memo -----------------------------------------------------
 

@@ -11,9 +11,12 @@ Python work:
 * the window's requests are flattened into one index array with per-round
   offsets (:class:`RequestBatch`);
 * per-request latencies under the current placement and under each of its
-  leave-one-out placements form one stack of rows; adding a candidate
-  server ``u`` to a row costs one ``minimum(D[u], row)`` reduction, and
-  every family is one stacked ``(rows × n × R)`` broadcast;
+  leave-one-out placements form one stack of rows, each summed pairwise
+  like :meth:`RequestBatch.exact_access_cost`; adding a candidate server
+  ``u`` to a row costs one ``minimum(D[u], row)`` reduction, and every
+  family's candidate sums are one fold over chunks of the window's
+  requests, a sequential sum in request order whose bits do not depend on
+  the chunk size (memory O(chunk), not O(rows × n × R));
 * the load term is added exactly. For assignment-invariant load models
   (linear load, uniform strengths — the paper's default) it is a constant
   across candidates; otherwise each candidate row carries a balanced-split
@@ -44,10 +47,19 @@ __all__ = ["EpochScan", "RequestBatch"]
 #: model is not assignment-invariant.
 _SHORTLIST_SIZE = 8
 
-#: Cap on the stacked ``(rows, n, requests)`` candidate broadcast; above
-#: this the epoch scan scores one row at a time (identical values, lower
-#: peak memory).
-_STACK_ELEMS_MAX = 1 << 24
+#: Bytes of the ``(rows, chunk, n)`` minima buffer the candidate fold
+#: reuses for each chunk of a window's requests.
+_FOLD_BYTES = 256 << 10
+
+#: Fewest requests per chunk of the candidate fold, however large the
+#: ``rows × n`` face: smaller chunks cost more in per-chunk overhead than
+#: they save in memory.
+_FOLD_MIN_REQUESTS = 64
+
+
+def _fold_chunk(rows: int, n: int) -> int:
+    """Requests per chunk of the candidate fold over a ``rows × n`` face."""
+    return max(_FOLD_MIN_REQUESTS, _FOLD_BYTES // (8 * max(rows * n, 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,9 +198,12 @@ class RequestBatch:
         """Distances from ``rows`` to every window request, ``(len(rows), R)``."""
         return self._substrate.distances[np.ix_(rows, self.flat)]
 
-    def _candidate_matrix(self) -> np.ndarray:
-        """Distances from *every* node to every window request, ``(n, R)``."""
-        return self._substrate.distances[:, self.flat]
+    def _candidate_rows(self, j0: int, j1: int) -> np.ndarray:
+        """Distances from every node to window requests ``j0:j1``, as a
+        C-contiguous ``(j1 - j0, n)`` block (row ``j`` is request ``j``'s
+        distance column, never its row: Dijkstra from the request node
+        rounds differently)."""
+        return self._substrate.distances[:, self.flat[j0:j1]].T
 
     # -- exact costs -----------------------------------------------------------
 
@@ -331,20 +346,36 @@ class RequestBatch:
         return EpochScan(stay, targets, access, removal, addition)
 
     def _candidate_latencies(self, stack: np.ndarray) -> np.ndarray:
-        """``minimum(candidates, stack[i]).sum(axis=1)`` for every row ``i``.
+        """``latency[i, u] = Σ_j min(D[u, r_j], stack[i, j])`` over the window's
+        requests ``r_j``, for every row ``i`` of ``stack`` and node ``u``.
 
-        One stacked broadcast: the same operand layout and reduction order
-        as a row-at-a-time pass, which it falls back to above
-        :data:`_STACK_ELEMS_MAX` (identical values, lower peak memory).
+        The sum is a sequential fold in request order: that is how numpy
+        reduces a ``(rows, n, R)`` broadcast of ``distances[:, flat]``,
+        whose request axis lies outside the contiguous node axis, so the
+        fold can be carried across chunks of requests bit for bit. Each
+        chunk's minima go into one reused C-ordered ``(rows, 1 + chunk,
+        n)`` buffer behind the running sum in row 0, and one reduction
+        over the chunk axis carries the sum on. A window that fits one
+        chunk is one broadcast and one reduction; memory is
+        O(rows · chunk · n) at any window length. (A 1-node substrate has
+        no node axis and numpy sums pairwise, but there every minimum is 0.)
         """
-        candidates = self._candidate_matrix()
         rows, m = stack.shape
-        n = candidates.shape[0]
-        if rows * n * m <= _STACK_ELEMS_MAX:
-            return np.minimum(candidates[None, :, :], stack[:, None, :]).sum(axis=2)
-        latency = np.empty((rows, n), dtype=np.float64)
-        for i in range(rows):
-            latency[i] = np.minimum(candidates, stack[i]).sum(axis=1)
+        n = self._substrate.n
+        chunk = _fold_chunk(rows, n)
+        latency = np.zeros((rows, n), dtype=np.float64)
+        buffer = np.empty((rows, min(chunk, m) + (m > chunk), n), dtype=np.float64)
+        for j0 in range(0, m, chunk):
+            j1 = min(j0 + chunk, m)
+            lead = 1 if j0 else 0
+            part = buffer[:, : lead + j1 - j0]
+            if j0:
+                part[:, 0] = latency
+            np.minimum(
+                self._candidate_rows(j0, j1)[None], stack[:, j0:j1, None],
+                out=part[:, lead:],
+            )
+            np.add.reduce(part, axis=1, out=latency)
         return latency
 
     def _placement_loads(self, blocks: np.ndarray, placements: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Scenario
+from repro.workload.base import Scenario, WeightedDraw, draw_uniform
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
 __all__ = [
@@ -90,15 +90,21 @@ class GammaArrivalScenario(Scenario):
         aps = self.substrate.access_points
         shape = 1.0 / (self.cv * self.cv)
         scale = self.rate * self.cv * self.cv
-        weights = None
+        weighted = None
         if self.concentration is not None:
-            weights = rng.dirichlet(np.full(aps.size, self.concentration))
+            weighted = WeightedDraw(
+                aps, rng.dirichlet(np.full(aps.size, self.concentration))
+            )
         intensity = 0.0
         for t in range(horizon):
             if t % self.burst_length == 0:
                 intensity = rng.gamma(shape, scale)
             count = int(rng.poisson(intensity))
-            yield rng.choice(aps, size=count, p=weights).astype(np.int64)
+            if weighted is None:
+                requests = draw_uniform(rng, aps, count)
+            else:
+                requests = weighted(rng, count)
+            yield requests.astype(np.int64)
 
 
 @register_scenario("flashcrowd")
@@ -166,9 +172,9 @@ class FlashCrowdScenario(Scenario):
         # Active crowds: [sites, peak, age]; age counts rounds since start.
         crowds: "list[list]" = []
         for _t in range(horizon):
-            requests = [rng.choice(aps, size=int(rng.poisson(self.background_rate)))]
+            requests = [draw_uniform(rng, aps, int(rng.poisson(self.background_rate)))]
             if rng.random() < self.event_rate:
-                epicenter = int(rng.choice(aps))
+                epicenter = int(draw_uniform(rng, aps))
                 crowds.append([self._crowd_sites(epicenter), self.peak, 0])
             surviving: "list[list]" = []
             spawned: "list[list]" = []
@@ -180,9 +186,9 @@ class FlashCrowdScenario(Scenario):
                     intensity = peak * self.decay ** (age - self.ramp)
                 count = int(rng.poisson(intensity))
                 if count:
-                    requests.append(rng.choice(sites, size=count))
+                    requests.append(draw_uniform(rng, sites, count))
                 if age + 1 == self.ramp and rng.random() < self.cascade:
-                    secondary = int(rng.choice(aps))
+                    secondary = int(draw_uniform(rng, aps))
                     spawned.append([self._crowd_sites(secondary), peak / 2.0, 0])
                 crowd[2] = age + 1
                 if intensity >= 1.0:
@@ -265,7 +271,7 @@ class DiurnalWavesScenario(Scenario):
                 wave = 1.0 + self.amplitude * np.sin(phase)
                 count = int(rng.poisson(self.rate * day_factor * max(wave, 0.0)))
                 if count:
-                    requests.append(rng.choice(members, size=count))
+                    requests.append(draw_uniform(rng, members, count))
             if requests:
                 yield np.concatenate(requests).astype(np.int64, copy=False)
             else:

@@ -18,7 +18,10 @@ A scenario subclasses :class:`Scenario` and implements only
 ``stream(horizon, rng)``, yielding one round at a time; the base class
 derives ``generate`` (the materialised :class:`Trace`) and ``metadata``
 from it. Scenarios are deterministic given their RNG, so a (seed,
-scenario) pair pins the exact trace, streamed or materialised.
+scenario) pair pins the exact trace, streamed or materialised. Streams
+that draw access points every round use :func:`draw_uniform` and
+:class:`WeightedDraw`, which give ``Generator.choice``'s values and
+generator state without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ __all__ = [
     "Scenario",
     "RequestGenerator",
     "RoundIterable",
+    "WeightedDraw",
     "as_trace",
     "check_round",
+    "draw_uniform",
     "generate_trace",
     "stream_rounds",
 ]
@@ -363,6 +368,37 @@ class Scenario(ABC):
             scenario_name=self.scenario_name,
             metadata=self.metadata(),
         )
+
+
+def draw_uniform(
+    rng: np.random.Generator, a: np.ndarray, size: "int | None" = None
+) -> np.ndarray:
+    """``rng.choice(a, size)`` with replacement, minus its per-call checks.
+
+    ``Generator.choice`` draws the same ``integers(0, len(a), size)``, so
+    the values and the generator's state afterwards are the same.
+    """
+    return a[rng.integers(0, len(a), size=size)]
+
+
+class WeightedDraw:
+    """``rng.choice(a, size, p=p)`` with the cumulative weights built once.
+
+    ``Generator.choice`` normalises ``p.cumsum()`` by its last entry and
+    searches ``random(size)`` in it on every call. Building that ``cdf``
+    once per weight vector gives the same values and the same generator
+    state afterwards, without the per-call checks and cumsum.
+    """
+
+    def __init__(self, a: np.ndarray, p: np.ndarray) -> None:
+        self.a = np.asarray(a)
+        self.cdf = np.asarray(p, dtype=np.float64).cumsum()
+        self.cdf /= self.cdf[-1]
+
+    def __call__(
+        self, rng: np.random.Generator, size: "int | None" = None
+    ) -> np.ndarray:
+        return self.a[self.cdf.searchsorted(rng.random(size), side="right")]
 
 
 #: Another name for :class:`Scenario`, kept for existing imports.

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Scenario
+from repro.workload.base import Scenario, draw_uniform
 from repro.util.validation import check_positive, check_positive_int, check_probability
 
 __all__ = ["MobilityScenario"]
@@ -76,17 +76,17 @@ class MobilityScenario(Scenario):
         """Yield mobility rounds lazily."""
         aps = self.substrate.access_points
         move_probability = 1.0 / self.mean_sojourn
-        positions = rng.choice(aps, size=self.n_users)
-        attractor = int(rng.choice(aps))
+        positions = draw_uniform(rng, aps, self.n_users)
+        attractor = int(draw_uniform(rng, aps))
 
         for t in range(horizon):
             if t > 0 and t % self.attractor_period == 0:
-                attractor = int(rng.choice(aps))
+                attractor = int(draw_uniform(rng, aps))
             movers = rng.random(self.n_users) < move_probability
             n_movers = int(movers.sum())
             if n_movers:
                 to_attractor = rng.random(n_movers) < self.correlation
-                destinations = rng.choice(aps, size=n_movers)
+                destinations = draw_uniform(rng, aps, n_movers)
                 destinations[to_attractor] = attractor
                 positions = positions.copy()
                 positions[movers] = destinations

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.api.registry import register_scenario
 from repro.topology.substrate import Substrate
-from repro.workload.base import Scenario
+from repro.workload.base import Scenario, draw_uniform
 from repro.util.validation import check_positive_int, check_probability
 
 __all__ = ["TimeZoneScenario"]
@@ -88,5 +88,5 @@ class TimeZoneScenario(Scenario):
         for t in range(horizon):
             hotspot = hotspots[self.period_of(t)]
             pinned = np.full(n_hot, hotspot, dtype=np.int64)
-            background = rng.choice(aps, size=n_background)
+            background = draw_uniform(rng, aps, n_background)
             yield np.concatenate([pinned, background])

@@ -198,7 +198,12 @@ class TestDistinctNodeGather:
         horizon = len(trace.rounds)
         for t0, t1 in itertools.combinations(range(horizon + 1), 2):
             base, window = window_pair(substrate, costs, trace, t0, t1, gather)
-            pairs = [(base._candidate_matrix(), window._candidate_matrix())]
+            m = base.total_requests
+            cut = int(rng.integers(0, m + 1))
+            pairs = [
+                (base._candidate_rows(j0, j1), window._candidate_rows(j0, j1))
+                for j0, j1 in {(0, m), (0, cut), (cut, m), (cut, min(cut + 3, m))}
+            ]
             for size in {1, substrate.n, int(rng.integers(1, substrate.n + 1))}:
                 rows = rng.choice(substrate.n, size=size, replace=False)
                 pairs.append((base._distance_block(rows), window._distance_block(rows)))
