@@ -22,12 +22,21 @@ convex load may leave only the other entries as lower bounds). Applying
 a choice updates the policy's configuration and inactive-server cache
 consistently with how :func:`~repro.core.transitions.price_transition`
 will charge it.
+
+A policy asks :func:`choose` for its decision: the family list goes
+through a selection rule (:func:`best_choice`, or :func:`best_addition`
+for ONTH's large epochs) and only the chosen :class:`Choice` is kept. The
+choice is a pure function of the window's requests, the configuration,
+the cache's nodes and size, the cost model, the family flags and the
+rule, so a gather window memoises it under its content key: an epoch
+boundary whose window recurs anywhere in the trace (a commuter day, a
+quiet spell) is one memo lookup.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +46,10 @@ from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
 from repro.core.servercache import InactiveServerCache
 
-__all__ = ["Choice", "enumerate_choices", "apply_choice", "best_choice"]
+__all__ = [
+    "Choice", "enumerate_choices", "choose", "apply_choice", "best_choice",
+    "best_addition",
+]
 
 #: Tie-break order between families with equal total cost: prefer doing
 #: nothing, then free changes, then priced ones.
@@ -88,23 +100,47 @@ def enumerate_choices(
     ONBR enumerates every family; ONTH's small epochs exclude additions
     (``allow_add=False``) because servers are only added at large-epoch
     boundaries (§III-A). The access costs come from one
-    :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`.
+    :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`, which a gather
+    window memoises; the list itself is built fresh (policies call
+    :func:`choose`, which memoises the chosen entry).
+    """
+    return _assemble_choices(
+        batch, config, cache.nodes, cache.max_size, costs,
+        allow_migrate, allow_deactivate, allow_add,
+    )
 
-    The result is a pure function of the window's requests and of the
-    arguments' values, so the batch may memoise it
-    (:meth:`~repro.core.evaluation.RequestBatch.memoised`); the key below
-    names every input the assembly reads.
+
+def choose(
+    batch: RequestBatch,
+    config: Configuration,
+    cache: InactiveServerCache,
+    costs: CostModel,
+    rule: "Callable[[Sequence[Choice], int], Choice | None]",
+    allow_migrate: bool = True,
+    allow_deactivate: bool = True,
+    allow_add: bool = True,
+) -> "Choice | None":
+    """``rule(enumerate_choices(...), batch.n_rounds)``, memoised on the batch.
+
+    The value is a pure function of the window's requests (its
+    ``n_rounds`` included) and of the arguments' values, so a gather
+    window memoises it under its content key
+    (:meth:`~repro.core.evaluation.RequestBatch.memoised`); a plain batch
+    computes it fresh. The key below names every input the choice reads.
     """
     queue_nodes, max_cache = cache.nodes, cache.max_size
     key = (
-        "choices", config.active, config.inactive, queue_nodes, max_cache,
+        "choice", rule, config.active, config.inactive, queue_nodes, max_cache,
         costs, allow_migrate, allow_deactivate, allow_add,
     )
     return batch.memoised(
         key,
-        lambda: _assemble_choices(
-            batch, config, queue_nodes, max_cache, costs,
-            allow_migrate, allow_deactivate, allow_add,
+        lambda: rule(
+            _assemble_choices(
+                batch, config, queue_nodes, max_cache, costs,
+                allow_migrate, allow_deactivate, allow_add,
+            ),
+            batch.n_rounds,
         ),
     )
 
@@ -211,6 +247,16 @@ def best_choice(choices: "Sequence[Choice]", n_rounds: int) -> Choice:
     if not choices:
         raise ValueError("no choices to select from")
     return min(choices, key=lambda ch: (ch.total(n_rounds), ch.priority, ch.target))
+
+
+def best_addition(choices: "Sequence[Choice]", n_rounds: int) -> "Choice | None":
+    """The activation or creation of least window access (ONTH's large
+    epochs, §III-A), ``None`` when neither family has a candidate; ties
+    resolved by :data:`_KIND_PRIORITY`."""
+    additions = [ch for ch in choices if ch.kind in ("activate", "create")]
+    if not additions:
+        return None
+    return min(additions, key=lambda ch: (ch.access, ch.priority, ch.target))
 
 
 def apply_choice(

@@ -79,7 +79,7 @@ class OffBR(OnBR, OfflinePolicy):
             self._trace,
             self._current_round + 1,
             self._config,
-            self._threshold(),
+            self._epoch_threshold,
         )
         if not upcoming:  # at the end of the trace: fall back to the past epoch
             return self._batch
@@ -105,7 +105,7 @@ class OffTH(OnTH, OfflinePolicy):
             self._trace,
             self._current_round + 1,
             self._config,
-            self._small_factor * self._costs.migration,
+            self._small_threshold,
         )
         if not upcoming:
             return self._small_batch

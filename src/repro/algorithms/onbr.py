@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._families import apply_choice, best_choice, enumerate_choices
+from repro.algorithms._families import apply_choice, best_choice, choose
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
@@ -76,6 +76,9 @@ class OnBR(AllocationPolicy):
         self._epoch_cost = 0.0
         self._epoch_rounds = 0
         self._previous_epoch_rounds: "int | None" = None
+        self._epoch_threshold = 0.0
+        self._run_config: "Configuration | None" = None
+        self._run_cost = 0.0
         self._current_round = -1
 
     @property
@@ -103,6 +106,8 @@ class OnBR(AllocationPolicy):
         self._epoch_cost = 0.0
         self._epoch_rounds = 0
         self._previous_epoch_rounds = None
+        self._epoch_threshold = self._threshold()
+        self._run_config = None
         self._current_round = -1
         return self._config
 
@@ -121,9 +126,12 @@ class OnBR(AllocationPolicy):
         self._current_round = t
         self._batch.add_round(requests)
         self._epoch_rounds += 1
-        self._epoch_cost += routing.access_cost + self._costs.running_cost(self._config)
+        if self._config is not self._run_config:
+            self._run_config = self._config
+            self._run_cost = self._costs.running_cost(self._config)
+        self._epoch_cost += routing.access_cost + self._run_cost
 
-        if self._epoch_cost < self._threshold():
+        if self._epoch_cost < self._epoch_threshold:
             return self._config
 
         self._end_epoch()
@@ -140,11 +148,10 @@ class OnBR(AllocationPolicy):
         return self._batch
 
     def _end_epoch(self) -> None:
-        batch = self._decision_batch()
-        choices = enumerate_choices(
-            batch, self._config, self._cache, self._costs
+        chosen = choose(
+            self._decision_batch(), self._config, self._cache, self._costs,
+            best_choice,
         )
-        chosen = best_choice(choices, batch.n_rounds)
         self._config = apply_choice(chosen, self._config, self._cache)
 
         expired = self._cache.tick_epoch()
@@ -152,6 +159,7 @@ class OnBR(AllocationPolicy):
             self._config = self._config.replace_inactive(self._cache.nodes)
 
         self._previous_epoch_rounds = self._epoch_rounds
+        self._epoch_threshold = self._threshold()
         self._epoch_rounds = 0
         self._epoch_cost = 0.0
         self._batch.clear()

@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.algorithms._families import (
     apply_choice,
+    best_addition,
     best_choice,
-    enumerate_choices,
+    choose,
 )
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
@@ -81,6 +82,9 @@ class OnTH(AllocationPolicy):
         self._small_cost = 0.0
         self._large_access = 0.0
         self._large_running = 0.0
+        self._small_threshold = 0.0
+        self._run_config: "Configuration | None" = None
+        self._run_cost = 0.0
         self._current_round = -1
 
     @property
@@ -109,6 +113,8 @@ class OnTH(AllocationPolicy):
         self._small_cost = 0.0
         self._large_access = 0.0
         self._large_running = 0.0
+        self._small_threshold = self._small_factor * costs.migration
+        self._run_config = None
         self._current_round = -1
         return self._config
 
@@ -119,7 +125,10 @@ class OnTH(AllocationPolicy):
         routing: RoutingResult,
     ) -> Configuration:
         self._current_round = t
-        running = self._costs.running_cost(self._config)
+        if self._config is not self._run_config:
+            self._run_config = self._config
+            self._run_cost = self._costs.running_cost(self._config)
+        running = self._run_cost
         self._small_batch.add_round(requests)
         self._large_batch.add_round(requests)
         self._small_cost += routing.access_cost + running
@@ -130,7 +139,7 @@ class OnTH(AllocationPolicy):
             self._end_large_epoch()
             return self._config
 
-        if self._small_cost >= self._small_factor * self._costs.migration:
+        if self._small_cost >= self._small_threshold:
             self._end_small_epoch()
         return self._config
 
@@ -153,20 +162,16 @@ class OnTH(AllocationPolicy):
 
     def _end_large_epoch(self) -> None:
         """Activate one more server at the access-optimal position (§III-A)."""
-        choices = [
-            ch
-            for ch in enumerate_choices(
-                self._large_decision_batch(),
-                self._config,
-                self._cache,
-                self._costs,
-                allow_migrate=False,
-                allow_deactivate=False,
-            )
-            if ch.kind in ("activate", "create")
-        ]
-        if choices:
-            chosen = min(choices, key=lambda ch: (ch.access, ch.priority, ch.target))
+        chosen = choose(
+            self._large_decision_batch(),
+            self._config,
+            self._cache,
+            self._costs,
+            best_addition,
+            allow_migrate=False,
+            allow_deactivate=False,
+        )
+        if chosen is not None:
             self._config = apply_choice(chosen, self._config, self._cache)
         self._large_batch.clear()
         self._large_access = 0.0
@@ -183,15 +188,14 @@ class OnTH(AllocationPolicy):
         return self._small_batch
 
     def _end_small_epoch(self) -> None:
-        batch = self._small_decision_batch()
-        choices = enumerate_choices(
-            batch,
+        chosen = choose(
+            self._small_decision_batch(),
             self._config,
             self._cache,
             self._costs,
+            best_choice,
             allow_add=False,
         )
-        chosen = best_choice(choices, batch.n_rounds)
         self._config = apply_choice(chosen, self._config, self._cache)
 
         expired = self._cache.tick_epoch()

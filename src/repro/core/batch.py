@@ -31,13 +31,14 @@ keyed on **content**, not position. At build, each round is interned into
 window's :attr:`~GatherWindow.content_key` is the bytes of its run of ids.
 Periodic demand repeats whole windows (a commuter day recurs every
 ``T·λ`` rounds), so one scan serves every recurrence, across sibling
-policies too. Three things are memoised under it: epoch scans and exact
-access costs (:meth:`GatherWindow.memoised`), a policy's family choices
-(:func:`~repro.algorithms._families.enumerate_choices`), and nearest
-routing of a repeated round under one active set (the simulator's span
-router). Each value is a pure function of its key: it reads only the
-window's gathered columns and reduces into freshly allocated arrays, so
-its values, layout and summation order are the same at any position.
+policies too. Four things are memoised under it: epoch scans and exact
+access costs (:meth:`GatherWindow.memoised`), a policy's decision at an
+epoch boundary (the chosen family representative,
+:func:`~repro.algorithms._families.choose`), and nearest routing of a
+repeated round under one active set (the simulator's span router). Each
+value is a pure function of its key: it reads only the window's gathered
+columns and reduces into freshly allocated arrays, so its values, layout
+and summation order are the same at any position.
 
 Bit-identity ground rules (why these transformations are safe):
 
@@ -176,11 +177,11 @@ class DistanceGather:
         return self._arange[:size]
 
     def memo_get(self, key):
-        """Cached scan, choice list or routing for ``key`` (or ``None``)."""
+        """Cached scan, decision, exact cost or routing for ``key`` (or ``None``)."""
         return self._memo.get(key)
 
     def memo_put(self, key, value) -> None:
-        """Cache a scan, choice list or routing (bounded)."""
+        """Cache a scan, decision, exact cost or routing (bounded)."""
         if len(self._memo) >= 32768:
             self._memo.clear()
         self._memo[key] = value
@@ -268,7 +269,7 @@ class GatherWindow(RequestBatch):
     def add_round(self, requests: np.ndarray) -> None:
         bounds = self._gather.offset_list
         t = self._t1
-        if t >= len(bounds) - 1 or np.asarray(requests).size != (
+        if t >= len(bounds) - 1 or requests.size != (
             bounds[t + 1] - bounds[t]
         ):
             raise RuntimeError(
@@ -317,8 +318,10 @@ class GatherWindow(RequestBatch):
     # -- distance access --------------------------------------------------------
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
+        # Only exact min/argmin read the block, so no layout of it could
+        # change a bit; rows[:, None] skips np.ix_'s index reshaping.
         gather = self._gather
-        return gather.columns[np.ix_(rows, gather.col_of[self._c0 : self._c1])]
+        return gather.columns[rows[:, None], gather.col_of[self._c0 : self._c1]]
 
     def _candidate_rows(self, j0: int, j1: int) -> np.ndarray:
         # columns is Fortran-ordered, so its transpose is C-contiguous and
@@ -335,7 +338,7 @@ class GatherWindow(RequestBatch):
 
         Two windows anywhere in the trace with equal keys hold the same
         rounds in the same order, hence the same gathered columns. The
-        bytes are built once per window range, so the scan and choice
+        bytes are built once per window range, so the scan and decision
         entries of one epoch share them.
         """
         span = (self._t0, self._t1)

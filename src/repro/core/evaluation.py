@@ -71,6 +71,25 @@ def _leave_one_out(k: int) -> np.ndarray:
     return index
 
 
+def _leave_one_out_minima(block: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = min`` over every row of ``block`` but row ``i``.
+
+    Equal to ``block[_leave_one_out(k)].min(axis=1)`` (``inf`` rows when
+    ``k == 1``) without its ``(k, k-1, R)`` copy: row ``i`` is the minimum
+    of the running minima before and after it. ``min`` is exact, so any
+    grouping gives the same bits; the temporaries are O(k·R).
+    """
+    k = block.shape[0]
+    if k == 1:
+        out[0] = np.inf
+        return
+    # Suffix minima min(block[i+1:]) into out[i] for i < k-1, from the back.
+    np.minimum.accumulate(block[:0:-1], axis=0, out=out[k - 2 :: -1])
+    prefix = np.minimum.accumulate(block[:-1], axis=0)  # min(block[:i+1])
+    np.minimum(prefix[:-1], out[1:-1], out=out[1:-1])
+    out[-1] = prefix[-1]
+
+
 class EpochScan(NamedTuple):
     """Window access costs of every single-change family at one epoch boundary.
 
@@ -195,8 +214,12 @@ class RequestBatch:
     # -- distance access (overridable by the batched gather window) -------------
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
-        """Distances from ``rows`` to every window request, ``(len(rows), R)``."""
-        return self._substrate.distances[np.ix_(rows, self.flat)]
+        """Distances from ``rows`` to every window request, ``(len(rows), R)``.
+
+        Callers only take exact ``min``/``argmin`` of the block (the sums
+        run over their fresh outputs), so its layout cannot change a bit.
+        """
+        return self._substrate.distances[rows[:, None], self.flat]
 
     def _candidate_rows(self, j0: int, j1: int) -> np.ndarray:
         """Distances from every node to window requests ``j0:j1``, as a
@@ -302,16 +325,15 @@ class RequestBatch:
             fixed = self._dyadic_load()
             # Per-request latency under each leave-one-out placement (rows
             # 0..k-1, when migrations or removals need them; a lone server
-            # leaves none, so its row stays inf) and under `active` itself
+            # leaves none, so its row is inf) and under `active` itself
             # (row k). min is exact, so each contiguous row sums like
             # exact_access_cost's, in the same pairwise order.
             block = self._distance_block(active)
             rows = np.full((k + 1, m), np.inf)
             if k:
                 block.min(axis=0, out=rows[k])
-                if k > 1 and (migrate or deactivate):
-                    blocks = block[_leave_one_out(k)]
-                    blocks.min(axis=1, out=rows[:k])
+                if migrate or deactivate:
+                    _leave_one_out_minima(block, rows[:k])
                 sums = rows[(0 if deactivate else k) :].sum(axis=1)
                 sums += hop
                 if fixed is None:
@@ -319,9 +341,11 @@ class RequestBatch:
                         sums[-1] + self._placement_loads(block[None], active[None])[0]
                     )
                     if deactivate:
-                        removal = sums[:k] + self._placement_loads(
-                            blocks, active[_leave_one_out(k)]
-                        )
+                        # One leave-one-out block at a time: O(k·R) memory.
+                        removal = sums[:k] + np.array([
+                            self._placement_loads(block[rest][None], active[rest][None])[0]
+                            for rest in _leave_one_out(k)
+                        ])
                 else:
                     # Dyadic loads: every assignment sums to the same load bits.
                     stay = float(sums[-1] + fixed)

@@ -6,8 +6,11 @@ inactive server expires after ``x`` epochs (x = 20 in the paper), and when a
 new server is needed at an empty node the oldest cache entry is the donor
 that gets migrated there.
 
-The cache tracks (node, age) pairs; ageing is driven by the owning policy
-calling :meth:`tick_epoch` at its epoch boundaries.
+Ageing is driven by the owning policy calling :meth:`tick_epoch` at its
+epoch boundaries. The cache counts those ticks and stores each entry's
+birth tick, so an entry's age is the difference. Entries only ever join at
+the back, so births never decrease along the queue: the expired entries
+are always a prefix, and a tick that expires nothing is O(1).
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ class InactiveServerCache:
     def __init__(self, max_size: int = 3, expiry_epochs: int = 20) -> None:
         self._max_size = check_positive_int("max_size", max_size)
         self._expiry = check_positive_int("expiry_epochs", expiry_epochs)
-        self._entries: list[tuple[int, int]] = []  # (node, age), oldest first
+        self._nodes: tuple[int, ...] = ()  # oldest first
+        self._births: list[int] = []  # tick at which each entry joined
+        self._epoch = 0
 
     # -- queries ----------------------------------------------------------------
 
@@ -47,13 +52,13 @@ class InactiveServerCache:
     @property
     def nodes(self) -> tuple[int, ...]:
         """Cached server nodes, oldest first (the FIFO order)."""
-        return tuple(node for node, _age in self._entries)
+        return self._nodes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nodes)
 
     def __contains__(self, node: int) -> bool:
-        return any(node == entry for entry, _age in self._entries)
+        return node in self._nodes
 
     # -- mutations ----------------------------------------------------------------
 
@@ -64,39 +69,52 @@ class InactiveServerCache:
         full, else ``None``. Pushing a node already cached is rejected: a
         node hosts at most one server.
         """
-        if node in self:
+        if node in self._nodes:
             raise ValueError(f"node {node} is already in the inactive cache")
         evicted = None
-        if len(self._entries) >= self._max_size:
-            evicted, _age = self._entries.pop(0)
-        self._entries.append((int(node), 0))
+        if len(self._nodes) >= self._max_size:
+            evicted = self.pop_oldest()
+        self._nodes += (int(node),)
+        self._births.append(self._epoch)
         return evicted
 
     def pop_oldest(self) -> "int | None":
         """Remove and return the oldest cached node (migration donor), or None."""
-        if not self._entries:
+        if not self._nodes:
             return None
-        node, _age = self._entries.pop(0)
+        node = self._nodes[0]
+        self._nodes = self._nodes[1:]
+        del self._births[0]
         return node
 
     def remove(self, node: int) -> bool:
         """Consume the entry at ``node`` (in-place activation). True if found."""
-        for i, (entry, _age) in enumerate(self._entries):
-            if entry == node:
-                del self._entries[i]
-                return True
-        return False
+        if node not in self._nodes:
+            return False
+        i = self._nodes.index(node)
+        self._nodes = self._nodes[:i] + self._nodes[i + 1 :]
+        del self._births[i]
+        return True
 
     def tick_epoch(self) -> list[int]:
         """Age every entry by one epoch; return the nodes that expired."""
-        aged = [(node, age + 1) for node, age in self._entries]
-        expired = [node for node, age in aged if age >= self._expiry]
-        self._entries = [(node, age) for node, age in aged if age < self._expiry]
+        self._epoch += 1
+        births = self._births
+        if not births or self._epoch - births[0] < self._expiry:
+            return []
+        oldest_kept = self._epoch - self._expiry  # born after this tick
+        gone = 1
+        while gone < len(births) and births[gone] <= oldest_kept:
+            gone += 1
+        expired = list(self._nodes[:gone])
+        self._nodes = self._nodes[gone:]
+        del births[:gone]
         return expired
 
     def clear(self) -> None:
         """Drop every entry (all cached servers leave use)."""
-        self._entries.clear()
+        self._nodes = ()
+        self._births.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"InactiveServerCache(nodes={list(self.nodes)}, max_size={self._max_size})"

@@ -299,6 +299,7 @@ class _SpanRouter:
         self._substrate = substrate
         self._costs = costs
         self._gather = gather
+        self._round_ids: list[int] = gather.round_ids.tolist()
         # Dyadic loads (see dyadic_linear_strength): a round's summed load
         # is size/strength bit for bit, whatever the assignment.
         self._round_loads = (
@@ -336,7 +337,7 @@ class _SpanRouter:
     def route(self, t: int, config: Configuration) -> RoutingResult:
         """Nearest routing of the non-empty round ``t`` under ``config``."""
         gather = self._gather
-        round_id = int(gather.round_ids[t])
+        round_id = self._round_ids[t]
         if round_id >= gather.repeated_ids:
             return self._route_span(t, config)  # the only round with its content
         key = ("route", round_id, config.active)

@@ -132,3 +132,79 @@ def test_long_window_scan_memory_is_bounded(substrates):
         tracemalloc.stop()
     assert scan.addition.shape == (substrate.n,)
     assert peak < 4 << 20, f"scan peaked at {peak / 2**20:.1f} MiB"
+
+
+# -- leave-one-out base rows ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_leave_one_out_minima_equal_the_stacked_copy(substrates, k):
+    """Prefix and suffix minima give the rows the ``(k, k-1, R)`` copy gave."""
+    substrate = substrates[400]
+    rng = np.random.default_rng([k, 11])
+    for m in (1, 5, 300):
+        block = substrate.distances[rng.integers(0, substrate.n, size=k)][
+            :, rng.integers(0, substrate.n, size=m)
+        ]
+        if k > 2:
+            block[rng.integers(0, k)] = block[rng.integers(0, k)]  # tied rows
+        expected = block[evaluation._leave_one_out(k)].min(axis=1, initial=np.inf)
+        out = np.full((k, m), -1.0)
+        evaluation._leave_one_out_minima(block, out)
+        assert np.array_equal(out, expected), (k, m)
+
+
+@pytest.mark.parametrize("load", ("s3", "power"))
+@pytest.mark.parametrize("k", (2, 3, 5, 7))
+def test_removal_loads_one_server_at_a_time(substrates, load, k):
+    """Under a load the scan must count, each removal's access equals the
+    stacked leave-one-out expression it replaced."""
+    from repro.core.load import LinearLoad, PowerLoad
+    from repro.topology.substrate import Substrate
+
+    base = substrates[25]
+    if load == "s3":
+        substrate = Substrate(base.n, base.links, strengths=3.0)
+        costs = CostModel.paper_default(load=LinearLoad())
+    else:
+        substrate = base
+        costs = CostModel.paper_default(load=PowerLoad(1.5))
+    rng = np.random.default_rng([k, len(load)])
+    rounds = [rng.integers(0, substrate.n, size=int(rng.integers(0, 30))) for _ in range(6)]
+    batch = RequestBatch(substrate, costs, rounds)
+    active = np.sort(rng.choice(substrate.n, size=k, replace=False))
+    scan = batch.epoch_scan(active, active)
+
+    block = substrate.distances[np.ix_(active, batch.flat)]
+    index = evaluation._leave_one_out(k)
+    stacked = block[index]
+    sums = stacked.min(axis=1).sum(axis=1) + costs.wireless_hop * batch.flat.size
+    expected = sums + batch._placement_loads(stacked, active[index])
+    assert np.array_equal(scan.removal, expected)
+
+
+def test_long_window_scan_memory_is_bounded_at_five_servers(substrates):
+    """The k=5 scan of the 20,000-request window also stays under 4 MiB,
+    on a gather window and on a plain batch: the leave-one-out rows cost
+    O(k·R), not the ``(k, k-1, R)`` copy (6.2 and 8.7 MiB before)."""
+    substrate = substrates[400]
+    rng = np.random.default_rng(5)
+    flat = rng.integers(0, substrate.n, size=20_000)
+    trace = Trace(tuple(np.split(flat, 40)), scenario_name="long")
+    gather = DistanceGather(substrate, CostModel.paper_default(), trace)
+    window = gather.new_window()
+    for requests in trace.rounds:
+        window.add_round(requests)
+    gather.columns  # built once per trace, not per scan
+    plain = RequestBatch(substrate, CostModel.paper_default(), trace.rounds)
+    plain.flat
+    active = np.array([3, 90, 170, 250, 333], dtype=np.int64)
+    for batch in (window, plain):
+        tracemalloc.start()
+        try:
+            scan = batch.epoch_scan(active, active)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.removal.shape == (5,)
+        assert peak < 4 << 20, f"{type(batch).__name__} scan peaked at {peak / 2**20:.1f} MiB"
