@@ -4,59 +4,60 @@
   instances of Figure 11 (WFA is the §VI metrical-task-system baseline);
 * beam-search planner — the §IV-B "sampling heuristic" against exact OPT
   (quality) and on an OPT-infeasible 200-node substrate (reach).
+
+Each is a :class:`~repro.api.specs.SweepSpec` run by
+:func:`~repro.api.experiment.run_sweep`, scored by the ``cost_ratio_vs``
+metric.
 """
 
-import numpy as np
 import pytest
 
 from conftest import run_once
-from repro.algorithms import BeamOpt, OffStat, OnBR, OnConf, OnTH, Opt, WorkFunctionPolicy
-from repro.core.costs import CostModel
-from repro.core.simulator import simulate
-from repro.experiments.figures import (
-    DEFAULT_SEED,
-    _LINE_LATENCIES,
-    _commuter_trace,
-    _timezone_trace,
+from repro.api.experiment import run_sweep
+from repro.api.specs import (
+    CostSpec,
+    ExperimentSpec,
+    MetricSpec,
+    PolicySpec,
+    ScenarioSpec,
+    SweepSpec,
+    TopologySpec,
 )
-from repro.experiments.runner import sweep_experiment
-from repro.topology.generators import erdos_renyi, line
+from repro.experiments.figures import DEFAULT_SEED, _line_topology
 
 
-def _opt_line(n, rng):
-    """The non-unit-latency line substrate of the OPT-based figures."""
-    return line(n, seed=rng, unit_latency=False, latency_range=_LINE_LATENCIES)
+def _ratio_vs(reference):
+    return (MetricSpec("cost_ratio_vs", {"reference": reference}),)
 
 
 @pytest.mark.figure("ext-online")
 def test_online_shootout_vs_opt(benchmark, bench_scale, figure_report):
     runs = 10 if bench_scale == "paper" else 5
     lambdas = (1, 5, 20, 50) if bench_scale == "quick" else (1, 2, 5, 10, 20, 50)
-    costs = CostModel.paper_default()
-
-    def replicate(lam, rng):
-        substrate = _opt_line(5, rng)
-        trace = _commuter_trace(substrate, 200, int(lam), True, rng, period=4)
-        opt_cost, _ = Opt.solve(substrate, trace, costs)
-        out = {}
-        for label, policy in (
-            ("ONTH/OPT", OnTH()),
-            ("ONBR/OPT", OnBR()),
-            ("ONCONF/OPT", OnConf(max_servers=3)),
-            ("WFA/OPT", WorkFunctionPolicy(max_servers=3)),
-        ):
-            run = simulate(substrate, policy, trace, costs, seed=rng)
-            out[label] = run.total_cost / opt_cost
-        return out
-
-    result = run_once(
-        benchmark,
-        lambda: sweep_experiment(
-            "ext-online", "online algorithms vs OPT (line graph, commuter dynamic)",
-            "λ", lambdas, replicate, runs=runs, seed=DEFAULT_SEED,
-            notes="WFA = metrical-task-system work function baseline (§VI)",
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=_line_topology(5),
+            scenario=ScenarioSpec("commuter", {"period": 4}),
+            policies=(
+                PolicySpec("onth", label="ONTH/OPT"),
+                PolicySpec("onbr", label="ONBR/OPT"),
+                PolicySpec("onconf", {"max_servers": 3}, label="ONCONF/OPT"),
+                PolicySpec("wfa", {"max_servers": 3}, label="WFA/OPT"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=200,
+            metrics=_ratio_vs("OPT"),
         ),
+        parameter="scenario.sojourn",
+        values=lambdas,
+        runs=runs,
+        seed=DEFAULT_SEED,
+        figure="ext-online",
+        title="online algorithms vs OPT (line graph, commuter dynamic)",
+        x_label="λ",
+        notes="WFA = metrical-task-system work function baseline (§VI)",
     )
+    result = run_once(benchmark, lambda: run_sweep(spec))
     figure_report(result)
 
     for name in result.series_names:
@@ -69,34 +70,49 @@ def test_online_shootout_vs_opt(benchmark, bench_scale, figure_report):
 def test_beam_planner_quality_and_reach(benchmark, bench_scale, figure_report):
     runs = 3 if bench_scale == "paper" else 2
     big_rounds = 150 if bench_scale == "paper" else 100
-    costs = CostModel.paper_default()
-
-    def replicate(_x, rng):
-        # quality leg: a 5-node instance where exact OPT is available
-        small = _opt_line(5, rng)
-        trace_small = _commuter_trace(small, 150, 10, True, rng, period=4)
-        opt_cost, _ = Opt.solve(small, trace_small, costs)
-        beam_small = simulate(small, BeamOpt(beam_width=64), trace_small, costs)
-        # reach leg: 200 nodes, far beyond 3^n states
-        big = erdos_renyi(200, seed=rng)
-        trace_big = _timezone_trace(big, big_rounds, 10, rng, period=6)
-        beam_big = simulate(big, BeamOpt(beam_width=24), trace_big, costs)
-        offstat_big = simulate(big, OffStat(), trace_big, costs)
-        return {
-            "BEAM/OPT (n=5)": beam_small.total_cost / opt_cost,
-            "BEAM/OFFSTAT (n=200)": beam_big.total_cost / offstat_big.total_cost,
-        }
-
-    result = run_once(
-        benchmark,
-        lambda: sweep_experiment(
-            "ext-beam", "beam-search planner: quality vs OPT, reach beyond OPT",
-            "metric", ["ratio"], replicate, runs=runs, seed=DEFAULT_SEED,
-            notes="§IV-B sampling heuristic; ≥1 vs OPT by definition",
+    common = dict(values=("ratio",), runs=runs, seed=DEFAULT_SEED,
+                  figure="ext-beam", x_label="metric")
+    # quality leg: a 5-node instance where exact OPT is available
+    quality = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=_line_topology(5),
+            scenario=ScenarioSpec("commuter", {"period": 4, "sojourn": 10}),
+            policies=(
+                PolicySpec("beamopt", {"beam_width": 64}, label="BEAM/OPT (n=5)"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=150,
+            metrics=_ratio_vs("OPT"),
         ),
+        title="beam-search planner: quality vs OPT",
+        notes="§IV-B sampling heuristic; ≥1 vs OPT by definition",
+        **common,
     )
-    figure_report(result)
+    # reach leg: 200 nodes, far beyond 3^n states
+    reach = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": 200}),
+            scenario=ScenarioSpec("timezones", {"period": 6, "sojourn": 10}),
+            policies=(
+                PolicySpec(
+                    "beamopt", {"beam_width": 24}, label="BEAM/OFFSTAT (n=200)"
+                ),
+                PolicySpec("offstat"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=big_rounds,
+            metrics=_ratio_vs("OFFSTAT"),
+        ),
+        title="beam-search planner: reach beyond OPT",
+        **common,
+    )
 
-    assert result.y("BEAM/OPT (n=5)")[0] >= 1.0 - 1e-9
-    assert result.y("BEAM/OPT (n=5)")[0] <= 1.2       # near-exact on tiny graphs
-    assert result.y("BEAM/OFFSTAT (n=200)")[0] <= 1.5  # competitive at scale
+    quality_result, reach_result = run_once(
+        benchmark, lambda: (run_sweep(quality), run_sweep(reach))
+    )
+    figure_report(quality_result)
+    figure_report(reach_result)
+
+    assert quality_result.y("BEAM/OPT (n=5)")[0] >= 1.0 - 1e-9
+    assert quality_result.y("BEAM/OPT (n=5)")[0] <= 1.2       # near-exact on tiny graphs
+    assert reach_result.y("BEAM/OFFSTAT (n=200)")[0] <= 1.5  # competitive at scale

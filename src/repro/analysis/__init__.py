@@ -1,26 +1,26 @@
-"""Analysis helpers: competitive ratios and multi-run statistics."""
+"""Analysis helpers: multi-run statistics and demand-trace descriptors.
 
-from repro.analysis.competitive import competitive_ratio_vs_opt, cost_ratio
+:mod:`repro.analysis.stats` holds the estimators every sweep aggregates
+with (means, confidence intervals, paired comparisons);
+:mod:`repro.analysis.demand` describes traces (churn, spread, dwell).
+Costs, breakdowns and competitive ratios are metrics of the spec
+pipeline (:mod:`repro.api.metrics`), averaged by the sweep engine.
+"""
+
 from repro.analysis.demand import churn, hotspot_dwell, spatial_spread
 from repro.analysis.stats import (
     ComparisonSummary,
     ConfidenceInterval,
     MeanStderr,
     PointSummary,
-    average_breakdown,
-    average_total,
     confidence_interval,
     mean_stderr,
-    paired_difference_interval,
-    paired_ratio_interval,
     paired_summary,
     point_summary,
     t_critical,
 )
 
 __all__ = [
-    "competitive_ratio_vs_opt",
-    "cost_ratio",
     "churn",
     "hotspot_dwell",
     "spatial_spread",
@@ -28,12 +28,8 @@ __all__ = [
     "ConfidenceInterval",
     "MeanStderr",
     "PointSummary",
-    "average_breakdown",
-    "average_total",
     "confidence_interval",
     "mean_stderr",
-    "paired_difference_interval",
-    "paired_ratio_interval",
     "paired_summary",
     "point_summary",
     "t_critical",

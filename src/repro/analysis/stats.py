@@ -9,18 +9,16 @@ that aggregation in one place:
 * :func:`point_summary` / :class:`PointSummary` — the full per-sweep-point
   summary (mean, stderr, CI, n) that adaptive replication and the error-bar
   rendering consume,
-* :func:`paired_difference_interval` / :func:`paired_ratio_interval` /
-  :func:`paired_summary` / :class:`ComparisonSummary` — *paired* policy
-  comparison statistics over per-replicate differences or ratios. Because
+* :func:`paired_summary` / :class:`ComparisonSummary` — *paired* policy
+  comparison statistics over per-replicate differences or ratios (the
+  interval of either is ``paired_summary(..., mode=...).ci``). Because
   policies sharing a sweep point run on common random numbers (one trace
   per replicate), the difference cancels the trace-to-trace noise both
   policies share, and the paired CI is typically far tighter than either
   marginal one — the classic CRN variance reduction,
 * :func:`comparison_matrix` / :class:`ComparisonMatrix` — every-vs-every
   paired comparisons of several aligned series at one sweep point, the
-  multi-baseline generalisation of a single :func:`paired_summary`,
-* :func:`average_breakdown` / :func:`average_total` — component-wise
-  averaging of cost breakdowns and totals.
+  multi-baseline generalisation of a single :func:`paired_summary`.
 
 All estimators reject non-finite samples with a clear :class:`ValueError`
 rather than propagating ``nan`` into figures, and are deterministic: the
@@ -33,11 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.core.results import CostBreakdown, RunResult
 
 __all__ = [
     "CI_METHODS",
@@ -47,13 +43,9 @@ __all__ = [
     "ConfidenceInterval",
     "MeanStderr",
     "PointSummary",
-    "average_breakdown",
-    "average_total",
     "comparison_matrix",
     "confidence_interval",
     "mean_stderr",
-    "paired_difference_interval",
-    "paired_ratio_interval",
     "paired_summary",
     "point_summary",
     "t_critical",
@@ -390,10 +382,7 @@ def point_summary(
 
 
 def _paired_values(
-    contrast: Sequence[float],
-    baseline: Sequence[float],
-    mode: str,
-    what: str,
+    contrast: Sequence[float], baseline: Sequence[float], mode: str
 ) -> np.ndarray:
     """The per-replicate paired statistic (difference or ratio).
 
@@ -409,74 +398,29 @@ def _paired_values(
             f"unknown comparison mode {mode!r}; expected one of "
             f"{COMPARISON_MODES}"
         )
-    a = _finite_array(contrast, what)
-    b = _finite_array(baseline, what)
+    a = _finite_array(contrast, "paired_summary")
+    b = _finite_array(baseline, "paired_summary")
     if a.size != b.size:
         raise ValueError(
-            f"{what} needs aligned replicates: got {a.size} contrast vs "
-            f"{b.size} baseline samples; paired comparisons require both "
-            "series from the same replicates (common random numbers)"
+            f"paired_summary needs aligned replicates: got {a.size} "
+            f"contrast vs {b.size} baseline samples; paired comparisons "
+            "require both series from the same replicates (common random "
+            "numbers)"
         )
     if a.size == 0:
         raise ValueError(
-            f"{what} needs at least one aligned pair of samples; an empty "
-            "paired sample set (n=0 after alignment) has no comparison to "
-            "estimate"
+            "paired_summary needs at least one aligned pair of samples; an "
+            "empty paired sample set (n=0 after alignment) has no comparison "
+            "to estimate"
         )
     if mode == "diff":
         return a - b
     if np.any(b == 0.0):
         raise ValueError(
-            f"{what} cannot form ratios against a zero baseline sample; "
-            "use mode='diff' for baselines that may reach zero"
+            "paired_summary cannot form ratios against a zero baseline "
+            "sample; use mode='diff' for baselines that may reach zero"
         )
     return a / b
-
-
-def paired_difference_interval(
-    contrast: Sequence[float],
-    baseline: Sequence[float],
-    level: float = 0.95,
-    method: str = "t",
-    n_boot: int = DEFAULT_BOOTSTRAP_SAMPLES,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """A CI for the mean per-replicate difference ``contrast - baseline``.
-
-    The interval is :func:`confidence_interval` over the paired differences,
-    so it inherits its determinism and its invariance under permutations —
-    here permutations of the *pairs* (the pairing itself is sacrosanct:
-    replicate ``i`` pairs with replicate ``i``). An interval excluding zero
-    settles the ordering of the two series at the chosen level.
-    """
-    values = _paired_values(
-        contrast, baseline, "diff", "paired_difference_interval"
-    )
-    return confidence_interval(
-        values, level=level, method=method, n_boot=n_boot, seed=seed
-    )
-
-
-def paired_ratio_interval(
-    contrast: Sequence[float],
-    baseline: Sequence[float],
-    level: float = 0.95,
-    method: str = "t",
-    n_boot: int = DEFAULT_BOOTSTRAP_SAMPLES,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """A CI for the mean per-replicate ratio ``contrast / baseline``.
-
-    Like :func:`paired_difference_interval` but for relative claims ("ONTH
-    costs 1.8x OPT"): the interval excluding one settles which series is
-    cheaper. Baseline samples must be non-zero.
-    """
-    values = _paired_values(
-        contrast, baseline, "ratio", "paired_ratio_interval"
-    )
-    return confidence_interval(
-        values, level=level, method=method, n_boot=n_boot, seed=seed
-    )
 
 
 def paired_summary(
@@ -488,8 +432,16 @@ def paired_summary(
     n_boot: int = DEFAULT_BOOTSTRAP_SAMPLES,
     seed: int = 0,
 ) -> ComparisonSummary:
-    """The full :class:`ComparisonSummary` of one paired comparison."""
-    values = _paired_values(contrast, baseline, mode, "paired_summary")
+    """The full :class:`ComparisonSummary` of one paired comparison.
+
+    Its ``ci`` is :func:`confidence_interval` over the per-replicate
+    differences (``mode="diff"``) or ratios (``mode="ratio"``), so it
+    inherits that function's determinism and its invariance under
+    permutations of the *pairs* (replicate ``i`` always pairs with
+    replicate ``i``). An interval excluding the null (0 or 1) settles the
+    ordering of the two series; ratio baselines must be non-zero.
+    """
+    values = _paired_values(contrast, baseline, mode)
     stat = mean_stderr(values)
     ci = confidence_interval(
         values, level=level, method=method, n_boot=n_boot, seed=seed
@@ -579,27 +531,3 @@ def comparison_matrix(
     return ComparisonMatrix(
         mode=mode, level=level, method=method, names=names, cells=cells
     )
-
-
-def average_total(results: Iterable[RunResult]) -> MeanStderr:
-    """Mean ± stderr of the total cost across runs.
-
-    Like :func:`mean_stderr` this raises on an empty iterable (n=0) and on
-    non-finite totals; a single run (n=1) yields stderr 0.
-    """
-    return mean_stderr([r.total_cost for r in results])
-
-
-def average_breakdown(results: Iterable[RunResult]) -> CostBreakdown:
-    """Component-wise mean cost breakdown across runs.
-
-    Raises on an empty iterable (n=0); a single run (n=1) returns that
-    run's breakdown unchanged.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("average_breakdown needs at least one run")
-    total = results[0].breakdown
-    for r in results[1:]:
-        total = total + r.breakdown
-    return total.scaled(1.0 / len(results))

@@ -101,18 +101,6 @@ class ExperimentResult:
         """Grand total cost per policy label."""
         return {label: run.total_cost for label, run in self.results.items()}
 
-    def to_figure_result(self) -> "FigureResult":
-        """Render the metric series as a single-point :class:`FigureResult`."""
-        from repro.experiments.runner import FigureResult
-
-        series = self.series or self.total_costs
-        return FigureResult(
-            figure=self.spec.name or "experiment",
-            title=f"{self.spec.scenario.kind} on {self.spec.topology.kind}",
-            x_label="metric",
-            x_values=("total cost",),
-            series={name: (value,) for name, value in series.items()},
-        )
 
 
 def _simulate_spec(

@@ -257,6 +257,15 @@ def per_round_average(context: MetricContext) -> "dict[str, float]":
     }
 
 
+def cost_ratio(numerator: float, denominator: float) -> float:
+    """A guarded ratio: raises on non-positive optimal cost instead of inf."""
+    if denominator <= 0:
+        raise ValueError(
+            f"cannot form a ratio against non-positive cost {denominator!r}"
+        )
+    return numerator / denominator
+
+
 @register_metric("cost_ratio_vs", aliases=("ratio_vs",))
 def cost_ratio_vs(
     context: MetricContext, reference: str = "OPT"
@@ -267,8 +276,6 @@ def cost_ratio_vs(
     exact offline optimum under each policy's own trace and cost regime).
     When the reference is a policy label, its trivial self-ratio is omitted.
     """
-    from repro.analysis.competitive import cost_ratio
-
     out: dict[str, float] = {}
     for run in context.runs:
         if run.label == str(reference):

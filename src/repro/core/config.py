@@ -127,25 +127,7 @@ class Configuration:
         """True when ``node`` hosts an active server."""
         return node in self.active_set
 
-    def hosts_inactive(self, node: int) -> bool:
-        """True when ``node`` hosts an inactive server."""
-        return node in self.inactive_set
-
     # -- functional updates (return new configurations) --------------------------
-
-    def with_active(self, node: int) -> "Configuration":
-        """Add an active server at ``node`` (must be unoccupied)."""
-        if node in self.occupied:
-            raise ValueError(f"node {node} already hosts a server")
-        return Configuration(self.active + (node,), self.inactive)
-
-    def without_active(self, node: int) -> "Configuration":
-        """Drop the active server at ``node`` entirely (not via the cache)."""
-        if node not in self.active_set:
-            raise ValueError(f"node {node} hosts no active server")
-        return Configuration(
-            tuple(v for v in self.active if v != node), self.inactive
-        )
 
     def move_active(self, src: int, dst: int) -> "Configuration":
         """Relocate the active server at ``src`` to the unoccupied node ``dst``."""
@@ -161,10 +143,6 @@ class Configuration:
     def replace_inactive(self, inactive: Iterable[int]) -> "Configuration":
         """Return a copy with the inactive queue replaced (FIFO order kept)."""
         return Configuration(self.active, tuple(inactive))
-
-    def only_active(self) -> "Configuration":
-        """Project to the active servers (ONCONF ignores the cache state)."""
-        return Configuration(self.active, ())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Configuration(active={list(self.active)}, inactive={list(self.inactive)})"

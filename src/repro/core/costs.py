@@ -24,7 +24,7 @@ T1/T2 link capacities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,16 +89,7 @@ class CostModel:
         """β = 400 > c = 40: migration never pays off (Figures 6, 14, 16-19)."""
         return cls(migration=400.0, creation=40.0, **overrides)
 
-    def with_load(self, load: LoadFunction) -> "CostModel":
-        """Copy of this model with a different load function."""
-        return replace(self, load=load)
-
     # -- derived quantities --------------------------------------------------------
-
-    @property
-    def migration_beneficial(self) -> bool:
-        """True in the interesting regime ``β < c`` where migration can pay."""
-        return self.migration < self.creation
 
     def migration_cost(self, src: int, dst: int) -> float:
         """Cost of migrating a server from ``src`` to ``dst``.

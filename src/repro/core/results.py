@@ -38,23 +38,6 @@ class CostBreakdown:
         """Grand total of the run."""
         return self.access + self.running + self.migration + self.creation
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.access + other.access,
-            self.running + other.running,
-            self.migration + other.migration,
-            self.creation + other.creation,
-        )
-
-    def scaled(self, factor: float) -> "CostBreakdown":
-        """Component-wise scaling (used for averaging over runs)."""
-        return CostBreakdown(
-            self.access * factor,
-            self.running * factor,
-            self.migration * factor,
-            self.creation * factor,
-        )
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -66,7 +66,6 @@ from repro.topology.generators import erdos_renyi
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace, generate_trace
 from repro.workload.commuter import CommuterScenario, default_period_for
-from repro.workload.timezones import TimeZoneScenario
 
 __all__ = [
     "figure01", "figure02", "figure03", "figure04", "figure05", "figure06",
@@ -124,25 +123,6 @@ def _commuter_trace(
         period=period if period is not None else default_period_for(substrate.n),
         sojourn=sojourn,
         dynamic_load=dynamic,
-    )
-    return generate_trace(scenario, horizon, rng)
-
-
-def _timezone_trace(
-    substrate: Substrate,
-    horizon: int,
-    sojourn: int,
-    rng: np.random.Generator,
-    period: "int | None" = None,
-    requests_per_round: int = 10,
-    hotspot_share: float = 0.5,
-) -> Trace:
-    scenario = TimeZoneScenario(
-        substrate,
-        period=period if period is not None else default_period_for(substrate.n),
-        sojourn=sojourn,
-        hotspot_share=hotspot_share,
-        requests_per_round=requests_per_round,
     )
     return generate_trace(scenario, horizon, rng)
 

@@ -2,13 +2,12 @@
 
 Every quantitative figure of the paper is a sweep: vary one parameter
 (network size, λ, T), run several independent replicates per point, and
-average the total costs per algorithm. Figures and ablations describe
-theirs as :class:`~repro.api.specs.SweepSpec` data run by
+average the total costs per algorithm. Every sweep is
+:class:`~repro.api.specs.SweepSpec` data run by
 :func:`~repro.api.experiment.run_sweep`; this module holds the pieces that
-engine shares — seeding (:func:`spawn_tasks`), aggregation into a
-:class:`FigureResult`, paired comparisons. :func:`sweep_experiment` is a
-serial harness for replicate *functions* ``(x, rng) -> {series: value}``
-that no spec can express; it takes no backend.
+engine shares — seeding (:func:`spawn_tasks`), the series-key check
+(:class:`SeriesValidator`), aggregation into a :class:`FigureResult`,
+paired comparisons.
 
 Determinism: replicate ``j`` of sweep point ``i`` always receives the same
 child generator (derived from one master seed through
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from repro.analysis.stats import (
     paired_summary,
     point_summary,
 )
-from repro.api.execution import ReplicateTask, SerialBackend
+from repro.api.execution import ReplicateTask
 
 __all__ = [
     "ComparisonResult",
@@ -48,7 +47,6 @@ __all__ = [
     "point_meets_target",
     "spawn_point_extension_tasks",
     "spawn_tasks",
-    "sweep_experiment",
 ]
 
 
@@ -445,14 +443,11 @@ class SeriesValidator:
     Every replicate of a sweep must report the same series names; a ragged
     key set would merge silently into misaligned series. The first sample
     seen fixes the expectation, every later one is compared against it.
-
-    With ``runs`` the ``index`` is a flat :func:`spawn_tasks` position and
-    the error names run ``index % runs``; without it ``index`` already is
-    the replicate's position within its sweep point.
+    The error names ``index`` as the run: the replicate's position within
+    its sweep point.
     """
 
-    def __init__(self, runs: "int | None" = None) -> None:
-        self.runs = runs
+    def __init__(self) -> None:
         self.expected: "set[str] | None" = None
 
     def __call__(self, index: int, task: ReplicateTask, sample) -> None:
@@ -460,9 +455,8 @@ class SeriesValidator:
         if self.expected is None:
             self.expected = keys
         elif keys != self.expected:
-            run = index if self.runs is None else index % self.runs
             raise RuntimeError(
-                f"replicate at x={task.x!r} (run {run}) returned "
+                f"replicate at x={task.x!r} (run {index}) returned "
                 f"series {sorted(keys)}, expected {sorted(self.expected)}"
             )
 
@@ -689,48 +683,4 @@ def aggregate_point_summaries(
     return _fold(
         groups, comparison, ci_level=ci_level, method=method, figure=figure,
         title=title, x_label=x_label, x_values=tuple(x_values), notes=notes,
-    )
-
-
-def sweep_experiment(
-    figure: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence,
-    replicate: Callable[[object, np.random.Generator], Mapping[str, float]],
-    runs: int = 5,
-    seed: int = 0,
-    notes: str = "",
-    comparison: "ComparisonSpec | None" = None,
-) -> FigureResult:
-    """Run ``replicate`` ``runs`` times per sweep point, serially, and average.
-
-    Args:
-        figure/title/x_label: metadata copied into the result.
-        x_values: the sweep points.
-        replicate: one independent experiment at a sweep point; returns a
-            mapping of series name to measured value. Every replicate must
-            return the same set of keys.
-        runs: replicates per point (the paper uses 5 or 10).
-        seed: master seed; see module docstring for the derivation scheme.
-        notes: carried through to the result.
-        comparison: optional :class:`~repro.api.specs.ComparisonSpec`
-            attaching paired contrast-vs-baseline payloads to the result.
-
-    Returns:
-        A :class:`FigureResult` with per-series means and standard errors.
-    """
-    x_values = list(x_values)
-    tasks = spawn_tasks(x_values, runs, seed)
-    # Validate every replicate against the very first one — a ragged key set
-    # within the first sweep point must fail too, not merge silently into
-    # misaligned series. Running the check as a result hook fails fast: the
-    # sweep aborts at the offending replicate instead of burning the rest of
-    # a long run first.
-    samples = SerialBackend().run_replicates(
-        replicate, tasks, on_result=SeriesValidator(runs)
-    )
-    return aggregate_samples(
-        figure, title, x_label, x_values, samples, runs, notes=notes,
-        comparison=comparison,
     )

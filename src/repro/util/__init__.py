@@ -12,7 +12,6 @@ These helpers enforce two conventions used throughout the library:
 
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.validation import (
-    check_fraction,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -22,7 +21,6 @@ from repro.util.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "check_fraction",
     "check_non_negative",
     "check_positive",
     "check_positive_int",

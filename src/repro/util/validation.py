@@ -44,14 +44,6 @@ def check_probability(name: str, value: float) -> float:
     return float(value)
 
 
-def check_fraction(name: str, value: float) -> float:
-    """Validate a strictly-interior fraction, i.e. ``value`` in (0, 1)."""
-    _check_real(name, value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in the open interval (0, 1), got {value!r}")
-    return float(value)
-
-
 def _check_real(name: str, value: float) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")

@@ -117,12 +117,6 @@ class CommuterScenario(Scenario):
         half = self.period // 2
         return phase if phase <= half else self.period - phase
 
-    def requests_in_round(self, t: int) -> int:
-        """Demand volume of round ``t`` (before any access-point split)."""
-        if self.dynamic_load:
-            return min(1 << self.fanout_step(t), self.peak_access_points)
-        return self.peak_demand
-
     # -- generation -----------------------------------------------------------
 
     def _center_ordering(self, rng: np.random.Generator) -> np.ndarray:

@@ -1,19 +1,43 @@
-"""Tests for repro.analysis (competitive ratios and statistics)."""
+"""Tests for competitive ratios and multi-run statistics.
+
+Ratios are the ``cost_ratio_vs`` metric and run averages the sweep
+engine's fold of the ``total_cost``/``cost_breakdown`` metrics, so both
+are checked through the spec pipeline.
+"""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.onth import OnTH
-from repro.analysis.competitive import competitive_ratio_vs_opt, cost_ratio
-from repro.analysis.stats import (
-    average_breakdown,
-    average_total,
-    mean_stderr,
+from repro.analysis.stats import mean_stderr
+from repro.api.experiment import run_experiment, run_replicate, run_sweep
+from repro.api.metrics import cost_ratio
+from repro.api.specs import (
+    CostSpec,
+    ExperimentSpec,
+    MetricSpec,
+    PolicySpec,
+    ScenarioSpec,
+    SweepSpec,
+    TopologySpec,
 )
-from repro.core.costs import CostModel
-from repro.core.simulator import simulate
-from repro.workload.base import generate_trace
-from repro.workload.commuter import CommuterScenario
+from repro.experiments.runner import aggregate_point_summaries, spawn_tasks
+
+#: The 5-node latency line of the ratio figures.
+LINE5_LATENCY = TopologySpec(
+    "line", {"n": 5, "unit_latency": False, "latency_range": (5, 20)}
+)
+
+
+def onth_spec(metrics, horizon, sojourn=5, seed=0, **fields):
+    return ExperimentSpec(
+        topology=LINE5_LATENCY,
+        scenario=ScenarioSpec("commuter", {"period": 4, "sojourn": sojourn}),
+        policies=(PolicySpec("onth", label="ONTH"),),
+        horizon=horizon,
+        metrics=metrics,
+        seed=seed,
+        **fields,
+    )
 
 
 class TestCostRatio:
@@ -30,20 +54,24 @@ class TestCostRatio:
 
 
 class TestCompetitiveRatio:
-    def test_ratio_at_least_one(self, line5_latency, costs):
-        scenario = CommuterScenario(line5_latency, period=4, sojourn=5)
-        trace = generate_trace(scenario, 50, seed=1)
-        ratio, policy_cost, opt_cost = competitive_ratio_vs_opt(
-            line5_latency, OnTH(), trace, costs, seed=0
-        )
-        assert ratio >= 1.0 - 1e-9
-        assert policy_cost == pytest.approx(ratio * opt_cost)
+    """``cost_ratio_vs:reference=OPT`` against the exact offline optimum."""
 
-    def test_default_cost_model(self, line5_latency):
-        scenario = CommuterScenario(line5_latency, period=4, sojourn=5)
-        trace = generate_trace(scenario, 30, seed=2)
-        ratio, _, _ = competitive_ratio_vs_opt(line5_latency, OnTH(), trace)
+    def test_ratio_at_least_one(self):
+        outcome = run_experiment(onth_spec(
+            (MetricSpec("cost_ratio_vs", {"reference": "OPT"}),
+             MetricSpec("reference_cost", {"reference": "OPT"})),
+            horizon=50, seed=1, costs=CostSpec.paper_default(),
+        ))
+        ratio, opt_cost = outcome.series["ONTH"], outcome.series["OPT"]
         assert ratio >= 1.0 - 1e-9
+        assert outcome.total_costs["ONTH"] == pytest.approx(ratio * opt_cost)
+
+    def test_default_cost_model(self):
+        outcome = run_experiment(onth_spec(
+            (MetricSpec("cost_ratio_vs", {"reference": "OPT"}),),
+            horizon=30, seed=2,
+        ))
+        assert outcome.series["ONTH"] >= 1.0 - 1e-9
 
 
 class TestMeanStderr:
@@ -66,32 +94,39 @@ class TestMeanStderr:
 
 
 class TestRunAggregation:
-    def make_runs(self, line5, costs):
-        scenario = CommuterScenario(line5, period=4, sojourn=3)
-        runs = []
-        for seed in range(3):
-            trace = generate_trace(scenario, 20, seed=seed)
-            runs.append(simulate(line5, OnTH(), trace, costs))
-        return runs
+    """A sweep point averages its replicates' ``total_cost`` and
+    ``cost_breakdown`` metrics component by component."""
 
-    def test_average_total(self, line5, costs):
-        runs = self.make_runs(line5, costs)
-        stat = average_total(runs)
+    METRICS = (MetricSpec("total_cost"), MetricSpec("cost_breakdown"))
+
+    def sweep_and_samples(self):
+        spec = SweepSpec(
+            experiment=onth_spec(self.METRICS, horizon=20, sojourn=3),
+            runs=3, seed=0,
+        )
+        samples = [
+            run_replicate(spec.experiment, np.random.default_rng(task.seed))
+            for task in spawn_tasks(spec.values, spec.runs, spec.seed)
+        ]
+        return run_sweep(spec), samples
+
+    def test_average_total(self):
+        result, samples = self.sweep_and_samples()
+        stat = mean_stderr([sample["ONTH"] for sample in samples])
         assert stat.n == 3
-        assert stat.mean == pytest.approx(
-            np.mean([r.total_cost for r in runs])
-        )
+        assert result.y("ONTH") == (stat.mean,)
+        assert result.errors["ONTH"] == (stat.stderr,)
 
-    def test_average_breakdown_components(self, line5, costs):
-        runs = self.make_runs(line5, costs)
-        bd = average_breakdown(runs)
-        assert bd.access == pytest.approx(
-            np.mean([r.breakdown.access for r in runs])
+    def test_average_breakdown_components(self):
+        result, samples = self.sweep_and_samples()
+        assert result.y("access")[0] == pytest.approx(
+            np.mean([sample["access"] for sample in samples])
         )
-        assert bd.total == pytest.approx(
-            np.mean([r.total_cost for r in runs])
+        parts = ("access", "running", "migration", "creation")
+        assert sum(result.y(part)[0] for part in parts) == pytest.approx(
+            result.y("ONTH")[0]
         )
 
     def test_average_breakdown_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            average_breakdown([])
+        with pytest.raises(ValueError, match="no samples"):
+            aggregate_point_summaries("f", "t", "x", [1], [[]], ci_level=0.95)

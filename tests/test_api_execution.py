@@ -127,8 +127,6 @@ class TestRunExperiment:
         outcome = run_experiment(spec)
         assert set(outcome.total_costs) == {"ONTH", "ONBR"}
         assert outcome.results["ONTH"].rounds == spec.horizon
-        figure = outcome.to_figure_result()
-        assert figure.x_values == ("total cost",)
 
     def test_seeded_reproducibility(self):
         from repro.api.experiment import run_experiment

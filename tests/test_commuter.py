@@ -54,14 +54,14 @@ class TestStructure:
         assert scenario.day_length == 24
 
     def test_dynamic_volume_follows_fanout(self):
-        scenario = self.make()
-        assert scenario.requests_in_round(0) == 1
-        assert scenario.requests_in_round(12) == 16  # phase 4 = midday
+        trace = generate_trace(self.make(), 24, seed=0)
+        assert trace[0].size == 1
+        assert trace[12].size == 16  # phase 4 = midday
 
     def test_static_volume_constant(self):
-        scenario = self.make(dynamic_load=False)
+        trace = generate_trace(self.make(dynamic_load=False), 24, seed=0)
         for t in (0, 3, 12, 21):
-            assert scenario.requests_in_round(t) == 16
+            assert trace[t].size == 16
 
     def test_rejects_odd_period(self):
         with pytest.raises(ValueError, match="even"):

@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from repro.analysis.stats import (
     ConfidenceInterval,
     PointSummary,
-    average_breakdown,
-    average_total,
     confidence_interval,
     mean_stderr,
     point_summary,
@@ -246,34 +244,54 @@ class TestMeanStderrEdgeCases:
 
 
 class TestRunAveragingEdgeCases:
-    """n=0 and n=1 across average_total / average_breakdown."""
+    """n=0 and n=1 across the sweep fold of ``total_cost``/``cost_breakdown``."""
 
-    def _one_run(self):
-        from repro.algorithms.onth import OnTH
-        from repro.core.costs import CostModel
-        from repro.core.simulator import simulate
-        from repro.topology.generators import line
-        from repro.workload.base import generate_trace
-        from repro.workload.commuter import CommuterScenario
+    def _sweep(self, runs):
+        from repro.api.specs import (
+            ExperimentSpec,
+            MetricSpec,
+            PolicySpec,
+            ScenarioSpec,
+            SweepSpec,
+            TopologySpec,
+        )
 
-        substrate = line(5)
-        scenario = CommuterScenario(substrate, period=4, sojourn=3)
-        trace = generate_trace(scenario, 20, seed=0)
-        return simulate(substrate, OnTH(), trace, CostModel.paper_default())
+        return SweepSpec(
+            experiment=ExperimentSpec(
+                topology=TopologySpec("line", {"n": 5}),
+                scenario=ScenarioSpec("commuter", {"period": 4, "sojourn": 3}),
+                policies=(PolicySpec("onth", label="ONTH"),),
+                horizon=20,
+                metrics=(
+                    MetricSpec("total_cost"), MetricSpec("cost_breakdown")
+                ),
+            ),
+            runs=runs,
+        )
 
     def test_average_total_n0_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            average_total([])
+        from repro.experiments.runner import aggregate_samples
+
+        with pytest.raises(ValueError, match="0 samples for 1 points"):
+            aggregate_samples("f", "t", "x", [1], [], runs=1)
 
     def test_average_breakdown_n0_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            average_breakdown([])
+        from repro.experiments.runner import aggregate_point_summaries
+
+        with pytest.raises(ValueError, match="has no samples"):
+            aggregate_point_summaries("f", "t", "x", [1], [[]], ci_level=0.9)
 
     def test_n1_is_the_identity(self):
-        run = self._one_run()
-        stat = average_total([run])
-        assert stat.n == 1 and stat.stderr == 0.0
-        assert stat.mean == pytest.approx(run.total_cost)
-        breakdown = average_breakdown([run])
-        assert breakdown.total == pytest.approx(run.breakdown.total)
-        assert breakdown.access == pytest.approx(run.breakdown.access)
+        from repro.api.experiment import run_replicate, run_sweep
+        from repro.experiments.runner import spawn_tasks
+
+        spec = self._sweep(runs=1)
+        (task,) = spawn_tasks(spec.values, 1, spec.seed)
+        rng = np.random.default_rng(task.seed)
+        sample = run_replicate(spec.experiment, rng)
+        result = run_sweep(spec)
+        for name, value in sample.items():
+            assert result.y(name) == (value,)
+            assert result.errors[name] == (0.0,)
+        parts = ("access", "running", "migration", "creation")
+        assert sample["ONTH"] == pytest.approx(sum(sample[p] for p in parts))

@@ -61,7 +61,6 @@ class TestQueries:
     def test_hosts_checks(self):
         cfg = Configuration((1,), (2,))
         assert cfg.hosts_active(1) and not cfg.hosts_active(2)
-        assert cfg.hosts_inactive(2) and not cfg.hosts_inactive(1)
 
     def test_hashable_and_equal(self):
         a = Configuration((2, 1), (3,))
@@ -78,22 +77,6 @@ class TestQueries:
 
 
 class TestFunctionalUpdates:
-    def test_with_active(self):
-        cfg = Configuration((1,)).with_active(3)
-        assert cfg.active == (1, 3)
-
-    def test_with_active_rejects_occupied(self):
-        with pytest.raises(ValueError, match="already hosts"):
-            Configuration((1,), (2,)).with_active(2)
-
-    def test_without_active(self):
-        cfg = Configuration((1, 2)).without_active(1)
-        assert cfg.active == (2,)
-
-    def test_without_active_rejects_missing(self):
-        with pytest.raises(ValueError, match="no active"):
-            Configuration((1,)).without_active(9)
-
     def test_move_active(self):
         cfg = Configuration((1, 2), (5,)).move_active(2, 7)
         assert cfg.active == (1, 7)
@@ -115,14 +98,9 @@ class TestFunctionalUpdates:
         cfg = Configuration((1,), (2,)).replace_inactive((8, 9))
         assert cfg.inactive == (8, 9)
 
-    def test_only_active(self):
-        cfg = Configuration((1, 2), (3,)).only_active()
-        assert cfg.inactive == ()
-        assert cfg.active == (1, 2)
-
     def test_updates_do_not_mutate_original(self):
         cfg = Configuration((1,), (2,))
-        cfg.with_active(5)
+        cfg.move_active(1, 5)
         cfg.replace_inactive(())
         assert cfg == Configuration((1,), (2,))
 

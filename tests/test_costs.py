@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import Configuration
 from repro.core.costs import CostModel, bandwidth_migration_matrix
-from repro.core.load import LinearLoad, QuadraticLoad
+from repro.core.load import LinearLoad
 from repro.topology.generators import line, star
 from repro.topology.substrate import Link, Substrate
 
@@ -17,21 +17,14 @@ class TestConstruction:
         assert cm.creation == 400.0
         assert cm.run_active == 2.5
         assert cm.run_inactive == 0.5
-        assert cm.migration_beneficial
 
     def test_migration_expensive(self):
         cm = CostModel.migration_expensive()
         assert cm.migration == 400.0
         assert cm.creation == 40.0
-        assert not cm.migration_beneficial
 
     def test_default_load_is_linear(self):
         assert isinstance(CostModel().load, LinearLoad)
-
-    def test_with_load(self):
-        cm = CostModel.paper_default().with_load(QuadraticLoad())
-        assert isinstance(cm.load, QuadraticLoad)
-        assert cm.migration == 40.0
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="migration"):

@@ -10,6 +10,8 @@ invariants that must hold regardless of algorithm or workload:
 * OPT lower-bounds everything on the small topologies.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,13 @@ def test_expensive_migration_regime_end_to_end(line5_latency, costs_expensive):
 
 
 def test_public_api_surface():
-    """Everything advertised in __all__ is importable and real."""
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    """Everything each package advertises in __all__ is importable and real,
+    so an export left behind by a deleted name fails here."""
+    for package in ("repro", "repro.api", "repro.analysis", "repro.experiments",
+                    "repro.core", "repro.workload", "repro.util"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
 
 
 def test_quickstart_docstring_example_runs():

@@ -22,10 +22,18 @@ from repro.analysis.stats import (
     ComparisonSummary,
     ConfidenceInterval,
     confidence_interval,
-    paired_difference_interval,
-    paired_ratio_interval,
     paired_summary,
 )
+
+
+def paired_difference_interval(contrast, baseline, **options):
+    """The paired-difference CI: ``paired_summary(mode="diff").ci``."""
+    return paired_summary(contrast, baseline, mode="diff", **options).ci
+
+
+def paired_ratio_interval(contrast, baseline, **options):
+    """The paired-ratio CI: ``paired_summary(mode="ratio").ci``."""
+    return paired_summary(contrast, baseline, mode="ratio", **options).ci
 
 #: Paired samples: two equal-length, well-scaled finite vectors.
 _pairs = st.integers(2, 25).flatmap(

@@ -41,16 +41,6 @@ class TestCostBreakdown:
         bd = CostBreakdown(access=1, running=2, migration=3, creation=4)
         assert bd.total == 10
 
-    def test_add(self):
-        a = CostBreakdown(1, 2, 3, 4)
-        b = CostBreakdown(10, 20, 30, 40)
-        s = a + b
-        assert (s.access, s.running, s.migration, s.creation) == (11, 22, 33, 44)
-
-    def test_scaled(self):
-        bd = CostBreakdown(2, 4, 6, 8).scaled(0.5)
-        assert (bd.access, bd.running, bd.migration, bd.creation) == (1, 2, 3, 4)
-
 
 class TestRunLedger:
     def build(self, n=5):

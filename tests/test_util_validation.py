@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.util.validation import (
-    check_fraction,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -89,12 +88,3 @@ class TestCheckProbability:
         with pytest.raises(ValueError, match="p"):
             check_probability("p", value)
 
-
-class TestCheckFraction:
-    def test_accepts_interior(self):
-        assert check_fraction("f", 0.3) == 0.3
-
-    @pytest.mark.parametrize("value", [0.0, 1.0])
-    def test_rejects_boundary(self, value):
-        with pytest.raises(ValueError, match="f"):
-            check_fraction("f", value)
