@@ -6,11 +6,16 @@ shared :class:`~repro.core.batch.DistanceGather` (span routing, gather
 windows, the memoised epoch scan) and a streamed copy of the same
 rounds round by round (``route_requests``, plain ``RequestBatch``
 windows). The ``batched`` column times the former, the ``scalar`` column
-the latter, on four points:
+the latter, on five points:
 
 * ``fig03-n400-trio`` / ``fig03-n1000-trio`` — the paper's Figure 3 shape:
   the ONTH/ONBR-fixed/ONBR-dyn trio sharing one commuter trace per
   replicate, at the sweep's n=400 point and the 1000-node headline point.
+* ``fig08-n200-trio`` — the paper's Figure 8 shape: the trio at n=200,
+  T=10, horizon 900, on one commuter trace each for λ = 1, 5 and 20. Each
+  trace repeats its day, so the gathered runs replay recurring days
+  (:meth:`~repro.core.policy.AllocationPolicy.recurrence_key`) while the
+  streamed runs play every round: the bit-identity gate checks the replay.
 * ``routing-core-n1000-static`` — a static policy at n=1000, isolating the
   round loop (span routing + shared gather) from epoch evaluation.
 * ``onconf-wfa-n200`` — ONCONF and WFA (one server each) at n=200, whose
@@ -24,8 +29,9 @@ On speedup expectations: bit-identity pins every reduction to the
 per-round path's exact summand sequences. Both sources run the same
 one-pass epoch scan. The gathered path removes redundant distance gathers
 (the streamed path re-gathers columns per round and per epoch window),
-memoises each scan across sibling policies and recurring windows, and —
-under the default linear load with a power-of-two strength, where every
+memoises each decision across sibling policies and recurring windows,
+replays a periodic trace's recurring days, and — under the default linear
+load with a power-of-two strength, where every
 load sum is exact — skips the assignment work behind the load term.
 
 Each point is timed in pairs: one run of each source, back to back, the
@@ -79,17 +85,19 @@ ONE_SERVER_PAIR = (
     ("wfa", {"max_servers": 1}),
 )
 
-#: (name, n, horizon, replicate traces, policies, timing pairs, floor).
+#: (name, n, horizon, the sojourn λ of each replicate trace, policies,
+#: timing pairs, floor). Every trace has the size-coupled day length T(n).
 #: Floors are far enough under the measured speedups to absorb CI machine
 #: noise while still catching a path regression. ONCONF/WFA spend their
 #: time in ``decide``, so the gathered path there must only not be slower;
 #: its true ratio sits near 1.0x, within a shared host's swing of the
 #: floor, so it gets the most pairs.
 POINTS = (
-    ("fig03-n400-trio", 400, 300, 2, TRIO, 5, 1.3),
-    ("fig03-n1000-trio", 1000, 300, 1, TRIO, 5, 1.4),
-    ("routing-core-n1000-static", 1000, 3000, 1, (("static", {}),), 7, 2.0),
-    ("onconf-wfa-n200", 200, 300, 1, ONE_SERVER_PAIR, 9, 0.9),
+    ("fig03-n400-trio", 400, 300, (10, 10), TRIO, 5, 1.3),
+    ("fig03-n1000-trio", 1000, 300, (10,), TRIO, 5, 1.4),
+    ("fig08-n200-trio", 200, 900, (1, 5, 20), TRIO, 5, 4.0),
+    ("routing-core-n1000-static", 1000, 3000, (10,), (("static", {}),), 7, 2.0),
+    ("onconf-wfa-n200", 200, 300, (10,), ONE_SERVER_PAIR, 9, 0.9),
 )
 
 SEED = 20110330
@@ -111,13 +119,18 @@ def _runs_identical(scalar_runs, batched_runs) -> bool:
     )
 
 
-def _bench_point(name, n, horizon, n_traces, policies, pairs, floor):
+def _bench_point(name, n, horizon, sojourns, policies, pairs, floor):
     rng = np.random.default_rng(SEED)
     substrate = erdos_renyi(n=n, p=min(1.0, 4.0 / n), seed=rng)
     substrate.distances  # materialise outside the timed region
     costs = CostModel.paper_default()
-    scenario = CommuterScenario(substrate, period=default_period_for(n))
-    traces = [scenario.generate(horizon, rng) for _ in range(n_traces)]
+    period = default_period_for(n)
+    traces = [
+        CommuterScenario(substrate, period=period, sojourn=sojourn).generate(
+            horizon, rng
+        )
+        for sojourn in sojourns
+    ]
 
     def run_scalar():
         return [
@@ -155,12 +168,13 @@ def _bench_point(name, n, horizon, n_traces, policies, pairs, floor):
     batched_seconds = float(np.median(elapsed[run_batched]))
     scalar_runs, batched_runs = runs[run_scalar], runs[run_batched]
 
-    replicates = n_traces * len(policies)
+    replicates = len(traces) * len(policies)
     rounds = replicates * horizon
     return {
         "substrate_nodes": n,
         "horizon": horizon,
-        "traces": n_traces,
+        "traces": len(traces),
+        "sojourns": list(sojourns),
         "policies": [pname for pname, _ in policies],
         "replicates": replicates,
         "timing_pairs": pairs,

@@ -100,9 +100,9 @@ def enumerate_choices(
     ONBR enumerates every family; ONTH's small epochs exclude additions
     (``allow_add=False``) because servers are only added at large-epoch
     boundaries (§III-A). The access costs come from one
-    :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`, which a gather
-    window memoises; the list itself is built fresh (policies call
-    :func:`choose`, which memoises the chosen entry).
+    :meth:`~repro.core.evaluation.RequestBatch.epoch_scan`; the list is
+    built fresh (policies call :func:`choose`, which memoises the chosen
+    entry).
     """
     return _assemble_choices(
         batch, config, cache.nodes, cache.max_size, costs,

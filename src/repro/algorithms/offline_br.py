@@ -72,6 +72,9 @@ class OffBR(OnBR, OfflinePolicy):
         self._require_prepared()
         return super().reset(substrate, costs, rng)
 
+    def recurrence_key(self) -> None:
+        return None  # the lookahead is clipped at the horizon: never replay
+
     def _decision_batch(self) -> RequestBatch:
         upcoming = _lookahead_rounds(
             self._substrate,
@@ -97,6 +100,9 @@ class OffTH(OnTH, OfflinePolicy):
     def reset(self, substrate, costs, rng) -> Configuration:
         self._require_prepared()
         return super().reset(substrate, costs, rng)
+
+    def recurrence_key(self) -> None:
+        return None  # the lookahead is clipped at the horizon: never replay
 
     def _small_decision_batch(self) -> RequestBatch:
         upcoming = _lookahead_rounds(

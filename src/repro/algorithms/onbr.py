@@ -111,6 +111,14 @@ class OnBR(AllocationPolicy):
         self._current_round = -1
         return self._config
 
+    def recurrence_key(self) -> tuple:
+        cache = self._cache
+        return (
+            self._config, cache.nodes, cache.ages, self._epoch_cost,
+            self._epoch_rounds, self._previous_epoch_rounds,
+            self._epoch_threshold, self._batch.content_key,
+        )
+
     def _threshold(self) -> float:
         base = self._threshold_factor * self._costs.creation
         if self._dynamic and self._previous_epoch_rounds:

@@ -118,6 +118,14 @@ class OnTH(AllocationPolicy):
         self._current_round = -1
         return self._config
 
+    def recurrence_key(self) -> tuple:
+        cache = self._cache
+        return (
+            self._config, cache.nodes, cache.ages, self._small_cost,
+            self._large_access, self._large_running, self._small_threshold,
+            self._small_batch.content_key, self._large_batch.content_key,
+        )
+
     def decide(
         self,
         t: int,

@@ -22,18 +22,18 @@ single ledger bit:
   :meth:`~repro.core.policy.AllocationPolicy.new_window`; their epoch
   logic runs unchanged. The window holds no scan of its own: the one
   :meth:`~repro.core.evaluation.RequestBatch.epoch_scan` reads its
-  distance blocks, memoises through :meth:`GatherWindow.memoised` and,
-  under dyadic loads, takes the window load without counting it.
+  distance blocks and, under dyadic loads, takes the window load without
+  counting it.
 
 The gather also holds one memo that every window and the round loop share,
 keyed on **content**, not position. At build, each round is interned into
 :attr:`DistanceGather.round_ids` (equal request arrays share an id), and a
 window's :attr:`~GatherWindow.content_key` is the bytes of its run of ids.
 Periodic demand repeats whole windows (a commuter day recurs every
-``T·λ`` rounds), so one scan serves every recurrence, across sibling
-policies too. Four things are memoised under it: epoch scans and exact
-access costs (:meth:`GatherWindow.memoised`), a policy's decision at an
-epoch boundary (the chosen family representative,
+``T·λ`` rounds), so one decision serves every recurrence, across sibling
+policies too. Three things are memoised under it: exact access costs
+(:meth:`GatherWindow.memoised`), a policy's decision at an epoch boundary
+(the chosen family representative,
 :func:`~repro.algorithms._families.choose`), and nearest routing of a
 repeated round under one active set (the simulator's span router). Each
 value is a pure function of its key: it reads only the window's gathered
@@ -161,6 +161,7 @@ class DistanceGather:
         self._row_of: "np.ndarray | None" = None
         self._sizes_f64: "np.ndarray | None" = None
         self._arange: "np.ndarray | None" = None
+        self._period = -1  # not computed yet; 0 once known to be aperiodic
         # Memo shared by every window over this gather and by the round
         # loop's router. Window entries are keyed (kind, *state, content
         # key) through GatherWindow.memoised, routes ("route", round id,
@@ -177,14 +178,26 @@ class DistanceGather:
         return self._arange[:size]
 
     def memo_get(self, key):
-        """Cached scan, decision, exact cost or routing for ``key`` (or ``None``)."""
+        """Cached decision, exact cost or routing for ``key`` (or ``None``)."""
         return self._memo.get(key)
 
     def memo_put(self, key, value) -> None:
-        """Cache a scan, decision, exact cost or routing (bounded)."""
+        """Cache a decision, exact cost or routing (bounded)."""
         if len(self._memo) >= 32768:
             self._memo.clear()
         self._memo[key] = value
+
+    @property
+    def period(self) -> "int | None":
+        """The smallest ``P`` with ``round_ids[P:] == round_ids[:-P]`` and
+        ``2P <= horizon``, or ``None``: every round ``t >= P`` then holds
+        the content of round ``t - P``. Computed on first use, once per
+        gather, and only by a run whose policy has a
+        :meth:`~repro.core.policy.AllocationPolicy.recurrence_key`.
+        """
+        if self._period < 0:
+            self._period = _smallest_period(self.round_ids)
+        return self._period or None
 
     @property
     def columns(self) -> np.ndarray:
@@ -240,6 +253,21 @@ class DistanceGather:
         return GatherWindow(self)
 
 
+def _smallest_period(ids: np.ndarray) -> int:
+    """The smallest shift ``P <= ids.size // 2`` under which ``ids`` repeats, or 0."""
+    if ids.size < 2:
+        return 0
+    last = ids.size - 1
+    shifts = np.arange(1, ids.size // 2 + 1)
+    # A period keeps the first and the last id; test every shift on those
+    # two at once, and compare whole shifted copies only for survivors.
+    shifts = shifts[(ids[shifts] == ids[0]) & (ids[last - shifts] == ids[last])]
+    for shift in shifts.tolist():
+        if np.array_equal(ids[shift:], ids[:-shift]):
+            return shift
+    return 0
+
+
 class GatherWindow(RequestBatch):
     """A :class:`RequestBatch` served from a :class:`DistanceGather`.
 
@@ -251,7 +279,7 @@ class GatherWindow(RequestBatch):
     base class's epoch scan and exact costs therefore see byte-identical
     inputs in the same shapes, layouts and reduction orders as a freshly
     built plain window — the outputs are bit-identical, just cheaper to
-    produce, and memoised on the gather.
+    produce; exact costs and decisions are memoised on the gather.
     """
 
     def __init__(self, gather: DistanceGather) -> None:
@@ -338,8 +366,8 @@ class GatherWindow(RequestBatch):
 
         Two windows anywhere in the trace with equal keys hold the same
         rounds in the same order, hence the same gathered columns. The
-        bytes are built once per window range, so the scan and decision
-        entries of one epoch share them.
+        bytes are built once per window range, so the decision entry and
+        the simulator's recurrence key of one epoch share them.
         """
         span = (self._t0, self._t1)
         if self._key_span != span:

@@ -285,32 +285,10 @@ class RequestBatch:
         """Scan the enabled single-change families of ``active`` in one pass.
 
         ``occupied`` lists every node hosting a server (active or cached);
-        no migration may target one. The scan is memoised through
-        :meth:`memoised`, and its arrays are read-only.
+        no migration may target one.
         """
         active = np.asarray(active, dtype=np.int64)
         occupied = np.asarray(occupied, dtype=np.int64)
-
-        def scan() -> EpochScan:
-            result = self._scan(active, occupied, migrate, deactivate, add)
-            for arr in result[1:]:
-                if arr is not None:
-                    arr.flags.writeable = False
-            return result
-
-        return self.memoised(
-            ("scan", active.tobytes(), occupied.tobytes(), migrate, deactivate, add),
-            scan,
-        )
-
-    def _scan(
-        self,
-        active: np.ndarray,
-        occupied: np.ndarray,
-        migrate: bool,
-        deactivate: bool,
-        add: bool,
-    ) -> EpochScan:
         n, k, m = self._substrate.n, active.size, self.flat.size
         migrate = migrate and k > 0
         deactivate = deactivate and k >= 2

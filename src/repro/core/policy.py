@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -111,6 +112,32 @@ class AllocationPolicy(ABC):
             The next configuration; returning the current one means "no
             change" and is free.
         """
+
+    def recurrence_key(self) -> "Hashable | None":
+        """The state that shapes the policy's future, or ``None`` (the default).
+
+        Over a gathered trace that repeats every ``P`` rounds
+        (:attr:`~repro.core.batch.DistanceGather.period`),
+        :func:`~repro.core.simulator.simulate` reads this key with the
+        current configuration before each round ``t = jP``. When both equal
+        those of an earlier day boundary ``t0``, the game's whole state has
+        recurred over the same input. A ledger row is a pure function of
+        that state and the round's content (the gather's memo and the span
+        router are content-keyed caches), so rounds ``[t, horizon)`` repeat
+        rounds ``[t0, t)`` bit for bit: the simulator copies their rows
+        instead of playing them. The policy object is then left in its
+        state at round ``t``; :meth:`reset` discards it.
+
+        A key must therefore hold every value that later ``decide`` calls
+        read: accumulators, counters, thresholds, cache entries by *age*
+        and each request window's
+        :attr:`~repro.core.batch.GatherWindow.content_key`, never an
+        absolute round or tick (no day would ever recur). A policy whose
+        decisions read its rng, the round index or rounds beyond its
+        windows (lookahead, plans) keeps ``None`` and is always played
+        round by round.
+        """
+        return None
 
     # -- request windows ------------------------------------------------------
 

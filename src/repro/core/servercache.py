@@ -54,6 +54,11 @@ class InactiveServerCache:
         """Cached server nodes, oldest first (the FIFO order)."""
         return self._nodes
 
+    @property
+    def ages(self) -> tuple[int, ...]:
+        """Each entry's age in epoch ticks, aligned with :attr:`nodes`."""
+        return tuple(self._epoch - birth for birth in self._births)
+
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -33,6 +33,16 @@ produce the same ledger bit for bit. A capacitated substrate is routed
 round by round with :func:`~repro.core.routing.route_capacitated`, the
 capacity rule ``simulate_services`` applies too.
 
+A gathered trace that repeats every ``P`` rounds
+(:attr:`~repro.core.batch.DistanceGather.period`) replays its recurring
+days: when a policy's
+:meth:`~repro.core.policy.AllocationPolicy.recurrence_key` and the
+configuration before a round ``t = jP`` equal those at an earlier day
+boundary ``t0``, the player tiles the rows of ``[t0, t)`` up to the horizon
+and the loop ends (that method gives the bit-identity argument). Streamed
+input and keyless policies play every round. Capacitated runs may replay:
+``route_capacitated`` reads its round index only for its error message.
+
 Everything after routing (``decide``, the configuration checks, transition
 pricing and the column ledger) is one policy's :class:`_Player`.
 :func:`~repro.core.multiservice.simulate_services` drives one player per
@@ -142,7 +152,20 @@ def simulate(
             else None
         )
         capacities = substrate.capacities
+        # Day boundaries of a periodic gathered trace, keyed by the state
+        # there (see AllocationPolicy.recurrence_key).
+        period = (
+            gather.period
+            if gather is not None and policy.recurrence_key() is not None
+            else None
+        )
+        days: dict = {}
         for t, requests in enumerate(trace.rounds if gather is not None else trace):
+            if period is not None and t % period == 0:
+                t0 = days.setdefault((policy.recurrence_key(), player.config), t)
+                if t0 < t:
+                    player.repeat(t0, t, len(trace))
+                    break
             if gather is None:
                 requests = check_round(t, requests)
                 if requests.size and int(requests.max()) >= substrate.n:
@@ -259,6 +282,12 @@ class _Player:
         n_inactive_col[t] = self._n_inactive
         n_requests_col[t] = requests.size
         self._rounds = t + 1
+
+    def repeat(self, t0: int, t: int, horizon: int) -> None:
+        """Fill rounds ``[t, horizon)`` by tiling the rows of ``[t0, t)``."""
+        for column in self._columns:
+            column[t:horizon] = np.resize(column[t0:t], horizon - t)
+        self._rounds = horizon
 
     def finish(self) -> RunResult:
         """The immutable ledger of the rounds played so far."""

@@ -223,22 +223,6 @@ def test_plain_window_equals_gathered_window(strength_name, load):
             )
 
 
-def test_scan_is_memoised_across_sibling_windows():
-    rng = np.random.default_rng(5)
-    substrate = build_substrate(1.0, rng)
-    costs = CostModel.paper_default()
-    trace = random_trace(rng, 8)
-    gather = DistanceGather(substrate, costs, trace)
-    w1 = window_over(gather, trace, 2, 6)
-    w2 = window_over(gather, trace, 2, 6)
-    active, occupied = (3, 9), (3, 9, 11)
-    first = w1.epoch_scan(active, occupied)
-    assert w2.epoch_scan(active, occupied) is first
-    # A different family set, window or cache is a different scan.
-    assert w2.epoch_scan(active, occupied, add=False) is not first
-    assert w2.epoch_scan(active, (3, 9)) is not first
-
-
 def test_empty_window_and_empty_placement_fall_back():
     rng = np.random.default_rng(6)
     substrate = build_substrate(1.0, rng)
